@@ -16,6 +16,10 @@ multiplicity i_k.  The structure pass recovers the multiset {(i_k, j_k)} from
 eigenvalue clustering of a generic central element; it is multiplicity-free
 exactly when every i_k = 1, which is when the algebra contains rank-one
 projections summing to the identity.
+
+Both the center and span membership are solved in the algebra's own
+coefficient space (see :func:`center`), never with d^2 x d^2 operators;
+``commutant`` and ``intersect_spans`` remain as utilities off that path.
 """
 
 from __future__ import annotations
@@ -62,15 +66,11 @@ class MatrixAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def projector(self) -> np.ndarray:
-        b = np.column_stack([vec(m) for m in self.basis])
-        return b @ b.conj().T
-
     def contains(self, x, tol: ToleranceConfig | None = None) -> bool:
         t = _tol(tol)
-        v = vec(as_matrix(x))
-        scale = max(1.0, float(np.linalg.norm(v)))
-        return float(np.linalg.norm(self.projector() @ v - v)) <= t.eps_verify * scale
+        m = as_matrix(x)
+        scale = max(1.0, frob(m))
+        return float(_span_residuals(np.stack(self.basis), m[None])[0]) <= t.eps_verify * scale
 
     @classmethod
     def from_span(cls, mats, tol: ToleranceConfig | None = None,
@@ -82,10 +82,8 @@ class MatrixAlgebra:
         d = basis[0].shape[0]
         if basis[0].shape != (d, d):
             raise ValueError("algebra elements must be square")
-        proj = np.column_stack([vec(m) for m in basis])
-        proj = proj @ proj.conj().T
-        eye_vec = vec(np.eye(d))
-        has_identity = float(np.linalg.norm(proj @ eye_vec - eye_vec)) <= t.eps_verify * math.sqrt(d)
+        eye_res = float(_span_residuals(np.stack(basis), np.eye(d)[None])[0])
+        has_identity = eye_res <= t.eps_verify * math.sqrt(d)
         alg = cls(ambient_dim=d, basis=tuple(basis), contains_identity=has_identity)
         if validate:
             alg.check_invariants(t)
@@ -93,27 +91,30 @@ class MatrixAlgebra:
 
     def check_invariants(self, tol: ToleranceConfig | None = None) -> None:
         """Assert *-closure, multiplicative closure, and identity membership
-        of the span, all at eps_verify."""
+        of the span, all at eps_verify: every adjoint and every product of
+        basis elements, the products batched one left factor at a time."""
         t = _tol(tol)
-        proj = self.projector()
-
-        def inside(m: np.ndarray) -> float:
-            v = vec(m)
-            return float(np.linalg.norm(proj @ v - v))
-
-        for b in self.basis:
-            res = inside(b.conj().T)
-            if res > t.eps_verify:
-                raise VerificationFailure(f"span is not *-closed, residual {res:.3e}")
+        stack = np.stack(self.basis)
+        res = float(np.max(_span_residuals(stack, stack.conj().transpose(0, 2, 1))))
+        if res > t.eps_verify:
+            raise VerificationFailure(f"span is not *-closed, residual {res:.3e}")
         for a in self.basis:
-            for b in self.basis:
-                res = inside(a @ b)
-                if res > t.eps_verify:
-                    raise VerificationFailure(
-                        f"span is not multiplicatively closed, residual {res:.3e}"
-                    )
+            res = float(np.max(_span_residuals(stack, a @ stack)))
+            if res > t.eps_verify:
+                raise VerificationFailure(
+                    f"span is not multiplicatively closed, residual {res:.3e}"
+                )
         if not self.contains_identity:
             raise VerificationFailure("identity is not in the span")
+
+
+def _span_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each matrix in a (s, d, d) stack from the span
+    of an orthonormal (r, d, d) basis stack, as the coefficient residual
+    |v - B(B* v)|."""
+    b = basis.reshape(basis.shape[0], -1)
+    v = mats.reshape(mats.shape[0], -1)
+    return np.linalg.norm(v - (v @ b.conj().T) @ b, axis=1)
 
 
 def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None,
@@ -135,7 +136,9 @@ def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None,
     d = psi.input_dim
     transfer = psi.transfer_matrix()
     composed = transfer.conj().T @ transfer
-    fixed = nullspace(composed - np.eye(d * d), t)
+    # dual(psi) o psi is a contraction, so its gap to 1 is judged on the
+    # absolute scale 1, not against a largest singular value that can be tiny
+    fixed = nullspace(composed - np.eye(d * d), t, cutoff=t.eps_rank)
     if fixed.shape[1] == 0:
         raise VerificationFailure("fixed-point space is empty; identity must always be fixed")
     mats = [unvec(fixed[:, k], d, d) for k in range(fixed.shape[1])]
@@ -212,13 +215,24 @@ def intersect_spans(first, second, tol: ToleranceConfig | None = None) -> list[n
 
 
 def center(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> list[np.ndarray]:
-    """Orthonormal basis of the center, the intersection with the commutant."""
+    """Orthonormal basis of the center, solved in coefficient space.
+
+    z = sum_k c_k b_k is central exactly when sum_k c_k [b_k, b_l] = 0 for
+    every basis element b_l: a thin-SVD null space of that (r d^2) x r
+    system.  With an orthonormal basis a singular value is the commutator
+    norm of a unit z, so the cutoff is the absolute eps_verify at which the
+    algebra was accepted; a relative cutoff could empty the center of an
+    algebra that check_invariants accepted.
+    """
     t = _tol(tol)
-    com = commutant(alg, t)
-    basis = intersect_spans(alg.basis, com.basis, t)
-    if not basis:
+    stack = np.stack(alg.basis)
+    r = alg.dimension
+    prods = stack[:, None] @ stack[None, :]
+    comms = prods - prods.swapaxes(0, 1)
+    coeffs = nullspace(comms.reshape(r, -1).T, t, cutoff=t.eps_verify)
+    if coeffs.shape[1] == 0:
         raise VerificationFailure("center is empty; a unital algebra contains the identity")
-    return basis
+    return list(np.tensordot(coeffs.T, stack, axes=1))
 
 
 @dataclass(frozen=True)

@@ -123,18 +123,21 @@ def numerical_rank(a, tol: ToleranceConfig | None = None) -> int:
     return int(np.sum(s > t.eps_rank * s[0]))
 
 
-def nullspace(a, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Orthonormal basis of the right null space, as matrix columns."""
+def nullspace(a, tol: ToleranceConfig | None = None,
+              cutoff: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the right null space, as matrix columns.
+
+    Singular values at or below ``cutoff`` count as zero; the default is the
+    relative rule of :func:`numerical_rank`.
+    """
     t = _tol(tol)
     a = as_matrix(a)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    if s.size == 0 or s[0] <= t.eps_rank:
-        rank = 0
-    else:
-        rank = int(np.sum(s > t.eps_rank * s[0]))
-    return vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    if cutoff is None:
+        cutoff = t.eps_rank * s[0] if s.size and s[0] > t.eps_rank else np.inf
+    return vh[int(np.sum(s > cutoff)):].conj().T
 
 
 def kron(a, b) -> np.ndarray:

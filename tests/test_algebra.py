@@ -17,6 +17,7 @@ from ebcert import (
     structure,
 )
 from ebcert.errors import NotMultiplicityFree, NotUnitalOrNotTP, VerificationFailure
+from ebcert.numerics import span_projector
 from ebcert.zoo import (
     depolarizing,
     random_channel,
@@ -74,6 +75,17 @@ def repeated_block_algebra(multiplicity, size, tol):
     )
 
 
+def scalar_plus_block_algebra(tol):
+    """Scalars on a 3-dim summand plus a full 2x2 block."""
+    mats = [np.zeros((5, 5), dtype=complex)]
+    mats[0][:3, :3] = np.eye(3)
+    for u in matrix_units(2):
+        m = np.zeros((5, 5), dtype=complex)
+        m[3:, 3:] = u
+        mats.append(m)
+    return MatrixAlgebra.from_span(mats, tol)
+
+
 class TestMatrixAlgebra:
     def test_from_span_orthonormalizes(self, tol):
         alg = full_algebra(2, tol)
@@ -89,6 +101,13 @@ class TestMatrixAlgebra:
         e12[0, 1] = 1.0
         with pytest.raises(VerificationFailure):
             MatrixAlgebra.from_span([e12, np.eye(2)], tol)
+
+    def test_invariants_reject_star_closed_span_without_products(self, tol):
+        # span{I, sigma_x, sigma_z} is *-closed but sigma_x sigma_z = -i sigma_y
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(VerificationFailure, match="multiplicatively"):
+            MatrixAlgebra.from_span([np.eye(2), sx, sz], tol)
 
     def test_contains(self, tol):
         alg = diagonal_algebra(3, tol)
@@ -191,6 +210,22 @@ class TestIntersectAndCenter:
     def test_center_of_two_blocks(self, tol):
         assert len(center(block_diag_algebra([2, 3], tol), tol)) == 2
 
+    @pytest.mark.parametrize("build", [
+        lambda tol: block_diag_algebra([2, 3], tol),
+        lambda tol: repeated_block_algebra(2, 2, tol),
+        scalar_plus_block_algebra,
+    ], ids=["block_diag", "repeated", "scalar_plus_block"])
+    def test_center_matches_commutant_intersection(self, tol, build):
+        alg = build(tol)
+        alg = conjugated(alg, random_unitary(alg.ambient_dim, 61), tol)
+        central = center(alg, tol)
+        reference = intersect_spans(alg.basis, commutant(alg, tol).basis, tol)
+        assert len(central) == len(reference)
+        gram = np.array([[np.vdot(a, b) for b in central] for a in central])
+        np.testing.assert_allclose(gram, np.eye(len(central)), atol=1e-12)
+        assert np.linalg.norm(span_projector(central, tol)
+                              - span_projector(reference, tol)) <= 1e-12
+
 
 class TestStructure:
     def test_diagonal(self, tol):
@@ -215,14 +250,7 @@ class TestStructure:
         assert s.multiplicity_free
 
     def test_mixed_repeated_scalar_block(self, tol):
-        # scalars on a 3-dim summand plus a full 2x2 block
-        mats = [np.zeros((5, 5), dtype=complex)]
-        mats[0][:3, :3] = np.eye(3)
-        for u in matrix_units(2):
-            m = np.zeros((5, 5), dtype=complex)
-            m[3:, 3:] = u
-            mats.append(m)
-        s = structure(MatrixAlgebra.from_span(mats, tol), tol)
+        s = structure(scalar_plus_block_algebra(tol), tol)
         assert s.pairs() == ((1, 2), (3, 1))
         assert not s.multiplicity_free
 

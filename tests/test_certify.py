@@ -3,6 +3,7 @@ import pytest
 
 from ebcert import (
     EBCertificate,
+    KrausChannel,
     certify,
     choi,
     eb_rank,
@@ -36,7 +37,7 @@ from ebcert.zoo import (
     werner_holevo,
 )
 
-from oracles import random_complex_matrix
+from oracles import direct_choi, random_complex_matrix
 
 
 def unit_columns(m, n, seed):
@@ -200,6 +201,46 @@ class TestCertify:
                 certify(ch, t)
             outcomes.append(err.value.blocks)
         assert len(set(outcomes)) == 1
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5])
+    def test_near_parallel_output_vectors_certify(self, tol, delta):
+        # columns e_1 + delta-noise: dual o psi minus the identity has largest
+        # singular value about delta^2, so only an absolute cutoff separates
+        # its fixed points (the gap stays above eps_rank at these delta)
+        rng = np.random.default_rng(0)
+        cols = np.zeros((3, 4), dtype=complex)
+        cols[0, :] = 1.0
+        cols += delta * random_complex_matrix(3, 4, rng)
+        cols /= np.linalg.norm(cols, axis=0)
+        cert = certify(schur_complement_channel(cols, tol), tol)
+        assert cert.eb_rank == cert.choi_rank == 4
+        assert len(cert.rank_one_kraus) == 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perturbed_planted_channel_certifies(self, tol, seed):
+        ch = random_projection_choi_channel(3, 3, seed, tol, ensure_eb=True)
+        rng = np.random.default_rng(100 + seed)
+        ops = [k + 1e-10 * random_complex_matrix(3, 3, rng) for k in ch.kraus]
+        evals, evecs = np.linalg.eigh(sum(k.conj().T @ k for k in ops))
+        ops = [k @ evecs @ np.diag(evals ** -0.5) @ evecs.conj().T for k in ops]
+        perturbed = KrausChannel(ops, tol)
+        cert = certify(perturbed, tol)
+        assert cert.residuals["choi_match"] <= tol.eps_verify * 3
+        mismatch = direct_choi(cert.rank_one_kraus, 3, 3) - direct_choi(ops, 3, 3)
+        assert np.linalg.norm(mismatch) <= tol.eps_verify * 3
+
+    def test_pipeline_does_not_build_the_commutant(self, tol, monkeypatch):
+        import ebcert.algebra
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline must not build the commutant")
+
+        monkeypatch.setattr(ebcert.algebra, "commutant", refuse)
+        monkeypatch.setattr(ebcert.algebra, "intersect_spans", refuse)
+        planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
+        assert certify(planted, tol).eb_rank == 6
+        with pytest.raises(NotEntanglementBreaking):
+            certify(random_projection_choi_channel(6, 6, 2, tol), tol)
 
 
 class TestVerifyCertificate:

@@ -139,6 +139,27 @@ class TestNullspace:
             assert np.linalg.norm(a @ basis[:, k]) <= tol.eps_rank * smax * 10
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [9, 6, 3])  # tall, square, wide
+    def test_same_null_space_for_every_shape(self, tol, rows):
+        # a = x @ y with x of full column rank has the null space of y,
+        # whose projector I - pinv(y) y comes from an independent solver
+        rng = np.random.default_rng(40 + rows)
+        y = random_complex_matrix(2, 6, rng)
+        a = random_complex_matrix(rows, 2, rng) @ y
+        basis = nullspace(a, tol)
+        assert basis.shape == (6, 4)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(4), atol=1e-12)
+        expected = np.eye(6) - np.linalg.pinv(y) @ y
+        np.testing.assert_allclose(basis @ basis.conj().T, expected, atol=1e-12)
+
+    def test_absolute_cutoff(self, tol):
+        a = np.diag([1.0, 1e-6, 0.0])
+        assert nullspace(a, tol).shape == (3, 1)
+        assert nullspace(a, tol, cutoff=1e-5).shape == (3, 2)
+        # below eps_rank the default rule calls everything null
+        assert nullspace(1e-12 * a, tol).shape == (3, 3)
+        assert nullspace(1e-12 * a, tol, cutoff=1e-14).shape == (3, 2)
+
 
 class TestVecUnvecKron:
     def test_vec_stacks_columns(self):
