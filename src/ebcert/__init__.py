@@ -37,7 +37,6 @@ from .channel import (
     ComplementChannel,
     CPMap,
     KrausChannel,
-    apply,
     channel_from_json_dict,
     channel_to_json_dict,
     choi,
@@ -80,7 +79,6 @@ from .errors import (
 from .numerics import (
     ToleranceConfig,
     hermitian_eig,
-    kron,
     nullspace,
     numerical_rank,
     random_hermitian_in_span,

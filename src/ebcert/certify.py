@@ -22,7 +22,6 @@ class exactly.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,15 +114,15 @@ class EBCertificate:
 
 
 def combine_kraus(kraus, weights) -> np.ndarray:
-    """Weighted sum of Kraus operators; with conjugated resolution-vector
-    weights this produces the recombined operators of a certificate."""
-    weights = np.asarray(weights, dtype=complex).reshape(-1)
-    if len(weights) != len(kraus):
+    """Weighted sums sum_j c_j K_j of Kraus operators, for one weight vector
+    or for each row of a matrix of weights; with conjugated
+    resolution-vector weights this produces the recombined operators of a
+    certificate."""
+    kraus = np.asarray(kraus, dtype=complex)
+    weights = np.asarray(weights, dtype=complex)
+    if weights.shape[-1] != len(kraus):
         raise ValueError("one weight per Kraus operator is required")
-    out = np.zeros_like(kraus[0], dtype=complex)
-    for c, op in zip(weights, kraus):
-        out += c * op
-    return out
+    return np.tensordot(weights, kraus, axes=1)
 
 
 def verify_eb_witness(minimal: CPMap, w_list, tol: ToleranceConfig | None = None) -> list[np.ndarray]:
@@ -148,10 +147,9 @@ def verify_eb_witness(minimal: CPMap, w_list, tol: ToleranceConfig | None = None
     if residual > t.eps_verify:
         raise ResolutionFailure(residual)
 
+    combined = combine_kraus(minimal.kraus, np.conj(vectors))
     images = []
-    for i, w in enumerate(vectors):
-        combined = combine_kraus(minimal.kraus, w.conj())
-        image = combined.conj().T @ combined
+    for i, image in enumerate(combined.conj().transpose(0, 2, 1) @ combined):
         rank = numerical_rank(image, t)
         if rank > 1:
             raise RankFailure(i, rank)
@@ -187,7 +185,7 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     if report.classification is not ChoiClass.PROJECTION:
         raise OutOfScope(report.classification.value, report.alpha)
 
-    minimal = minimal_kraus(channel, t)
+    minimal = channel.with_kraus(report.kraus, t)
     d = len(minimal)
     adjoint = complement_adjoint(minimal, t)
     domain = multiplicative_domain(adjoint, t)
@@ -204,16 +202,15 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
             f"multiplicity-free domain produced an invalid witness: {exc}"
         ) from exc
 
-    ops, u_list, v_list = [], [], []
-    for i, w in enumerate(w_list):
-        op = combine_kraus(minimal.kraus, w.conj())
+    ops = combine_kraus(minimal.kraus, np.conj(w_list))
+    u_list, v_list = [], []
+    for i, op in enumerate(ops):
         u, v = _split_rank_one(op)
         mismatch = frob(np.outer(v, v.conj()) - np.outer(v_witness[i], v_witness[i].conj()))
         if mismatch > t.eps_verify:
             raise VerificationFailure(
                 f"factorization and adjoint image disagree on vector {i}: {mismatch:.3e}"
             )
-        ops.append(op)
         u_list.append(u)
         v_list.append(v)
 
@@ -243,11 +240,10 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
     residuals["resolution"] = frob(
         sum(np.outer(w, w.conj()) for w in cert.w) - np.eye(d)
     )
-    residuals["adjoint_rank_one"] = max(
-        frob(complement_adjoint_apply(minimal, np.outer(w, w.conj()), t)
-             - np.outer(v, v.conj()))
-        for w, v in zip(cert.w, cert.v)
-    )
+    dyads = np.stack([np.outer(w, w.conj()) for w in cert.w])
+    images = np.stack([np.outer(v, v.conj()) for v in cert.v])
+    residuals["adjoint_rank_one"] = float(np.max(np.linalg.norm(
+        complement_adjoint_apply(minimal, dyads, t) - images, axis=(1, 2))))
     residuals["input_resolution"] = frob(
         sum(np.outer(v, v.conj()) for v in cert.v) - np.eye(n)
     )
@@ -261,7 +257,7 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
         for w, v in zip(cert.w, cert.v)
     )
     rebuilt = KrausChannel(cert.rank_one_kraus, t)
-    residuals["choi_match"] = frob(choi(rebuilt, t).choi - choi(channel, t).choi)
+    residuals["choi_match"] = frob(rebuilt.choi_matrix() - channel.choi_matrix())
 
     bounds = {
         "resolution": t.eps_verify,
@@ -326,8 +322,8 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
     # Kraus set of the rotated channel X -> Phi(V X V*) induced by the
     # certificate; anchor it to the real channel through the Choi matrix.
     rotated = [np.outer(u, e.conj()) for u, e in zip(cert.u, np.eye(n))]
-    direct = [op @ basis for op in minimal_kraus(channel, t).kraus]
-    anchor = frob(choi(CPMap(rotated, t), t).choi - choi(CPMap(direct, t), t).choi)
+    direct = minimal_kraus(channel, t).kraus @ basis
+    anchor = frob(CPMap(rotated, t).choi_matrix() - CPMap(direct, t).choi_matrix())
     if anchor > t.eps_verify * max(1.0, n):
         raise VerificationFailure(
             f"certificate Kraus set does not reproduce the rotated channel: {anchor:.3e}"
@@ -400,7 +396,7 @@ def _recognize_family(channel: KrausChannel, t: ToleranceConfig) -> tuple[str, i
     n, m = channel.input_dim, channel.output_dim
     if n != m:
         return None
-    j = choi(channel, t).choi
+    j = channel.choi_matrix()
     if frob(j - np.eye(n * n) / n) <= t.eps_verify * n:
         return "completely depolarizing", n * n
     swap = np.zeros((n * n, n * n))
@@ -428,7 +424,3 @@ def is_ppt(j, n: int, m: int, tol: ToleranceConfig | None = None) -> bool:
     evals, _ = hermitian_eig(partial_transpose(j, n, m), t)
     scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
     return bool(evals[-1] >= -t.eps_verify * scale)
-
-
-def certificate_to_json(cert: EBCertificate, indent: int | None = 2) -> str:
-    return json.dumps(cert.to_json_dict(), indent=indent)

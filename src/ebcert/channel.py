@@ -5,9 +5,10 @@ matrices.
 The Choi matrix of a map ``F`` from n x n to m x m matrices is the
 nm x nm block matrix ``sum_ij kron(E_ij, F(E_ij))`` over matrix units
 ``E_ij`` of the input space.  With the column-stacking ``vec`` of
-:mod:`ebcert.numerics` this equals ``sum_i vec(K_i) vec(K_i)*`` over the
-Kraus operators, which is how it is computed here.  The Choi matrix is kept
-unnormalized (trace n for a channel); dividing by n gives a density matrix.
+:mod:`ebcert.numerics` this equals ``V V*`` for the nm x k matrix ``V``
+with columns ``vec(K_i)``, which is how it is computed here.  The Choi
+matrix is kept unnormalized (trace n for a channel); dividing by n gives a
+density matrix.
 
 A complement is always built from a minimal Kraus set, which this module
 fixes deterministically: eigenpairs of the Choi matrix in descending
@@ -36,56 +37,57 @@ from .numerics import (
     ToleranceConfig,
     _tol,
     as_matrix,
+    as_matrix_stack,
     frob,
     hermitian_eig,
     numerical_rank,
-    unvec,
-    vec,
 )
 
 
 class CPMap:
     """Completely positive map in Kraus form, not necessarily trace
-    preserving.  Immutable once constructed; safe to share across threads."""
+    preserving.  The Kraus operators are held as one read-only (k, m, n)
+    array, so iterating over ``kraus`` gives the m x n operators.  Immutable
+    once constructed; safe to share across threads."""
 
     def __init__(self, kraus, tol: ToleranceConfig | None = None):
         t = _tol(tol)
-        # copy before freezing so caller-owned arrays stay writable
-        ops = [as_matrix(k).copy() for k in kraus]
+        ops = [as_matrix(k) for k in kraus]
         if not ops:
             raise ValueError("at least one Kraus operator is required")
-        shape = ops[0].shape
-        if any(op.shape != shape for op in ops):
+        if any(op.shape != ops[0].shape for op in ops):
             raise DimensionMismatch("all Kraus operators must share one shape")
-        for op in ops:
-            op.setflags(write=False)
-        self._kraus = tuple(ops)
-        self.output_dim, self.input_dim = shape
-        gram = sum(op.conj().T @ op for op in ops)
-        self.tp_residual = frob(gram - np.eye(self.input_dim))
+        # np.array copies, so caller-owned arrays stay writable
+        self._kraus = np.array(ops)
+        self._kraus.setflags(write=False)
+        _, self.output_dim, self.input_dim = self._kraus.shape
+        rows = self._kraus.reshape(-1, self.input_dim)
+        self.tp_residual = frob(rows.conj().T @ rows - np.eye(self.input_dim))
         self.trace_preserving = self.tp_residual <= t.eps_verify
 
     @property
-    def kraus(self) -> tuple[np.ndarray, ...]:
+    def kraus(self) -> np.ndarray:
         return self._kraus
 
     def __len__(self) -> int:
-        return len(self._kraus)
+        return self._kraus.shape[0]
+
+    def with_kraus(self, kraus, tol: ToleranceConfig | None = None) -> "CPMap":
+        """Map of this one's kind with other Kraus operators: a
+        :class:`KrausChannel`, which rejects operators that are not trace
+        preserving, when this map is trace preserving, else a CPMap."""
+        return (KrausChannel if self.trace_preserving else CPMap)(kraus, tol)
 
     def apply(self, x) -> np.ndarray:
-        """Evaluate the operator sum  sum_i K_i X K_i*."""
-        x = as_matrix(x)
-        if x.shape != (self.input_dim, self.input_dim):
-            raise DimensionMismatch(
-                f"argument is {x.shape}, map acts on {self.input_dim}x{self.input_dim}"
-            )
-        out = np.zeros((self.output_dim, self.output_dim), dtype=complex)
-        for op in self._kraus:
-            out += op @ x @ op.conj().T
-        return out
-
-    def __call__(self, x) -> np.ndarray:
-        return self.apply(x)
+        """Evaluate the operator sum  sum_i K_i X K_i*  on one n x n matrix,
+        or on each matrix of an (s, n, n) stack."""
+        k, m, n = self._kraus.shape
+        x = as_matrix_stack(x, n)
+        # (K_i X)[a, :] . conj(K_i)[b, :] summed over i: one product over the
+        # (operator, column) pairs
+        left = np.swapaxes(self._kraus @ x[..., None, :, :], -3, -2)
+        left = left.reshape(*x.shape[:-2], m, k * n)
+        return left @ self._kraus.transpose(1, 0, 2).reshape(m, k * n).conj().T
 
     def unital_residual(self) -> float:
         return frob(self.apply(np.eye(self.input_dim)) - np.eye(self.output_dim))
@@ -95,11 +97,22 @@ class CPMap:
 
     def transfer_matrix(self) -> np.ndarray:
         """Matrix of the map on column-stacked vectors:
-        vec(F(X)) = transfer_matrix() @ vec(X)."""
-        out = np.zeros((self.output_dim**2, self.input_dim**2), dtype=complex)
-        for op in self._kraus:
-            out += np.kron(op.conj(), op)
-        return out
+        vec(F(X)) = transfer_matrix() @ vec(X), that is sum_i kron(conj K_i, K_i)."""
+        k, m, n = self._kraus.shape
+        flat = self._kraus.reshape(k, m * n)
+        # entry (b m + a, d n + c) of kron(conj K_i, K_i) is conj(K_i[b, d]) K_i[a, c]
+        pairs = (flat.conj().T @ flat).reshape(m, n, m, n)
+        return pairs.transpose(0, 2, 1, 3).reshape(m * m, n * n)
+
+    def vec_columns(self) -> np.ndarray:
+        """The nm x k matrix V whose columns are vec(K_i)."""
+        k, m, n = self._kraus.shape
+        return self._kraus.transpose(0, 2, 1).reshape(k, n * m).T
+
+    def choi_matrix(self) -> np.ndarray:
+        """The Choi matrix V V*, built without a spectrum."""
+        v = self.vec_columns()
+        return v @ v.conj().T
 
     def __repr__(self) -> str:
         kind = "channel" if self.trace_preserving else "cp map"
@@ -120,10 +133,6 @@ class KrausChannel(CPMap):
             raise NotTracePreserving(self.tp_residual)
 
 
-def apply(channel: CPMap, x) -> np.ndarray:
-    return channel.apply(x)
-
-
 class ChoiClass(enum.Enum):
     PROJECTION = "projection"
     SCALED_PROJECTION = "scaled_projection"
@@ -132,11 +141,13 @@ class ChoiClass(enum.Enum):
 
 @dataclass(frozen=True)
 class ChoiReport:
-    """Choi matrix together with its rank and spectral classification.
+    """Choi matrix together with its rank, its spectral classification and
+    the canonical minimal Kraus set taken from the same eigendecomposition.
 
     classification is PROJECTION when every nonzero eigenvalue sits within
     eps_eig of 1, SCALED_PROJECTION when they sit within eps_eig of their
-    common mean alpha, OTHER otherwise.
+    common mean alpha, OTHER otherwise.  ``kraus`` is the (choi_rank, m, n)
+    stack of minimal Kraus operators (see :func:`kraus_from_choi`).
     """
 
     choi: np.ndarray
@@ -144,31 +155,28 @@ class ChoiReport:
     classification: ChoiClass
     alpha: float | None
     eigenvalues: np.ndarray
+    kraus: np.ndarray
 
-    @property
-    def is_projection(self) -> bool:
-        return self.classification is ChoiClass.PROJECTION
+
+def _kraus_stack(columns: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The m x n operators whose vec's are the given columns, as a stack."""
+    return columns.T.reshape(-1, n, m).transpose(0, 2, 1)
 
 
 def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
-    """Build the Choi matrix and classify its spectrum."""
+    """Build the Choi matrix, classify its spectrum, and take the minimal
+    Kraus set from the same eigendecomposition, checked by the residual of
+    the Choi matrix it rebuilds."""
     t = _tol(tol)
     n, m = channel.input_dim, channel.output_dim
-    j = np.zeros((n * m, n * m), dtype=complex)
-    for op in channel.kraus:
-        k = vec(op)
-        j += np.outer(k, k.conj())
-    evals, _ = hermitian_eig(j, t)
+    j = channel.choi_matrix()
+    evals, evecs = hermitian_eig(j, t)
 
-    lead = evals[0] if evals.size else 0.0
-    if lead <= t.eps_rank:
-        rank = 0
-        nonzero = np.zeros(0)
-    else:
-        nonzero = evals[evals > t.eps_rank * lead]
-        rank = int(nonzero.size)
+    lead = evals[0]
+    rank = 0 if lead <= t.eps_rank else int(np.sum(evals > t.eps_rank * lead))
+    nonzero = evals[:rank]
 
-    if evals.size and evals[-1] < -t.eps_verify * max(1.0, lead):
+    if evals[-1] < -t.eps_verify * max(1.0, lead):
         raise InconsistentClassification(
             f"Choi matrix has a negative eigenvalue {evals[-1]:.3e}"
         )
@@ -195,12 +203,20 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
         raise InconsistentClassification(
             f"projection Choi matrix must have rank {n}, got {rank}"
         )
+
+    columns = evecs[:, :rank] * np.sqrt(nonzero)
+    residual = frob(columns @ columns.conj().T - j)
+    if residual > t.eps_verify * max(1.0, n):
+        raise VerificationFailure(
+            f"minimal Kraus reconstruction residual {residual:.3e} exceeds tolerance"
+        )
     return ChoiReport(choi=j, choi_rank=rank, classification=classification,
-                      alpha=alpha, eigenvalues=evals)
+                      alpha=alpha, eigenvalues=evals, kraus=_kraus_stack(columns, m, n))
 
 
-def kraus_from_choi(j, n: int, m: int, tol: ToleranceConfig | None = None) -> list[np.ndarray]:
-    """Minimal Kraus operators of the map whose Choi matrix is ``j``.
+def kraus_from_choi(j, n: int, m: int, tol: ToleranceConfig | None = None) -> np.ndarray:
+    """Minimal Kraus operators of the map whose Choi matrix is ``j``, as a
+    (k, m, n) stack.
 
     Eigenpairs above the relative rank cutoff, in descending eigenvalue
     order with phase-fixed eigenvectors, un-vectorized and scaled by the
@@ -213,31 +229,24 @@ def kraus_from_choi(j, n: int, m: int, tol: ToleranceConfig | None = None) -> li
     evals, evecs = hermitian_eig(j, t)
     if evals.size == 0 or evals[0] <= t.eps_rank:
         raise ValueError("Choi matrix is numerically zero; no Kraus form exists")
-    keep = evals > t.eps_rank * evals[0]
-    return [np.sqrt(evals[k]) * unvec(evecs[:, k], m, n) for k in np.nonzero(keep)[0]]
+    keep = int(np.sum(evals > t.eps_rank * evals[0]))
+    return _kraus_stack(evecs[:, :keep] * np.sqrt(evals[:keep]), m, n)
 
 
 def minimal_kraus(channel: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
-    """Equivalent map with exactly Choi-rank many Kraus operators, derived
-    from the Choi eigendecomposition (the package-wide canonical choice)."""
+    """Equivalent map with exactly Choi-rank many Kraus operators, taken
+    from the Choi report (the package-wide canonical choice)."""
     t = _tol(tol)
     report = choi(channel, t)
-    ops = kraus_from_choi(report.choi, channel.input_dim, channel.output_dim, t)
-    rebuilt = KrausChannel(ops, t) if channel.trace_preserving else CPMap(ops, t)
-    n = channel.input_dim
-    residual = frob(choi(rebuilt, t).choi - report.choi)
-    if residual > t.eps_verify * max(1.0, n):
-        raise VerificationFailure(
-            f"minimal Kraus reconstruction residual {residual:.3e} exceeds tolerance"
-        )
-    return rebuilt
+    if report.choi_rank == 0:
+        raise ValueError("Choi matrix is numerically zero; no Kraus form exists")
+    return channel.with_kraus(report.kraus, t)
 
 
 def is_minimal(channel: CPMap, tol: ToleranceConfig | None = None) -> bool:
     """A Kraus set is minimal exactly when its vec'd operators are linearly
     independent."""
-    stacked = np.column_stack([vec(op) for op in channel.kraus])
-    return numerical_rank(stacked, tol) == len(channel)
+    return numerical_rank(channel.vec_columns(), tol) == len(channel)
 
 
 def dual(channel: CPMap, tol: ToleranceConfig | None = None, verify: bool = True) -> CPMap:
@@ -245,7 +254,7 @@ def dual(channel: CPMap, tol: ToleranceConfig | None = None, verify: bool = True
     original ones.  When ``verify`` is set, one random trace pairing
     tr(dual(X) Y) = tr(X F(Y)) is checked at eps_verify."""
     t = _tol(tol)
-    out = CPMap([op.conj().T for op in channel.kraus], t)
+    out = CPMap(channel.kraus.conj().transpose(0, 2, 1), t)
     if verify:
         rng = t.rng(0xD0A1)
         m, n = channel.output_dim, channel.input_dim
@@ -264,23 +273,16 @@ def complement_from_kraus(kraus, tol: ToleranceConfig | None = None) -> CPMap:
     """Complement of the map presented by the *given* Kraus list: the map
     X -> sum_ij tr(K_i* K_j X) E_ji into d x d matrices, d the list length.
 
-    The canonical complement of a channel goes through :func:`complement`,
+    Its Kraus operators are the rows of the K_i regrouped by output row, a
+    transpose of the stack; both stacks share one Gram matrix, so the
+    complement is trace preserving exactly when the given list is.  The
+    canonical complement of a channel goes through :func:`complement`,
     which first reduces to the minimal Kraus set; this raw form exists for
     comparing complements across different Kraus presentations.
     """
     t = _tol(tol)
-    ops = [as_matrix(k) for k in kraus]
-    m, n = ops[0].shape
-    d = len(ops)
-    # Kraus operators of the complement: rows of the K_i stacked per output row.
-    comp_ops = []
-    for a in range(m):
-        c = np.zeros((d, n), dtype=complex)
-        for i, op in enumerate(ops):
-            c[i, :] = op[a, :]
-        comp_ops.append(c)
-    built = CPMap(comp_ops, t)
-    return KrausChannel(comp_ops, t) if built.trace_preserving else built
+    source = CPMap(kraus, t)
+    return source.with_kraus(source.kraus.transpose(1, 0, 2), t)
 
 
 @dataclass(frozen=True)
@@ -308,10 +310,6 @@ def complement(channel: KrausChannel, tol: ToleranceConfig | None = None) -> Com
         raise NotTracePreserving(channel.tp_residual, "complement requires a channel")
     minimal = minimal_kraus(channel, t)
     comp = complement_from_kraus(minimal.kraus, t)
-    if not isinstance(comp, KrausChannel):
-        raise VerificationFailure(
-            f"complement of a channel must be trace preserving, residual {comp.tp_residual:.3e}"
-        )
     return ComplementChannel(source=channel, minimal_source=minimal,
                              channel=comp, choi_rank=len(minimal))
 
@@ -330,21 +328,17 @@ def complement_adjoint(minimal: CPMap, tol: ToleranceConfig | None = None) -> CP
 
 def complement_adjoint_apply(minimal: CPMap, x, tol: ToleranceConfig | None = None) -> np.ndarray:
     """Direct evaluation of the complement adjoint:
-    X -> sum_ij X_ij K_i* K_j for a minimal Kraus set {K_i}."""
+    X -> sum_ij X_ij K_i* K_j for a minimal Kraus set {K_i}, on one d x d
+    matrix or on each matrix of an (s, d, d) stack."""
     t = _tol(tol)
     if not is_minimal(minimal, t):
         raise NotMinimalKraus("complement adjoint requires a minimal Kraus set")
-    x = as_matrix(x)
-    d = len(minimal)
-    if x.shape != (d, d):
-        raise DimensionMismatch(f"argument is {x.shape}, expected {d}x{d}")
-    n = minimal.input_dim
-    out = np.zeros((n, n), dtype=complex)
-    for i, ki in enumerate(minimal.kraus):
-        for jj, kj in enumerate(minimal.kraus):
-            if x[i, jj] != 0:
-                out += x[i, jj] * (ki.conj().T @ kj)
-    return out
+    d, m, n = minimal.kraus.shape
+    x = as_matrix_stack(x, d)
+    rows = minimal.kraus.reshape(d * m, n)
+    # rows of sum_j X_ij K_j, stacked over i like the rows of the K_i
+    mixed = (x @ minimal.kraus.reshape(d, m * n)).reshape(*x.shape[:-2], d * m, n)
+    return rows.conj().T @ mixed
 
 
 class ComplementAdjointKind(enum.Enum):
@@ -367,14 +361,17 @@ def classify_complement_adjoint(
     complement: the adjoint scales traces by alpha exactly when the
     complement sends I_n to alpha I_d, and preserves them when alpha = 1.
 
-    The verdict is cross-checked against the Choi classification (trace
-    preserving <-> projection, trace stabilizing with the same scalar <->
-    scaled projection); disagreement raises InconsistentClassification.
+    The complement is built from the minimal Kraus set of the Choi report,
+    and the verdict is cross-checked against that report's classification
+    (trace preserving <-> projection, trace stabilizing with the same scalar
+    <-> scaled projection); disagreement raises InconsistentClassification.
     """
     t = _tol(tol)
-    comp = complement(channel, t)
-    d = comp.choi_rank
-    gram = comp.channel.apply(np.eye(channel.input_dim))
+    if not channel.trace_preserving:
+        raise NotTracePreserving(channel.tp_residual, "complement requires a channel")
+    cr = choi(channel, t)
+    d = cr.choi_rank
+    gram = complement_from_kraus(cr.kraus, t).apply(np.eye(channel.input_dim))
     alpha = float(np.trace(gram).real) / d
     res_identity = frob(gram - np.eye(d))
     res_scaled = frob(gram - alpha * np.eye(d))
@@ -386,7 +383,6 @@ def classify_complement_adjoint(
     else:
         report = ComplementAdjointReport(ComplementAdjointKind.NEITHER, None, res_scaled)
 
-    cr = choi(channel, t)
     consistent = {
         ComplementAdjointKind.TRACE_PRESERVING: cr.classification is ChoiClass.PROJECTION,
         ComplementAdjointKind.TRACE_STABILIZING:
@@ -413,8 +409,7 @@ def redilate(channel: CPMap, isometry, tol: ToleranceConfig | None = None) -> CP
         raise DimensionMismatch(f"isometry has {w.shape[1]} columns, channel has {d} operators")
     if frob(w.conj().T @ w - np.eye(d)) > t.eps_verify:
         raise VerificationFailure("matrix is not an isometry to tolerance")
-    ops = [sum(w[i, jj] * channel.kraus[jj] for jj in range(d)) for i in range(w.shape[0])]
-    return KrausChannel(ops, t) if channel.trace_preserving else CPMap(ops, t)
+    return channel.with_kraus(np.tensordot(w, channel.kraus, axes=1), t)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ channels stored as JSON files.
 
 Exit codes are a stable contract: 0 success, 2 input error, 4 refuted
 (not entanglement breaking), 5 out of scope (Choi matrix not a projection),
-3 numerical inconsistency.  With several input files, processing runs in
-parallel, output follows the input order, and the exit code is the first
-nonzero one in that order.
+3 numerical inconsistency.  Several input files are processed one after
+another, in input order, and the exit code is the first nonzero one in that
+order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from .channel import (
     classify_complement_adjoint,
     complement_adjoint,
     load_channel,
-    minimal_kraus,
     save_channel,
 )
 from .errors import (
@@ -230,7 +228,7 @@ def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
             "residual": _judged(ca.residual, tol.eps_verify),
         }
         if cr.classification is ChoiClass.PROJECTION:
-            adjoint = complement_adjoint(minimal_kraus(channel, tol), tol)
+            adjoint = complement_adjoint(channel.with_kraus(cr.kraus, tol), tol)
             dom = multiplicative_domain(adjoint, tol)
             st = structure(dom, tol)
             report["algebra"] = {
@@ -281,8 +279,7 @@ def _print_analysis_text(report: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     tol = _tolerances(args)
-    with ThreadPoolExecutor(max_workers=min(8, len(args.files))) as pool:
-        results = list(pool.map(lambda p: _analyze_file(p, tol), args.files))
+    results = [_analyze_file(path, tol) for path in args.files]
     for report, _ in results:
         if args.format == "json":
             print(json.dumps(report, indent=2))
@@ -359,8 +356,7 @@ def _cmd_certify(args) -> int:
     if args.out is not None and len(args.files) != 1:
         print("error: --out requires exactly one input file", file=sys.stderr)
         return EXIT_INPUT
-    with ThreadPoolExecutor(max_workers=min(8, len(args.files))) as pool:
-        results = list(pool.map(lambda p: _certify_file(p, tol, args.out), args.files))
+    results = [_certify_file(path, tol, args.out) for path in args.files]
     for report, _ in results:
         if args.format == "json":
             print(json.dumps(report, indent=2))

@@ -67,6 +67,17 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_matrix_stack(a, dim: int) -> np.ndarray:
+    """Coerce to one dim x dim complex matrix, or to an (s, dim, dim) stack
+    of them, rejecting other shapes, NaN and infinity."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(f"argument is {m.shape}, expected {dim}x{dim} matrices")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
 def frob(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
@@ -140,11 +151,6 @@ def nullspace(a, tol: ToleranceConfig | None = None,
     return vh[int(np.sum(s > cutoff)):].conj().T
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the block layout of the first factor."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def vec(a) -> np.ndarray:
     """Column-stacking vectorization (see module docstring)."""
     return as_matrix(a).reshape(-1, order="F")
@@ -216,13 +222,3 @@ def orthonormal_matrix_basis(mats, tol: ToleranceConfig | None = None) -> list[n
         return []
     rank = int(np.sum(s > t.eps_rank * s[0]))
     return [unvec(u[:, k], rows, cols) for k in range(rank)]
-
-
-def span_projector(mats, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Orthogonal projector onto the span of vec'd matrices."""
-    basis = orthonormal_matrix_basis(mats, tol)
-    if not basis:
-        rows, cols = as_matrix(mats[0]).shape
-        return np.zeros((rows * cols, rows * cols), dtype=complex)
-    b = np.column_stack([vec(m) for m in basis])
-    return b @ b.conj().T

@@ -240,24 +240,19 @@ def random_projection_choi_channel(n: int, m: int, seed,
 
 def external_twirl(channel: CPMap, unitary, tol: ToleranceConfig | None = None) -> CPMap:
     """Conjugate the output:  X -> U F(X) U*."""
-    u = as_matrix(unitary)
-    ops = [u @ op for op in channel.kraus]
-    return KrausChannel(ops, tol) if channel.trace_preserving else CPMap(ops, tol)
+    return channel.with_kraus(as_matrix(unitary) @ channel.kraus, tol)
 
 
 def internal_twirl(channel: CPMap, unitary, tol: ToleranceConfig | None = None) -> CPMap:
     """Rotate the input:  X -> F(V X V*)."""
-    v = as_matrix(unitary)
-    ops = [op @ v for op in channel.kraus]
-    return KrausChannel(ops, tol) if channel.trace_preserving else CPMap(ops, tol)
+    return channel.with_kraus(channel.kraus @ as_matrix(unitary), tol)
 
 
 def permute_kraus(channel: CPMap, order, tol: ToleranceConfig | None = None) -> CPMap:
     """Reorder the Kraus list; the represented map is unchanged."""
     if sorted(order) != list(range(len(channel))):
         raise ValueError("order must be a permutation of the Kraus indices")
-    ops = [channel.kraus[i] for i in order]
-    return KrausChannel(ops, tol) if channel.trace_preserving else CPMap(ops, tol)
+    return channel.with_kraus(channel.kraus[list(order)], tol)
 
 
 def redilate_fixture(channel: CPMap, length: int, seed,

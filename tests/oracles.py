@@ -84,6 +84,17 @@ def brute_force_eb_search(kraus, n, m, grid=64, zooms=10, threshold=1e-5):
     return best <= threshold, best
 
 
+def span_projector(mats, tol):
+    """Orthogonal projector onto the span of the column-stacked matrices,
+    with the relative rank cutoff tol.eps_rank."""
+    cols = np.stack([np.asarray(m, dtype=complex).reshape(-1, order="F") for m in mats], axis=1)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    if s[0] <= tol.eps_rank:
+        return np.zeros((cols.shape[0], cols.shape[0]), dtype=complex)
+    basis = u[:, s > tol.eps_rank * s[0]]
+    return basis @ basis.conj().T
+
+
 def random_density(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = g @ g.conj().T

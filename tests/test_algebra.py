@@ -17,7 +17,6 @@ from ebcert import (
     structure,
 )
 from ebcert.errors import NotMultiplicityFree, NotUnitalOrNotTP, VerificationFailure
-from ebcert.numerics import span_projector
 from ebcert.zoo import (
     depolarizing,
     random_channel,
@@ -25,7 +24,7 @@ from ebcert.zoo import (
     schur_channel,
 )
 
-from oracles import random_complex_matrix
+from oracles import random_complex_matrix, span_projector
 
 
 def matrix_units(d):
@@ -143,6 +142,14 @@ class TestMultiplicativeDomain:
         cp = CPMap([np.eye(3) / 2], tol)
         with pytest.raises(NotUnitalOrNotTP):
             multiplicative_domain(cp, tol)
+
+    def test_verification_rejects_a_span_beyond_the_domain(self, tol):
+        # complete dephasing on M_2 has the diagonal matrices as its domain;
+        # the off-diagonal units of full M_2 break the adjoint-product criterion
+        from ebcert.algebra import _verify_domain
+
+        with pytest.raises(VerificationFailure):
+            _verify_domain(schur_channel(np.eye(2), tol), full_algebra(2, tol), tol, 3)
 
     def test_domain_satisfies_bilinear_conditions(self, tol):
         ch = schur_channel(np.eye(3), tol)  # dephasing, domain = diagonal

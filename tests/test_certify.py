@@ -242,6 +242,36 @@ class TestCertify:
         with pytest.raises(NotEntanglementBreaking):
             certify(random_projection_choi_channel(6, 6, 2, tol), tol)
 
+    def test_one_choi_spectrum_per_call(self, tol, monkeypatch):
+        from ebcert import classify_complement_adjoint
+
+        planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
+        generic = random_projection_choi_channel(6, 6, 2, tol)
+        scaled = werner_holevo(5, tol)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        def choi_sized_calls(run, nm):
+            sizes.clear()
+            run()
+            return sizes.count(nm)
+
+        def refute():
+            with pytest.raises(NotEntanglementBreaking):
+                certify(generic, tol)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        # the pipeline's Choi spectrum plus verify_certificate's own
+        assert choi_sized_calls(lambda: certify(planted, tol), 36) <= 2
+        # the pipeline's Choi spectrum plus the partial-transpose oracle
+        assert choi_sized_calls(refute, 36) <= 2
+        assert choi_sized_calls(lambda: classify_complement_adjoint(scaled, tol), 25) == 1
+        assert choi_sized_calls(lambda: eb_rank(scaled, tol), 25) == 1
+
 
 class TestVerifyCertificate:
     def test_build_and_check_are_separate_paths(self, tol):

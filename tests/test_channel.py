@@ -37,7 +37,7 @@ from ebcert.zoo import (
     werner_holevo,
 )
 
-from oracles import direct_choi, random_complex_matrix, random_density
+from oracles import apply_kraus, direct_choi, random_complex_matrix, random_density
 
 
 def matrix_unit(n, i, j):
@@ -63,6 +63,23 @@ class TestConstruction:
     def test_rejects_non_finite_entries(self, tol):
         with pytest.raises(ValueError):
             KrausChannel([np.array([[np.nan, 0], [0, 1]])], tol)
+
+    def test_kraus_is_one_read_only_stack(self, tol):
+        ops = [np.eye(2) / np.sqrt(2), np.diag([1.0, -1.0]) / np.sqrt(2)]
+        ch = KrausChannel(ops, tol)
+        assert ch.kraus.shape == (2, 2, 2)
+        assert not ch.kraus.flags.writeable
+        ops[0][0, 0] = 5.0  # the caller's arrays stay theirs
+        assert ch.kraus[0, 0, 0] == pytest.approx(1 / np.sqrt(2))
+
+    def test_with_kraus_keeps_the_kind(self, tol):
+        half = [np.eye(2) * 0.5]
+        ch = identity_channel(2, tol)
+        assert type(ch.with_kraus([random_unitary(2, 1)], tol)) is KrausChannel
+        with pytest.raises(NotTracePreserving):
+            ch.with_kraus(half, tol)
+        cp = CPMap(half, tol)
+        assert type(cp.with_kraus([np.eye(2)], tol)) is CPMap
 
 
 class TestApply:
@@ -96,6 +113,36 @@ class TestApply:
     def test_dimension_mismatch(self, tol):
         with pytest.raises(DimensionMismatch):
             identity_channel(2, tol).apply(np.eye(3))
+
+    def test_stack_matches_oracle_on_each_slice(self, tol):
+        ch = random_channel(3, 4, 2, 5, tol)
+        rng = np.random.default_rng(4)
+        xs = np.stack([random_complex_matrix(3, 3, rng) for _ in range(5)])
+        out = ch.apply(xs)
+        assert out.shape == (5, 4, 4)
+        for x, y in zip(xs, out):
+            np.testing.assert_allclose(y, apply_kraus(list(ch.kraus), x), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 3, 2), (3, 2), (9,), (2, 2, 3, 3)])
+    def test_rejects_wrong_trailing_shape_and_rank(self, tol, shape):
+        with pytest.raises(DimensionMismatch):
+            random_channel(3, 4, 2, 5, tol).apply(np.ones(shape))
+
+
+class TestTransferMatrix:
+    def test_non_square_map_matches_kron_sum_and_vec_identity(self, tol):
+        rng = np.random.default_rng(6)
+        ops = [random_complex_matrix(4, 3, rng) for _ in range(3)]
+        transfer = CPMap(ops, tol).transfer_matrix()
+        np.testing.assert_allclose(
+            transfer, sum(np.kron(k.conj(), k) for k in ops), atol=1e-12
+        )
+        x = random_complex_matrix(3, 3, rng)
+        np.testing.assert_allclose(
+            transfer @ x.reshape(-1, order="F"),
+            apply_kraus(ops, x).reshape(-1, order="F"),
+            atol=1e-12,
+        )
 
 
 class TestChoi:
