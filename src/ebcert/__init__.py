@@ -104,4 +104,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -299,12 +299,13 @@ def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Algebra
         )
     _, evecs, clusters = chosen
 
+    stack = np.stack(alg.basis)
     blocks = []
     for cluster in clusters:
         cols = evecs[:, cluster]
         proj = cols @ cols.conj().T
         block_rank = int(cluster.size)
-        compressed = np.column_stack([vec(proj @ b @ proj) for b in alg.basis])
+        compressed = (proj @ stack @ proj).reshape(len(stack), -1).T
         block_dim = numerical_rank(compressed, t)
         size = round(math.sqrt(block_dim))
         if size * size != block_dim or size == 0 or block_rank % size != 0:

@@ -108,8 +108,10 @@ def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    for k in range(evecs.shape[1]):
-        evecs[:, k] = phase_fix(evecs[:, k])
+    # phase_fix on every column at once; np.hypot, unlike np.abs on an
+    # array, matches the scalar abs of phase_fix bit for bit
+    pivots = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])]
+    evecs *= np.hypot(pivots.real, pivots.imag) / pivots
     return evals, evecs
 
 

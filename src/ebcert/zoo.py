@@ -3,7 +3,7 @@
 All generators are pure and seed-deterministic.  Entrywise-product (Schur)
 channels and their complements come with the Gram data that produced them so
 tests can round-trip the pair; the projection-Choi sampler produces generic
-instances by alternating projections and can plant entanglement-breaking
+instances by operator Sinkhorn scaling and can plant entanglement-breaking
 ones on request, since a generic projection-Choi channel is not
 entanglement breaking.
 """
@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CPMap, KrausChannel, kraus_from_choi, minimal_kraus, redilate
+from .channel import (
+    CPMap,
+    KrausChannel,
+    complement_from_kraus,
+    kraus_from_choi,
+    minimal_kraus,
+    redilate,
+)
 from .errors import (
     ConstructionFailure,
     DimensionMismatch,
@@ -29,7 +36,6 @@ from .numerics import (
     hermitian_eig,
     random_isometry,
     random_unitary,
-    unvec,
 )
 
 
@@ -190,20 +196,27 @@ def random_channel(n: int, m: int, d: int, seed,
     return KrausChannel(ops, tol)
 
 
+# Scaling rounds per draw: generic draws converge linearly, in a few dozen
+# rounds when m is near n but in thousands when m = 2 and n is large.
+_SCALING_ITERATIONS = 20000
+
+
 def random_projection_choi_channel(n: int, m: int, seed,
                                    tol: ToleranceConfig | None = None,
-                                   ensure_eb: bool = False,
-                                   max_iterations: int = 20000) -> KrausChannel:
+                                   ensure_eb: bool = False) -> KrausChannel:
     """Random channel whose Choi matrix is a projection (necessarily of rank
     n).
 
-    The generic sampler alternates between the affine marginal constraint
-    (partial trace over the output equals the identity) and the nearest
-    rank-n projection until both hold to well below eps_verify.  Generic
-    samples are almost surely *not* entanglement breaking; with
-    ``ensure_eb`` the sampler instead plants a unitarily twirled rank-one
-    Kraus channel, which is entanglement breaking by construction, so both
-    kinds of instance are available for certifier testing.
+    Such channels are exactly the complements of unital channels on n x n
+    matrices.  The generic sampler draws m complex Gaussian n x n operators
+    L_a and scales them alternately to sum L_a* L_a = I and
+    sum L_a L_a* = I (operator Sinkhorn scaling) until the second holds to
+    well below eps_verify; the complement of {L_a} is then trace preserving
+    with trace-orthonormal Kraus operators.  Generic samples are almost
+    surely *not* entanglement breaking; with ``ensure_eb`` the sampler
+    instead plants a unitarily twirled rank-one Kraus channel, which is
+    entanglement breaking by construction, so both kinds of instance are
+    available for certifier testing.
     """
     t = _tol(tol)
     if n < 1 or m < 1:
@@ -217,25 +230,25 @@ def random_projection_choi_channel(n: int, m: int, seed,
     target = min(1e-13, t.eps_verify / 100.0)
     eye_n = np.eye(n)
     for restart in range(t.max_resample):
-        start = random_isometry(n * m, n, np.random.SeedSequence([int(seed), 0x9C01, 3 + restart]))
-        j = start @ start.conj().T
-        top = start
-        for _ in range(max_iterations):
-            marginal = np.einsum("aibi->ab", j.reshape(n, m, n, m))
-            delta = eye_n - marginal
-            if frob(delta) <= target:
-                break
-            j = j + np.kron(delta, np.eye(m)) / m
-            evals, evecs = np.linalg.eigh(j)
-            top = evecs[:, -n:]
-            j = top @ top.conj().T
-        else:
-            continue
-        ops = [unvec(top[:, k], m, n) for k in range(n)]
-        return KrausChannel(ops, t)
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9C01, 3 + restart]))
+        ops = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        for _ in range(_SCALING_ITERATIONS):
+            rows = ops.reshape(m * n, n)
+            ops = ops @ _inverse_sqrt(rows.conj().T @ rows)
+            wide = ops.transpose(1, 0, 2).reshape(n, m * n)
+            gram = wide @ wide.conj().T
+            if frob(gram - eye_n) <= target:
+                return complement_from_kraus(ops, t)
+            ops = _inverse_sqrt(gram) @ ops
     raise ConstructionFailure(
-        f"alternating projections stalled after {t.max_resample} restarts"
+        f"operator scaling stalled after {t.max_resample} restarts"
     )
+
+
+def _inverse_sqrt(gram: np.ndarray) -> np.ndarray:
+    """Inverse square root of a positive definite matrix."""
+    evals, evecs = np.linalg.eigh(gram)
+    return (evecs / np.sqrt(evals)) @ evecs.conj().T
 
 
 def external_twirl(channel: CPMap, unitary, tol: ToleranceConfig | None = None) -> CPMap:

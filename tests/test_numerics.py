@@ -78,6 +78,24 @@ class TestHermitianEig:
             assert np.linalg.norm(rebuilt - a) <= tol.eps_verify * (1 + np.linalg.norm(a))
             assert np.linalg.norm(evecs.conj().T @ evecs - np.eye(n)) <= tol.eps_verify
 
+    def test_phase_fix_matches_per_column_loop_bit_for_bit(self, tol):
+        rng = np.random.default_rng(12)
+        inputs = [np.ones((4, 4)), np.eye(3), np.diag([1.0, 1.0, 2.0])]
+        for n in (1, 2, 5, 9, 16):
+            g = random_complex_matrix(n, n, rng)
+            # rounded entries make tied moduli inside eigenvector columns
+            for a in (g, np.round(g, 1), np.round(g), np.round(g.real)):
+                inputs.append(a + a.conj().T)
+        for a in inputs:
+            evals, evecs = np.linalg.eigh(np.asarray(a, dtype=complex))
+            order = np.argsort(evals)[::-1]
+            expected = evecs[:, order]
+            for k in range(expected.shape[1]):
+                expected[:, k] = phase_fix(expected[:, k])
+            got_evals, got = hermitian_eig(a, tol)
+            np.testing.assert_array_equal(got_evals, evals[order])
+            np.testing.assert_array_equal(got, expected)
+
     def test_rejects_non_hermitian(self, tol):
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), tol)

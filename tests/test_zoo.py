@@ -4,12 +4,19 @@ import pytest
 from ebcert import (
     ChoiClass,
     CorrelationMatrix,
+    KrausChannel,
+    certify,
     choi,
     complement,
     gram_vectors,
     random_unitary,
 )
-from ebcert.errors import DimensionMismatch, InvalidCorrelation, NotUnitVector
+from ebcert.errors import (
+    DimensionMismatch,
+    InvalidCorrelation,
+    NotEntanglementBreaking,
+    NotUnitVector,
+)
 from ebcert.zoo import (
     depolarizing,
     external_twirl,
@@ -208,12 +215,35 @@ class TestRandomChannels:
             np.testing.assert_array_equal(x, y)
 
     def test_projection_choi_sampler(self, tol):
-        for seed in range(3):
-            ch = random_projection_choi_channel(3, 4, seed, tol)
+        shapes = [(3, 4, seed) for seed in range(3)]
+        shapes += [(1, 1, 0), (1, 3, 1), (3, 1, 2), (4, 2, 3), (2, 5, 4), (9, 9, 5), (24, 24, 6)]
+        for n, m, seed in shapes:
+            ch = random_projection_choi_channel(n, m, seed, tol)
+            assert isinstance(ch, KrausChannel)
             rep = choi(ch, tol)
             assert rep.classification is ChoiClass.PROJECTION
-            assert rep.choi_rank == 3
+            assert rep.choi_rank == n
             assert ch.tp_residual <= tol.eps_verify
+            rows = ch.kraus.reshape(len(ch), -1)
+            assert np.linalg.norm(rows.conj() @ rows.T - np.eye(len(ch))) <= tol.eps_verify
+
+    def test_generic_sampler_factorizes_only_n_by_n(self, tol, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        random_projection_choi_channel(6, 6, 7, tol)
+        assert sizes and max(sizes) <= 6
+
+    def test_generic_sample_is_refuted_by_ppt(self, tol):
+        ch = random_projection_choi_channel(9, 9, 8, tol)
+        with pytest.raises(NotEntanglementBreaking) as refusal:
+            certify(ch, tol)
+        assert refusal.value.ppt_violated is True
 
     def test_projection_choi_sampler_determinism(self, tol):
         a = random_projection_choi_channel(2, 3, 5, tol)
