@@ -11,8 +11,6 @@ from .algebra import (
     AlgebraStructure,
     MatrixAlgebra,
     center,
-    commutant,
-    intersect_spans,
     multiplicative_domain,
     rank_one_resolution,
     structure,

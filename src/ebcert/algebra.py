@@ -18,8 +18,8 @@ exactly when every i_k = 1, which is when the algebra contains rank-one
 projections summing to the identity.
 
 Both the center and span membership are solved in the algebra's own
-coefficient space (see :func:`center`), never with d^2 x d^2 operators;
-``commutant`` and ``intersect_spans`` remain as utilities off that path.
+coefficient space (see :func:`center`), never with d^2 x d^2 operators such
+as the commutator actions of the commutant.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .numerics import (
     phase_fix,
     random_hermitian_in_span,
     unvec,
-    vec,
 )
 
 
@@ -73,8 +72,7 @@ class MatrixAlgebra:
         return float(_span_residuals(np.stack(self.basis), m[None])[0]) <= t.eps_verify * scale
 
     @classmethod
-    def from_span(cls, mats, tol: ToleranceConfig | None = None,
-                  validate: bool = True) -> "MatrixAlgebra":
+    def from_span(cls, mats, tol: ToleranceConfig | None = None) -> "MatrixAlgebra":
         t = _tol(tol)
         basis = orthonormal_matrix_basis(mats, t)
         if not basis:
@@ -85,8 +83,7 @@ class MatrixAlgebra:
         eye_res = float(_span_residuals(np.stack(basis), np.eye(d)[None])[0])
         has_identity = eye_res <= t.eps_verify * math.sqrt(d)
         alg = cls(ambient_dim=d, basis=tuple(basis), contains_identity=has_identity)
-        if validate:
-            alg.check_invariants(t)
+        alg.check_invariants(t)
         return alg
 
     def check_invariants(self, tol: ToleranceConfig | None = None) -> None:
@@ -117,8 +114,11 @@ def _span_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v - (v @ b.conj().T) @ b, axis=1)
 
 
-def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None,
-                          check_count: int = 3) -> MatrixAlgebra:
+# random probes X of the bilinear domain conditions, drawn from salt 0xA15E
+_DOMAIN_PROBES = 3
+
+
+def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
     """Multiplicative domain of a unital trace-preserving CP map.
 
     Computed as the fixed-point space of dual(psi) o psi via an SVD null
@@ -142,7 +142,7 @@ def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None,
         raise VerificationFailure("fixed-point space is empty; identity must always be fixed")
     mats = [unvec(fixed[:, k], d, d) for k in range(fixed.shape[1])]
     alg = MatrixAlgebra.from_span(mats, t)
-    _verify_domain(psi, alg, t, check_count)
+    _verify_domain(psi, alg, t)
     return alg
 
 
@@ -150,17 +150,17 @@ def _norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(mats, axis=(-2, -1))
 
 
-def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig, check_count: int) -> None:
+def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> None:
     """Check the adjoint-product criterion psi(A A*) = psi(A) psi(A*), and
     its mirror, on every basis element A at eps_verify; then the bilinear
     conditions psi(A X) = psi(A) psi(X) and psi(X A) = psi(X) psi(A) for
-    every basis element A against ``check_count`` random probes and every
+    every basis element A against _DOMAIN_PROBES random probes and every
     basis element X, at eps_verify max(1, |A| |X|).  The applies are
     batched over the basis stack, one left factor at a time."""
     d = psi.input_dim
     rng = t.rng(0xA15E)
     probes = np.stack([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                       for _ in range(check_count)])
+                       for _ in range(_DOMAIN_PROBES)])
     probes /= np.maximum(_norms(probes), 1.0)[:, None, None]
     basis = np.stack(alg.basis)
     adjoints = basis.conj().transpose(0, 2, 1)
@@ -182,37 +182,6 @@ def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig, check_cou
             raise VerificationFailure(
                 f"bilinear multiplicativity fails, residual {float(np.max(res)):.3e}"
             )
-
-
-def commutant(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
-    """All matrices commuting with every element of the algebra, via the null
-    space of the stacked commutator actions on vec(X)."""
-    t = _tol(tol)
-    d = alg.ambient_dim
-    eye = np.eye(d)
-    rows = [np.kron(eye, b) - np.kron(b.T, eye) for b in alg.basis]
-    stacked = np.vstack(rows)
-    null = nullspace(stacked, t)
-    mats = [unvec(null[:, k], d, d) for k in range(null.shape[1])]
-    return MatrixAlgebra.from_span(mats, t)
-
-
-def intersect_spans(first, second, tol: ToleranceConfig | None = None) -> list[np.ndarray]:
-    """Orthonormal basis of the intersection of two matrix spans, from the
-    eigenvalue-1 space of the symmetrized product of their projectors."""
-    t = _tol(tol)
-    first = [as_matrix(m) for m in first]
-    second = [as_matrix(m) for m in second]
-    rows, cols = first[0].shape
-
-    def projector(mats):
-        b = np.column_stack([vec(m) for m in mats])
-        return b @ b.conj().T
-
-    pa, pb = projector(first), projector(second)
-    sym = (pa @ pb + pb @ pa) / 2.0
-    kernel = nullspace(sym - np.eye(rows * cols), t)
-    return [unvec(kernel[:, k], rows, cols) for k in range(kernel.shape[1])]
 
 
 def center(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> list[np.ndarray]:

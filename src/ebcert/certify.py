@@ -50,10 +50,9 @@ from .errors import (
 from .numerics import (
     ToleranceConfig,
     _tol,
+    as_hermitian,
     as_matrix,
     frob,
-    hermitian_eig,
-    numerical_rank,
     phase_fix,
 )
 
@@ -61,23 +60,33 @@ from .numerics import (
 @dataclass(frozen=True)
 class EBCertificate:
     """Verified witness that a channel is entanglement breaking at minimal
-    length.
+    length.  The vectors and operators are held as read-only stacks, one row
+    per rank-one term, so iterating over a stack gives the vectors or
+    operators; r is the length, d the Choi rank, n and m the input and
+    output dimensions.
 
-    w               resolution vectors: sum_i w_i w_i* = I on the Choi-rank space
-    v               input-side vectors: the complement adjoint maps w_i w_i* to v_i v_i*
-    u               output-side unit vectors
-    rank_one_kraus  the operators u_i v_i*, a Kraus set for the channel
+    w               (r, d) resolution vectors: sum_i w_i w_i* = I on the Choi-rank space
+    v               (r, n) input-side vectors: the complement adjoint maps w_i w_i* to v_i v_i*
+    u               (r, m) output-side unit vectors
+    rank_one_kraus  (r, m, n) the operators u_i v_i*, a Kraus set for the channel
     eb_rank         minimal rank-one Kraus count, equal to the Choi rank here
     residuals       measured residuals of every certificate invariant
     """
 
-    w: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
-    u: tuple[np.ndarray, ...]
-    rank_one_kraus: tuple[np.ndarray, ...]
+    w: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+    rank_one_kraus: np.ndarray
     eb_rank: int
     choi_rank: int
     residuals: dict[str, float]
+
+    def __post_init__(self):
+        for name in ("w", "v", "u", "rank_one_kraus"):
+            # np.array copies, so caller-owned arrays stay writable
+            stack = np.array(getattr(self, name), dtype=complex)
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
     @property
     def r(self) -> int:
@@ -88,8 +97,8 @@ class EBCertificate:
         return KrausChannel(self.rank_one_kraus, tol)
 
     def to_json_dict(self) -> dict:
-        def vecs(vs):
-            return [[[float(z.real), float(z.imag)] for z in v] for v in vs]
+        def vecs(stack):
+            return np.stack([stack.real, stack.imag], axis=-1).tolist()
 
         return {
             "r": self.r,
@@ -104,13 +113,18 @@ class EBCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EBCertificate":
         def unvecs(raw):
-            return tuple(np.array([complex(re, im) for re, im in v]) for v in raw)
+            # each [re, im] pair reinterpreted as one complex number
+            return np.asarray(raw, dtype=float).view(complex)[..., 0]
 
         w, v, u = unvecs(data["w"]), unvecs(data["v"]), unvecs(data["u"])
-        ops = tuple(np.outer(ui, vi.conj()) for ui, vi in zip(u, v))
-        return cls(w=w, v=v, u=u, rank_one_kraus=ops,
+        return cls(w=w, v=v, u=u, rank_one_kraus=_dyads(u, v),
                    eb_rank=int(data["eb_rank"]), choi_rank=int(data["choi_rank"]),
                    residuals={k: float(val) for k, val in data.get("residuals", {}).items()})
+
+
+def _dyads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The outer products a_i b_i* of the rows of two stacks."""
+    return a[:, :, None] * b.conj()[:, None, :]
 
 
 def combine_kraus(kraus, weights) -> np.ndarray:
@@ -125,49 +139,38 @@ def combine_kraus(kraus, weights) -> np.ndarray:
     return np.tensordot(weights, kraus, axes=1)
 
 
-def verify_eb_witness(minimal: CPMap, w_list, tol: ToleranceConfig | None = None) -> list[np.ndarray]:
+def verify_eb_witness(minimal: CPMap, w, tol: ToleranceConfig | None = None) -> np.ndarray:
     """Check a candidate witness against a channel in minimal Kraus form.
 
-    The vectors must resolve the identity on the Choi-rank space, and each
-    combined operator sum_j conj(w_ij) K_j must have rank at most one.  On
-    acceptance returns the vectors v_i with adjoint image v_i v_i*,
-    phase-canonicalized; a valid witness of length r bounds the
-    entanglement-breaking rank by r.  Raises ResolutionFailure or
-    RankFailure(i) otherwise.
+    The rows w_i of the (r, d) witness must resolve the identity on the
+    Choi-rank space, and each combined operator sum_j conj(w_ij) K_j must
+    have rank at most one.  On acceptance returns the (r, n) stack of
+    vectors v_i with adjoint image v_i v_i*, phase-canonicalized; a valid
+    witness of length r bounds the entanglement-breaking rank by r.  Raises
+    ResolutionFailure or RankFailure(i) otherwise.
     """
     t = _tol(tol)
     if not is_minimal(minimal, t):
         raise NotMinimalKraus("witness verification requires a minimal Kraus set")
     d = len(minimal)
-    vectors = [np.asarray(w, dtype=complex).reshape(-1) for w in w_list]
-    if any(w.size != d for w in vectors):
+    w = np.asarray(w, dtype=complex)
+    if w.ndim != 2 or w.shape[1] != d:
         raise ValueError(f"witness vectors must have length {d}")
-    total = sum(np.outer(w, w.conj()) for w in vectors)
-    residual = frob(total - np.eye(d))
+    residual = frob(w.T @ w.conj() - np.eye(d))
     if residual > t.eps_verify:
         raise ResolutionFailure(residual)
 
-    combined = combine_kraus(minimal.kraus, np.conj(vectors))
-    images = []
-    for i, image in enumerate(combined.conj().transpose(0, 2, 1) @ combined):
-        rank = numerical_rank(image, t)
-        if rank > 1:
-            raise RankFailure(i, rank)
-        if rank == 0:
-            images.append(np.zeros(minimal.input_dim, dtype=complex))
-            continue
-        evals, evecs = hermitian_eig(image, t)
-        images.append(np.sqrt(max(evals[0], 0.0)) * phase_fix(evecs[:, 0]))
-    return images
-
-
-def _split_rank_one(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a rank-one matrix as (unit u, v) with op = u v*; the phase of u
-    is fixed so certificates are reproducible."""
-    left, svals, _ = np.linalg.svd(op)
-    u = phase_fix(left[:, 0])
-    v = op.conj().T @ u
-    return u, v
+    # the adjoint image K* K of a combined operator K has the squared
+    # singular values of K, and its top eigenvector is K's first right
+    # singular vector; ranks follow the relative cutoff of numerical_rank
+    _, svals, vh = np.linalg.svd(combine_kraus(minimal.kraus, w.conj()), full_matrices=False)
+    squares = svals**2
+    top = squares[:, :1]
+    ranks = np.where(top[:, 0] > t.eps_rank, np.sum(squares > t.eps_rank * top, axis=1), 0)
+    high = np.flatnonzero(ranks > 1)
+    if high.size:
+        raise RankFailure(int(high[0]), int(ranks[high[0]]))
+    return np.where(ranks[:, None] == 1, svals[:, :1], 0.0) * phase_fix(vh[:, 0].conj())
 
 
 def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCertificate:
@@ -194,29 +197,23 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
         ppt_ok = is_ppt(report.choi, channel.input_dim, channel.output_dim, t)
         raise NotEntanglementBreaking(struct.pairs(), ppt_violated=not ppt_ok)
 
-    w_list = rank_one_resolution(domain, struct, t)
+    w = np.array(rank_one_resolution(domain, struct, t))
     try:
-        v_witness = verify_eb_witness(minimal, w_list, t)
+        v = verify_eb_witness(minimal, w, t)
     except (ResolutionFailure, RankFailure) as exc:
         raise VerificationFailure(
             f"multiplicity-free domain produced an invalid witness: {exc}"
         ) from exc
 
-    ops = combine_kraus(minimal.kraus, np.conj(w_list))
-    u_list, v_list = [], []
-    for i, op in enumerate(ops):
-        u, v = _split_rank_one(op)
-        mismatch = frob(np.outer(v, v.conj()) - np.outer(v_witness[i], v_witness[i].conj()))
-        if mismatch > t.eps_verify:
-            raise VerificationFailure(
-                f"factorization and adjoint image disagree on vector {i}: {mismatch:.3e}"
-            )
-        u_list.append(u)
-        v_list.append(v)
+    # op_i = u_i v_i* with u_i a unit vector, so op_i v_i = |v_i|^2 u_i; the
+    # phase of u_i is fixed so certificates are reproducible, and
+    # verify_certificate checks both relations
+    ops = combine_kraus(minimal.kraus, w.conj())
+    u = phase_fix(np.einsum("imn,in->im", ops, v) / np.sum(np.abs(v) ** 2, axis=1)[:, None])
+    v = np.einsum("imn,im->in", ops.conj(), u)
 
     cert = EBCertificate(
-        w=tuple(w_list), v=tuple(v_list), u=tuple(u_list),
-        rank_one_kraus=tuple(ops), eb_rank=d, choi_rank=d, residuals={},
+        w=w, v=v, u=u, rank_one_kraus=ops, eb_rank=d, choi_rank=d, residuals={},
     )
     residuals = verify_certificate(cert, channel, t)
     return dataclasses.replace(cert, residuals=residuals)
@@ -236,26 +233,17 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
             f"certificate claims Choi rank {d}, channel has {len(minimal)}"
         )
 
+    w, v, u = cert.w, cert.v, cert.u
     residuals: dict[str, float] = {}
-    residuals["resolution"] = frob(
-        sum(np.outer(w, w.conj()) for w in cert.w) - np.eye(d)
-    )
-    dyads = np.stack([np.outer(w, w.conj()) for w in cert.w])
-    images = np.stack([np.outer(v, v.conj()) for v in cert.v])
+    residuals["resolution"] = frob(w.T @ w.conj() - np.eye(d))
     residuals["adjoint_rank_one"] = float(np.max(np.linalg.norm(
-        complement_adjoint_apply(minimal, dyads, t) - images, axis=(1, 2))))
-    residuals["input_resolution"] = frob(
-        sum(np.outer(v, v.conj()) for v in cert.v) - np.eye(n)
-    )
-    residuals["unit_norm"] = max(abs(float(np.linalg.norm(u)) - 1.0) for u in cert.u)
-    residuals["factorization"] = max(
-        frob(op - np.outer(u, v.conj()))
-        for op, u, v in zip(cert.rank_one_kraus, cert.u, cert.v)
-    )
-    residuals["norm_match"] = max(
-        abs(float(np.linalg.norm(w)) - float(np.linalg.norm(v)))
-        for w, v in zip(cert.w, cert.v)
-    )
+        complement_adjoint_apply(minimal, _dyads(w, w), t) - _dyads(v, v), axis=(1, 2))))
+    residuals["input_resolution"] = frob(v.T @ v.conj() - np.eye(n))
+    residuals["unit_norm"] = float(np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)))
+    residuals["factorization"] = float(np.max(np.linalg.norm(
+        cert.rank_one_kraus - _dyads(u, v), axis=(1, 2))))
+    residuals["norm_match"] = float(np.max(np.abs(
+        np.linalg.norm(w, axis=1) - np.linalg.norm(v, axis=1))))
     rebuilt = KrausChannel(cert.rank_one_kraus, t)
     residuals["choi_match"] = frob(rebuilt.choi_matrix() - channel.choi_matrix())
 
@@ -308,20 +296,17 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
             f"normal form needs certificate length = Choi rank = input dimension, "
             f"got r={cert.r}, choi_rank={cert.choi_rank}, n={n}"
         )
-    basis = np.column_stack(cert.v)
+    basis = cert.v.T
     ortho_residual = frob(basis.conj().T @ basis - np.eye(n))
     if ortho_residual > t.eps_verify:
         raise NotOrthonormal(
             f"input-side vectors fail orthonormality by {ortho_residual:.3e}"
         )
-    gram = np.empty((n, n), dtype=complex)
-    for i, ui in enumerate(cert.u):
-        for j, uj in enumerate(cert.u):
-            gram[i, j] = np.vdot(ui, uj)
+    gram = cert.u.conj() @ cert.u.T
 
     # Kraus set of the rotated channel X -> Phi(V X V*) induced by the
     # certificate; anchor it to the real channel through the Choi matrix.
-    rotated = [np.outer(u, e.conj()) for u, e in zip(cert.u, np.eye(n))]
+    rotated = _dyads(cert.u, np.eye(n))
     direct = minimal_kraus(channel, t).kraus @ basis
     anchor = frob(CPMap(rotated, t).choi_matrix() - CPMap(direct, t).choi_matrix())
     if anchor > t.eps_verify * max(1.0, n):
@@ -330,13 +315,9 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
         )
 
     comp = complement_from_kraus(rotated, t)
-    residual = 0.0
-    for a in range(n):
-        for b in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[a, b] = 1.0
-            expected = np.conj(gram[a, b]) * unit
-            residual = max(residual, frob(comp.apply(unit) - expected))
+    units = np.eye(n * n).reshape(n * n, n, n)
+    expected = gram.conj().reshape(n * n, 1, 1) * units
+    residual = float(np.max(np.linalg.norm(comp.apply(units) - expected, axis=(1, 2))))
     if residual > t.eps_verify:
         raise VerificationFailure(
             f"complement of the rotated channel is not the entrywise product map: {residual:.3e}"
@@ -399,10 +380,7 @@ def _recognize_family(channel: KrausChannel, t: ToleranceConfig) -> tuple[str, i
     j = channel.choi_matrix()
     if frob(j - np.eye(n * n) / n) <= t.eps_verify * n:
         return "completely depolarizing", n * n
-    swap = np.zeros((n * n, n * n))
-    for i in range(n):
-        for k in range(n):
-            swap[i * n + k, k * n + i] = 1.0
+    swap = np.eye(n * n).reshape(n, n, n, n).transpose(1, 0, 2, 3).reshape(n * n, n * n)
     if frob(j - (np.eye(n * n) + swap) / (n + 1)) <= t.eps_verify * n:
         return "transpose-plus-trace", n * n
     return None
@@ -421,6 +399,6 @@ def is_ppt(j, n: int, m: int, tol: ToleranceConfig | None = None) -> bool:
     cross-validation oracle for refutations; a negative partial transpose
     certifies that the Choi matrix is not separable."""
     t = _tol(tol)
-    evals, _ = hermitian_eig(partial_transpose(j, n, m), t)
+    evals = np.linalg.eigvalsh(as_hermitian(partial_transpose(j, n, m), t))
     scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
-    return bool(evals[-1] >= -t.eps_verify * scale)
+    return bool(evals[0] >= -t.eps_verify * scale)

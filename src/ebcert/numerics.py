@@ -87,6 +87,18 @@ def hermitian_residual(a: np.ndarray) -> float:
     return frob(a - a.conj().T)
 
 
+def as_hermitian(a, tol: ToleranceConfig | None = None) -> np.ndarray:
+    """Coerce to a square complex matrix within the Hermitian residual
+    bound eps_verify (1 + |a|); raises NotHermitian otherwise."""
+    t = _tol(tol)
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    if hermitian_residual(a) > t.eps_verify * (1.0 + frob(a)):
+        raise NotHermitian(f"Hermitian residual {hermitian_residual(a):.3e} above tolerance")
+    return a
+
+
 def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -95,24 +107,13 @@ def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np
     real positive.  Raises NotHermitian when the input fails the Hermitian
     residual bound, ConvergenceFailure when the dense solver gives up.
     """
-    t = _tol(tol)
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if hermitian_residual(a) > t.eps_verify * (1.0 + frob(a)):
-        raise NotHermitian(f"Hermitian residual {hermitian_residual(a):.3e} above tolerance")
+    a = as_hermitian(a, tol)
     try:
         evals, evecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    # phase_fix on every column at once; np.hypot, unlike np.abs on an
-    # array, matches the scalar abs of phase_fix bit for bit
-    pivots = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])]
-    evecs *= np.hypot(pivots.real, pivots.imag) / pivots
-    return evals, evecs
+    return evals[order], phase_fix(evecs[:, order].T).T
 
 
 def singular_values(a) -> np.ndarray:
@@ -167,14 +168,14 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
 
 
 def phase_fix(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector by a global phase so its largest-modulus entry is real
-    positive.  Zero vectors are returned unchanged."""
+    """Rotate a vector, or each row of a stack of vectors, by a global phase
+    so its largest-modulus entry is real positive.  Zero vectors are
+    returned unchanged."""
     v = np.asarray(v, dtype=complex)
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if abs(pivot) == 0.0:
-        return v.copy()
-    return v * (abs(pivot) / pivot)
+    pivots = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    # np.hypot, unlike np.abs on an array, matches the scalar abs bit for bit
+    moduli = np.hypot(pivots.real, pivots.imag)
+    return v * np.divide(moduli, pivots, out=np.ones_like(pivots), where=moduli > 0)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

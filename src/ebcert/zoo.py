@@ -158,10 +158,7 @@ def werner_holevo(d: int, tol: ToleranceConfig | None = None) -> KrausChannel:
     if d < 2:
         raise DimensionMismatch("transpose-plus-trace channel needs dimension at least 2")
     t = _tol(tol)
-    swap = np.zeros((d * d, d * d))
-    for i in range(d):
-        for k in range(d):
-            swap[i * d + k, k * d + i] = 1.0
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
     j = (np.eye(d * d) + swap) / (d + 1)
     return KrausChannel(kraus_from_choi(j, d, d, t), t)
 

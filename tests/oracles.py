@@ -2,10 +2,14 @@
 
 Everything here is written against the raw Kraus data with fresh numpy code
 so that library results are checked along a different path than the one that
-produced them.
+produced them.  The commutant and the span intersection are the d^2 x d^2
+route to an algebra's center, kept as the reference for the library's
+coefficient-space solve.
 """
 
 import numpy as np
+
+from ebcert import MatrixAlgebra, nullspace, unvec, vec
 
 
 def apply_kraus(kraus, x):
@@ -93,6 +97,30 @@ def span_projector(mats, tol):
         return np.zeros((cols.shape[0], cols.shape[0]), dtype=complex)
     basis = u[:, s > tol.eps_rank * s[0]]
     return basis @ basis.conj().T
+
+
+def commutant(alg, tol):
+    """All matrices commuting with every element of the algebra, via the null
+    space of the stacked d^2 x d^2 commutator actions on vec(X)."""
+    d = alg.ambient_dim
+    eye = np.eye(d)
+    stacked = np.vstack([np.kron(eye, b) - np.kron(b.T, eye) for b in alg.basis])
+    null = nullspace(stacked, tol)
+    return MatrixAlgebra.from_span([unvec(null[:, k], d, d) for k in range(null.shape[1])], tol)
+
+
+def intersect_spans(first, second, tol):
+    """Orthonormal basis of the intersection of two matrix spans, from the
+    eigenvalue-1 space of the symmetrized product of their projectors."""
+    rows, cols = np.shape(first[0])
+
+    def projector(mats):
+        b = np.column_stack([vec(m) for m in mats])
+        return b @ b.conj().T
+
+    pa, pb = projector(first), projector(second)
+    kernel = nullspace((pa @ pb + pb @ pa) / 2.0 - np.eye(rows * cols), tol)
+    return [unvec(kernel[:, k], rows, cols) for k in range(kernel.shape[1])]
 
 
 def random_density(n, rng):
