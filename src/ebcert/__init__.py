@@ -102,4 +102,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -20,6 +20,13 @@ projections summing to the identity.
 Both the center and span membership are solved in the algebra's own
 coefficient space (see :func:`center`), never with d^2 x d^2 operators such
 as the commutator actions of the commutant.
+
+The certifier takes a shorter route that never forms the domain: the domain
+is the commutant of the algebra generated by the Kraus operators of
+dual(F) o F, so generic elements of their span decide whether it is
+multiplicity free (the algebra is abelian) and give its block pairs
+(:func:`interaction_elements`, :func:`interaction_blocks`,
+:func:`common_eigenbasis`).
 """
 
 from __future__ import annotations
@@ -236,6 +243,18 @@ def _cluster_descending(values: np.ndarray, radius: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
+def _separated(evals: np.ndarray, clusters: list[np.ndarray], t: ToleranceConfig) -> bool:
+    """Whether the cluster means lie at least 10 eps_eig apart."""
+    means = np.array([float(np.mean(evals[c])) for c in clusters])
+    return bool(np.all(means[:-1] - means[1:] >= 10 * t.eps_eig))
+
+
+def _clustered_eig(h: np.ndarray, t: ToleranceConfig):
+    """hermitian_eig plus the eigenvalue clusters at eps_eig."""
+    evals, evecs = hermitian_eig(h, t)
+    return evals, evecs, _cluster_descending(evals, t.eps_eig)
+
+
 def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> AlgebraStructure:
     """Recover the block structure from a generic central element.
 
@@ -252,12 +271,8 @@ def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Algebra
     chosen = None
     for attempt in range(t.max_resample):
         h = random_hermitian_in_span(central, t.rng(0x57C7, attempt))
-        evals, evecs = hermitian_eig(h, t)
-        clusters = _cluster_descending(evals, t.eps_eig)
-        if len(clusters) != want:
-            continue
-        reps = np.array([float(np.mean(evals[c])) for c in clusters])
-        if want > 1 and np.min(reps[:-1] - reps[1:]) < 10 * t.eps_eig:
+        evals, evecs, clusters = _clustered_eig(h, t)
+        if len(clusters) != want or not _separated(evals, clusters, t):
             continue
         chosen = (evals, evecs, clusters)
         break
@@ -323,13 +338,102 @@ def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
         )
     _, evecs = chosen
 
-    vectors = [phase_fix(evecs[:, k]) for k in range(d)]
-    total = sum(np.outer(w, w.conj()) for w in vectors)
-    if frob(total - np.eye(d)) > t.eps_verify:
+    # a second phase fix clears the rounding-level imaginary part that
+    # hermitian_eig leaves on each pivot
+    vectors = phase_fix(evecs.T)
+    if frob(vectors.T @ vectors.conj() - np.eye(d)) > t.eps_verify:
         raise VerificationFailure("spectral projections do not resolve the identity")
-    for k, w in enumerate(vectors):
-        if not alg.contains(np.outer(w, w.conj()), t):
-            raise VerificationFailure(
-                f"rank-one projection {k} escapes the algebra span"
-            )
-    return vectors
+    dyads = vectors[:, :, None] * vectors.conj()[:, None, :]
+    escaped = np.flatnonzero(_span_residuals(np.stack(alg.basis), dyads) > t.eps_verify)
+    if escaped.size:
+        raise VerificationFailure(
+            f"rank-one projection {int(escaped[0])} escapes the algebra span"
+        )
+    return list(vectors)
+
+
+def interaction_elements(kraus, tol: ToleranceConfig | None = None) -> np.ndarray:
+    """Random Hermitian elements of span{L_b L_a*}, where the d x n
+    operators L_a are the Kraus operators of the complement of the minimal
+    (d, m, n) Kraus stack: (L_a)_ic = (K_i)_ac.
+
+    Each element is a_ij = tr(C K_i K_j*) for a Hermitian Gaussian m x m
+    matrix C drawn from the seed, scaled to unit Frobenius norm; the stack
+    holds max(2, max_resample) of them.  The L_b L_a* are the Kraus
+    operators of dual(psi) o psi for the complement adjoint psi, so their
+    algebra A has the multiplicative domain of psi as its commutant when
+    psi is unital and trace preserving (Kribs 2003).
+    """
+    t = _tol(tol)
+    kraus = np.asarray(kraus, dtype=complex)
+    d, m, n = kraus.shape
+    rng = t.rng(0x1A7E)
+    count = max(2, t.max_resample)
+    g = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    coeffs = g + g.conj().transpose(0, 2, 1)
+    # (C K_i) paired with K_j entrywise: O(d m^2 n + d^2 m n) per draw
+    mixed = (coeffs[:, None] @ kraus[None]).reshape(count, d, m * n)
+    elements = mixed @ kraus.reshape(d, m * n).conj().T
+    return elements / _norms(elements)[:, None, None]
+
+
+def interaction_blocks(elements: np.ndarray,
+                       tol: ToleranceConfig | None = None) -> tuple[tuple[int, int], ...]:
+    """Block pairs (multiplicity, size) of the commutant of the algebra
+    generated by a stack of generic Hermitian elements, read from two of
+    them (Murota, Kanno, Kojima & Kojima 2010).
+
+    If the algebra is a direct sum of blocks M_i (x) I_j, the commutant has
+    blocks I_i (x) M_j.  A generic element a has eigenvalue clusters of size
+    j, i of them per block; a second generic element b couples exactly the
+    clusters of one block, so each connected component of b's coupling
+    between a's clusters gives one pair (i, j).  Coupling is a block of b
+    in a's eigenbasis above eps_verify |b|.  A pair whose clusters are too
+    close, or a component that mixes cluster sizes, moves on to the next
+    pair of the stack; ordered like :meth:`AlgebraStructure.pairs`.
+    """
+    t = _tol(tol)
+    count = len(elements)
+    for attempt in range(t.max_resample):
+        a, b = elements[attempt % count], elements[(attempt + 1) % count]
+        evals, evecs, clusters = _clustered_eig(a, t)
+        if not _separated(evals, clusters, t):
+            continue
+        owner = np.zeros((len(evals), len(clusters)))
+        for k, c in enumerate(clusters):
+            owner[c, k] = 1.0
+        rotated = evecs.conj().T @ b @ evecs
+        coupling = np.sqrt(owner.T @ np.abs(rotated) ** 2 @ owner)
+        reach = coupling > t.eps_verify * frob(b)
+        reach |= np.eye(len(clusters), dtype=bool)
+        for _ in range(len(clusters).bit_length()):
+            reach = reach @ reach
+        components = np.unique(reach, axis=0)  # one row per connected component
+        sizes = [{clusters[k].size for k in np.flatnonzero(row)} for row in components]
+        if all(len(s) == 1 for s in sizes):
+            pairs = [(int(row.sum()), s.pop()) for row, s in zip(components, sizes)]
+            return tuple(sorted(pairs, key=lambda p: (-p[1], -p[0])))
+    raise ResampleExhausted(
+        f"no pair of interaction elements with separated clusters of one size per "
+        f"block after {t.max_resample} draws"
+    )
+
+
+def common_eigenbasis(elements: np.ndarray, tol: ToleranceConfig | None = None) -> np.ndarray:
+    """Rows w_1..w_d: the phase-fixed eigenvectors, by descending eigenvalue,
+    of the element of the stack whose spectrum splits into the most
+    clusters at eps_eig and, among those, has the widest gap between
+    adjacent clusters.
+
+    When the elements commute, the rank-one projections w_i w_i* lie in the
+    commutant of their algebra.  Inside a cluster any orthonormal basis
+    does; the gap between clusters sets how far rounding turns the basis.
+    """
+    t = _tol(tol)
+
+    def separation(spectrum):
+        evals, _, clusters = spectrum
+        gap = min((evals[c[0] - 1] - evals[c[0]] for c in clusters[1:]), default=np.inf)
+        return len(clusters), gap
+
+    return max((_clustered_eig(h, t) for h in elements), key=separation)[1].T

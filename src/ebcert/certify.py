@@ -2,15 +2,21 @@
 projection, with an explicit minimal rank-one Kraus decomposition as the
 certificate.
 
-The decision pipeline: reduce the channel to its minimal Kraus set, form the
-complement adjoint (unital and trace preserving exactly in the projection
-class), compute its multiplicative domain, and read off the block structure.
-A multiplicity-free structure yields rank-one projections resolving the
-identity, whose vectors w_i recombine the minimal Kraus operators into
-rank-one ones, certifying entanglement breaking at length equal to the Choi
-rank; a repeated tensor factor refutes it.  The refutation is cross-checked
-against the partial-transpose criterion, an independent oracle that plays no
-part in the decision itself.
+The decision pipeline: reduce the channel to its minimal Kraus set, whose
+complement adjoint psi is unital and trace preserving exactly in the
+projection class.  The multiplicative domain of psi is the commutant of the
+algebra A generated by the Kraus operators L_b L_a* of dual(psi) o psi
+(Kribs 2003), so it is multiplicity free exactly when A is abelian.  Two
+generic Hermitian elements a, b of span{L_b L_a*} decide that: a relative
+commutator |ab - ba| / (|a| |b|) above sqrt(eps_eig) refutes, with the
+domain's block pairs read from the two elements; otherwise the eigenvectors
+w_i of one element give rank-one projections in the domain resolving the
+identity, and they recombine the minimal Kraus operators into rank-one ones,
+certifying entanglement breaking at length equal to the Choi rank.  The
+certificate is re-checked from scratch by :func:`verify_certificate`, and a
+refutation is cross-checked against the partial-transpose criterion, an
+independent oracle that plays no part in the decision itself.  Neither the
+domain nor any d^2 x d^2 operator is formed.
 
 Channels with a scaled-projection Choi matrix are refused rather than
 guessed: the equivalence between entanglement breaking and a multiplicity
@@ -22,17 +28,21 @@ class exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import multiplicative_domain, rank_one_resolution, structure
+from .algebra import (
+    common_eigenbasis,
+    interaction_blocks,
+    interaction_elements,
+)
 from .channel import (
     ChoiClass,
     CPMap,
     KrausChannel,
     choi,
-    complement_adjoint,
     complement_adjoint_apply,
     complement_from_kraus,
     is_minimal,
@@ -178,10 +188,11 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     verified certificate of minimal length.
 
     Raises OutOfScope for scaled-projection or unclassified Choi matrices,
-    NotEntanglementBreaking (with the structure witness and an independent
-    partial-transpose cross-check) on refutation, and VerificationFailure if
-    any internal consistency check breaks, which is always a bug or a
-    tolerance breach rather than a property of the channel.
+    NotEntanglementBreaking (with the domain's block pairs, the commutator
+    against its bound and an independent partial-transpose cross-check) on
+    refutation, and VerificationFailure if any internal consistency check
+    breaks, which is always a bug or a tolerance breach rather than a
+    property of the channel.
     """
     t = _tol(tol)
     report = choi(channel, t)
@@ -190,19 +201,22 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
 
     minimal = channel.with_kraus(report.kraus, t)
     d = len(minimal)
-    adjoint = complement_adjoint(minimal, t)
-    domain = multiplicative_domain(adjoint, t)
-    struct = structure(domain, t)
-    if not struct.multiplicity_free:
+    elements = interaction_elements(minimal.kraus, t)
+    a, b = elements[:2]
+    # the elements have unit norm, so this is |ab - ba| / (|a| |b|)
+    kappa = frob(a @ b - b @ a)
+    bound = math.sqrt(t.eps_eig)
+    if kappa > bound:
         ppt_ok = is_ppt(report.choi, channel.input_dim, channel.output_dim, t)
-        raise NotEntanglementBreaking(struct.pairs(), ppt_violated=not ppt_ok)
+        raise NotEntanglementBreaking(interaction_blocks(elements, t), ppt_violated=not ppt_ok,
+                                      commutator=kappa, bound=bound)
 
-    w = np.array(rank_one_resolution(domain, struct, t))
+    w = common_eigenbasis(elements, t)
     try:
         v = verify_eb_witness(minimal, w, t)
     except (ResolutionFailure, RankFailure) as exc:
         raise VerificationFailure(
-            f"multiplicity-free domain produced an invalid witness: {exc}"
+            f"commuting interaction elements produced an invalid witness: {exc}"
         ) from exc
 
     # op_i = u_i v_i* with u_i a unit vector, so op_i v_i = |v_i|^2 u_i; the

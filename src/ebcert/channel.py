@@ -369,7 +369,12 @@ def classify_complement_adjoint(
     t = _tol(tol)
     if not channel.trace_preserving:
         raise NotTracePreserving(channel.tp_residual, "complement requires a channel")
-    cr = choi(channel, t)
+    return _classify_complement_adjoint(channel, choi(channel, t), t)
+
+
+def _classify_complement_adjoint(channel: KrausChannel, cr: ChoiReport,
+                                 t: ToleranceConfig) -> ComplementAdjointReport:
+    """:func:`classify_complement_adjoint` on the channel's Choi report."""
     d = cr.choi_rank
     gram = complement_from_kraus(cr.kraus, t).apply(np.eye(channel.input_dim))
     alpha = float(np.trace(gram).real) / d

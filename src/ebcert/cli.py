@@ -23,8 +23,8 @@ from .algebra import multiplicative_domain, structure
 from .certify import certify, schur_normal_form
 from .channel import (
     ChoiClass,
+    _classify_complement_adjoint,
     choi,
-    classify_complement_adjoint,
     complement_adjoint,
     load_channel,
     save_channel,
@@ -221,7 +221,7 @@ def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
                 float(v) / channel.input_dim for v in cr.eigenvalues
             ],
         }
-        ca = classify_complement_adjoint(channel, tol)
+        ca = _classify_complement_adjoint(channel, cr, tol)
         report["complement_adjoint"] = {
             "kind": ca.kind.value,
             "alpha": ca.alpha,

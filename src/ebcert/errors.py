@@ -132,15 +132,30 @@ class OutOfScope(CertificationRefusal):
 
 
 class NotEntanglementBreaking(CertificationRefusal):
-    """Refutation: the multiplicative domain of the complement adjoint has a
-    repeated tensor factor, so no rank-one Kraus decomposition exists."""
+    """Refutation: two generic elements of the interaction algebra of the
+    complement adjoint fail to commute, so its multiplicative domain, the
+    commutant of that algebra, has a repeated tensor factor and no rank-one
+    Kraus decomposition exists.
+
+    blocks        (multiplicity, size) pairs of the domain's blocks
+    ppt_violated  whether the partial transpose of the Choi matrix is
+                  negative, an independent cross-check
+    commutator    relative commutator |ab - ba| / (|a| |b|) of the two
+                  elements
+    bound         the threshold it exceeds, sqrt(eps_eig)
+    """
 
     reason_code = "not_entanglement_breaking"
 
-    def __init__(self, blocks: tuple, ppt_violated: bool | None = None):
+    def __init__(self, blocks: tuple, ppt_violated: bool | None = None,
+                 commutator: float | None = None, bound: float | None = None):
         self.blocks = tuple((int(i), int(j)) for i, j in blocks)
         self.ppt_violated = ppt_violated
+        self.commutator = None if commutator is None else float(commutator)
+        self.bound = None if bound is None else float(bound)
         detail = f"multiplicative domain has structure {list(self.blocks)}"
+        if self.commutator is not None and self.bound is not None:
+            detail += f"; relative commutator {self.commutator:.3e} above {self.bound:.1e}"
         if ppt_violated:
             detail += "; independently confirmed by a negative partial transpose"
         super().__init__(detail)
@@ -149,4 +164,6 @@ class NotEntanglementBreaking(CertificationRefusal):
         out = super().payload()
         out["structure"] = [list(b) for b in self.blocks]
         out["ppt_violated"] = self.ppt_violated
+        out["commutator"] = self.commutator
+        out["bound"] = self.bound
         return out

@@ -9,7 +9,7 @@ coefficient-space solve.
 
 import numpy as np
 
-from ebcert import MatrixAlgebra, nullspace, unvec, vec
+from ebcert import MatrixAlgebra, complement_from_kraus, nullspace, random_unitary, unvec, vec
 
 
 def apply_kraus(kraus, x):
@@ -131,3 +131,33 @@ def random_density(n, rng):
 
 def random_complex_matrix(rows, cols, rng):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _inverse_sqrt(gram):
+    evals, evecs = np.linalg.eigh(gram)
+    return (evecs / np.sqrt(evals)) @ evecs.conj().T
+
+
+def block_unital_complement(sizes, j, seed, tol, kraus_count=3):
+    """Complement of a unital channel with Kraus operators
+    U (sum_q l_a^(q) (x) I_j) V: each block stack l^(q) of size s_q is a
+    complex Gaussian draw scaled to sum l* l = sum l l* = I (operator
+    Sinkhorn scaling), and U, V are random unitaries.  The interaction
+    algebra of its complement adjoint is the direct sum of the M_{s_q} (x) I_j,
+    so its multiplicative domain has the block pairs (s_q, j)."""
+    rng = np.random.default_rng(seed)
+    dim = j * sum(sizes)
+    ops = np.zeros((kraus_count, dim, dim), dtype=complex)
+    start = 0
+    for size in sizes:
+        block = random_complex_matrix(kraus_count * size, size, rng).reshape(kraus_count, size, size)
+        for _ in range(1000):
+            block = block @ _inverse_sqrt(np.einsum("kab,kac->bc", block.conj(), block))
+            block = _inverse_sqrt(np.einsum("kab,kcb->ac", block, block.conj())) @ block
+            if np.linalg.norm(np.einsum("kab,kac->bc", block.conj(), block) - np.eye(size)) < 1e-14:
+                break
+        stop = start + size * j
+        ops[:, start:stop, start:stop] = [np.kron(b, np.eye(j)) for b in block]
+        start = stop
+    ops = random_unitary(dim, rng) @ ops @ random_unitary(dim, rng)
+    return complement_from_kraus(ops, tol)

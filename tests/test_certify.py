@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,15 @@ from ebcert import (
     KrausChannel,
     certify,
     choi,
+    complement_adjoint,
     eb_rank,
     is_ppt,
     minimal_kraus,
+    multiplicative_domain,
     partial_transpose,
     random_unitary,
     schur_normal_form,
+    structure,
     verify_certificate,
     verify_eb_witness,
 )
@@ -37,7 +42,7 @@ from ebcert.zoo import (
     werner_holevo,
 )
 
-from oracles import direct_choi, random_complex_matrix
+from oracles import block_unital_complement, direct_choi, random_complex_matrix
 
 
 def unit_columns(m, n, seed):
@@ -240,11 +245,11 @@ class TestCertify:
             outcomes.append(err.value.blocks)
         assert len(set(outcomes)) == 1
 
-    @pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
     def test_near_parallel_output_vectors_certify(self, tol, delta):
-        # columns e_1 + delta-noise: dual o psi minus the identity has largest
-        # singular value about delta^2, so only an absolute cutoff separates
-        # its fixed points (the gap stays above eps_rank at these delta)
+        # columns e_1 + delta-noise: the interaction elements' eigenvalues
+        # sit about delta apart, far below any cutoff on dual o psi - I, and
+        # mixing two eigenvectors mixes two nearly parallel rank-one terms
         rng = np.random.default_rng(0)
         cols = np.zeros((3, 4), dtype=complex)
         cols[0, :] = 1.0
@@ -268,8 +273,8 @@ class TestCertify:
         assert np.linalg.norm(mismatch) <= tol.eps_verify * 3
 
     def test_pipeline_does_not_build_the_commutant(self, tol, monkeypatch):
-        # the domain null space is the one SVD over d^2 unknowns a call needs;
-        # the commutant's commutator actions on vec(X) would add another
+        # the decision reads two d x d interaction elements: no SVD over d^2
+        # unknowns, and none of the domain-path stages
         planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
         generic = random_projection_choi_channel(6, 6, 2, tol)
         widths = []
@@ -279,13 +284,54 @@ class TestCertify:
             widths.append(np.shape(a)[-1])
             return svd(a, *args, **kwargs)
 
+        def domain_stage(*args, **kwargs):
+            raise AssertionError("certify entered the multiplicative-domain path")
+
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        # by module object: the package rebinds the name ebcert.certify
+        for module in ("algebra", "certify", "channel"):
+            for name in ("complement_adjoint", "multiplicative_domain", "structure",
+                         "rank_one_resolution"):
+                monkeypatch.setattr(importlib.import_module(f"ebcert.{module}"), name,
+                                    domain_stage, raising=False)
         assert certify(planted, tol).eb_rank == 6
-        assert sum(w >= 36 for w in widths) <= 1
+        assert sum(w >= 36 for w in widths) == 0
         widths.clear()
         with pytest.raises(NotEntanglementBreaking):
             certify(generic, tol)
-        assert sum(w >= 36 for w in widths) <= 1
+        assert sum(w >= 36 for w in widths) == 0
+
+    def test_refutation_states_its_margin(self, tol):
+        with pytest.raises(NotEntanglementBreaking) as err:
+            certify(random_projection_choi_channel(6, 6, 2, tol), tol)
+        refusal = err.value
+        assert refusal.bound == pytest.approx(np.sqrt(tol.eps_eig))
+        assert refusal.commutator > refusal.bound
+        payload = refusal.payload()
+        assert (payload["commutator"], payload["bound"]) == (refusal.commutator, refusal.bound)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sizes, j", [
+        ((1, 3), 1), ((2, 2), 1), ((1, 1, 2), 1), ((3, 1), 1),
+        ((2,), 2), ((1, 2), 2), ((2, 1), 3),
+    ])
+    def test_refutation_blocks_match_the_domain_structure(self, tol, sizes, j, seed):
+        ch = block_unital_complement(sizes, j, seed, tol)
+        adjoint = complement_adjoint(minimal_kraus(ch, tol), tol)
+        expected = structure(multiplicative_domain(adjoint, tol), tol).pairs()
+        assert sorted(expected) == sorted((size, j) for size in sizes)
+        with pytest.raises(NotEntanglementBreaking) as err:
+            certify(ch, tol)
+        assert err.value.blocks == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sizes, j", [((1,), 3), ((1, 1), 2), ((1, 1), 3)])
+    def test_repeated_interaction_eigenvalues_certify(self, tol, sizes, j, seed):
+        # each eigenvalue of the interaction elements has multiplicity j, and
+        # any basis of its eigenspace resolves the domain
+        ch = block_unital_complement(sizes, j, seed, tol)
+        cert = certify(ch, tol)
+        assert cert.eb_rank == cert.choi_rank == j * len(sizes)
 
     def test_one_choi_spectrum_per_call(self, tol, monkeypatch):
         from ebcert import classify_complement_adjoint

@@ -116,6 +116,21 @@ class TestAnalyze:
             text = text[idx:].strip()
         assert [r["file"] for r in reports] == [str(wh_file), str(sc_file)]
 
+    def test_one_choi_spectrum_per_file(self, wh_file, sc_file, capsys, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        code, _, _ = run(["analyze", wh_file, sc_file, "--format", "json"], capsys)
+        assert code == 0
+        # Choi matrices are nm x nm: 4 x 4 for Werner-Holevo, 12 x 12 for the
+        # Schur complement; the classification reuses that spectrum
+        assert (sizes.count(4), sizes.count(12)) == (1, 1)
+
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nonsense")
