@@ -76,6 +76,7 @@ from .errors import (
 )
 from .numerics import (
     ToleranceConfig,
+    factor_distance,
     hermitian_eig,
     nullspace,
     numerical_rank,
@@ -102,4 +103,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -43,7 +43,6 @@ from .channel import (
     CPMap,
     KrausChannel,
     choi,
-    complement_adjoint_apply,
     complement_from_kraus,
     is_minimal,
     minimal_kraus,
@@ -62,6 +61,7 @@ from .numerics import (
     _tol,
     as_hermitian,
     as_matrix,
+    factor_distance,
     frob,
     phase_fix,
 )
@@ -250,8 +250,13 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
     w, v, u = cert.w, cert.v, cert.u
     residuals: dict[str, float] = {}
     residuals["resolution"] = frob(w.T @ w.conj() - np.eye(d))
+    if not is_minimal(minimal, t):
+        raise NotMinimalKraus("certificate verification requires a minimal Kraus set")
+    # the complement adjoint of a dyad: psi(w w*) = A* A for A = sum_j conj(w_j) K_j
+    combined = combine_kraus(minimal.kraus, w.conj())
+    images = combined.conj().transpose(0, 2, 1) @ combined
     residuals["adjoint_rank_one"] = float(np.max(np.linalg.norm(
-        complement_adjoint_apply(minimal, _dyads(w, w), t) - _dyads(v, v), axis=(1, 2))))
+        images - _dyads(v, v), axis=(1, 2))))
     residuals["input_resolution"] = frob(v.T @ v.conj() - np.eye(n))
     residuals["unit_norm"] = float(np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)))
     residuals["factorization"] = float(np.max(np.linalg.norm(
@@ -259,7 +264,7 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
     residuals["norm_match"] = float(np.max(np.abs(
         np.linalg.norm(w, axis=1) - np.linalg.norm(v, axis=1))))
     rebuilt = KrausChannel(cert.rank_one_kraus, t)
-    residuals["choi_match"] = frob(rebuilt.choi_matrix() - channel.choi_matrix())
+    residuals["choi_match"] = factor_distance(rebuilt.vec_columns(), channel.vec_columns())
 
     bounds = {
         "resolution": t.eps_verify,
@@ -322,7 +327,7 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
     # certificate; anchor it to the real channel through the Choi matrix.
     rotated = _dyads(cert.u, np.eye(n))
     direct = minimal_kraus(channel, t).kraus @ basis
-    anchor = frob(CPMap(rotated, t).choi_matrix() - CPMap(direct, t).choi_matrix())
+    anchor = factor_distance(CPMap(rotated, t).vec_columns(), CPMap(direct, t).vec_columns())
     if anchor > t.eps_verify * max(1.0, n):
         raise VerificationFailure(
             f"certificate Kraus set does not reproduce the rotated channel: {anchor:.3e}"

@@ -6,16 +6,19 @@ The Choi matrix of a map ``F`` from n x n to m x m matrices is the
 nm x nm block matrix ``sum_ij kron(E_ij, F(E_ij))`` over matrix units
 ``E_ij`` of the input space.  With the column-stacking ``vec`` of
 :mod:`ebcert.numerics` this equals ``V V*`` for the nm x k matrix ``V``
-with columns ``vec(K_i)``, which is how it is computed here.  The Choi
-matrix is kept unnormalized (trace n for a channel); dividing by n gives a
-density matrix.
+with columns ``vec(K_i)``.  The Choi matrix is kept unnormalized (trace n
+for a channel); dividing by n gives a density matrix.  Its nonzero spectrum
+is that of the k x k Gram matrix ``V* V`` (Choi 1975), so :func:`choi`
+works on the factor ``V`` and forms ``V V*`` only when a caller asks for it.
 
 A complement is always built from a minimal Kraus set, which this module
-fixes deterministically: eigenpairs of the Choi matrix in descending
-eigenvalue order, each eigenvector phase-fixed so its largest-modulus
-entry is real positive.  Any other minimal choice gives a complement that
-differs only by unitary conjugation on the output, so spectra and all
-classifications below are unaffected by this convention.
+fixes deterministically: the columns ``V w`` for the eigenvectors ``w`` of
+the Gram matrix above the rank cutoff, in descending eigenvalue order, each
+phase-fixed so its largest-modulus entry is real positive.  These are the
+Choi eigenvectors scaled by the square-rooted eigenvalues, a unitary
+re-dilation of the given Kraus list.  Any other minimal choice gives a
+complement that differs only by unitary conjugation on the output, so
+spectra and all classifications below are unaffected by this convention.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .numerics import (
     frob,
     hermitian_eig,
     numerical_rank,
+    phase_fix,
 )
 
 
@@ -141,21 +145,31 @@ class ChoiClass(enum.Enum):
 
 @dataclass(frozen=True)
 class ChoiReport:
-    """Choi matrix together with its rank, its spectral classification and
-    the canonical minimal Kraus set taken from the same eigendecomposition.
+    """Choi spectral data of a Kraus list, held through the nm x k factor
+    ``V`` of the Choi matrix (columns vec(K_i)), with its rank, its spectral
+    classification and the canonical minimal Kraus set taken from the same
+    eigendecomposition of the Gram matrix ``V* V``.
 
     classification is PROJECTION when every nonzero eigenvalue sits within
     eps_eig of 1, SCALED_PROJECTION when they sit within eps_eig of their
-    common mean alpha, OTHER otherwise.  ``kraus`` is the (choi_rank, m, n)
-    stack of minimal Kraus operators (see :func:`kraus_from_choi`).
+    common mean alpha, OTHER otherwise.  ``eigenvalues`` is the Choi
+    spectrum in descending order with nm entries: the Gram spectrum padded
+    with zeros when k < nm, its rounding-level tail dropped when k > nm.
+    ``kraus`` is the (choi_rank, m, n) stack of minimal Kraus operators (see
+    :func:`choi`).
     """
 
-    choi: np.ndarray
+    factor: np.ndarray
     choi_rank: int
     classification: ChoiClass
     alpha: float | None
     eigenvalues: np.ndarray
     kraus: np.ndarray
+
+    @property
+    def choi(self) -> np.ndarray:
+        """The nm x nm Choi matrix V V*, formed on each access."""
+        return self.factor @ self.factor.conj().T
 
 
 def _kraus_stack(columns: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -164,13 +178,27 @@ def _kraus_stack(columns: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
-    """Build the Choi matrix, classify its spectrum, and take the minimal
-    Kraus set from the same eigendecomposition, checked by the residual of
-    the Choi matrix it rebuilds."""
+    """Classify the Choi spectrum and take the minimal Kraus set from the
+    same eigendecomposition, without forming the Choi matrix.
+
+    J = V V* and the Gram matrix G = V* V share their nonzero eigenvalues,
+    and for G w = lambda w the column V w is an eigenvector of J of norm
+    sqrt(lambda).  So the minimal Kraus columns are V W_r, for the
+    eigenvectors W_r of G above the rank cutoff, phase-fixed: a unitary
+    re-dilation of the given list.  The set is checked by the residual of
+    the Choi matrix it rebuilds, |R R* - (R W_r)(R W_r)*| for the
+    triangular factor R of V = QR, which equals |J - V W_r (V W_r)*|;
+    when k >= nm, V is used in place of R.
+
+    The cost is O(nm k^2 + k^3) for k Kraus operators, so a list longer
+    than nm pays O(k^3) for at most nm nonzero eigenvalues.  A thin SVD of V
+    would avoid that, but it costs about twice the eigendecomposition of G
+    when V is square, as for the completely depolarizing channel.
+    """
     t = _tol(tol)
     n, m = channel.input_dim, channel.output_dim
-    j = channel.choi_matrix()
-    evals, evecs = hermitian_eig(j, t)
+    v = channel.vec_columns()
+    evals, w = hermitian_eig(v.conj().T @ v, t)
 
     lead = evals[0]
     rank = 0 if lead <= t.eps_rank else int(np.sum(evals > t.eps_rank * lead))
@@ -181,7 +209,7 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
             f"Choi matrix has a negative eigenvalue {evals[-1]:.3e}"
         )
     if channel.trace_preserving:
-        trace = float(np.trace(j).real)
+        trace = frob(v) ** 2
         if abs(trace - n) > t.eps_verify * max(1.0, n):
             raise InconsistentClassification(
                 f"Choi trace {trace:.12g} differs from input dimension {n}"
@@ -204,14 +232,19 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
             f"projection Choi matrix must have rank {n}, got {rank}"
         )
 
-    columns = evecs[:, :rank] * np.sqrt(nonzero)
-    residual = frob(columns @ columns.conj().T - j)
+    # a V no taller than wide is its own shortest factor
+    r = v if len(evals) >= n * m else np.linalg.qr(v, mode="r")
+    kept = r @ w[:, :rank]
+    residual = frob(r @ r.conj().T - kept @ kept.conj().T)
     if residual > t.eps_verify * max(1.0, n):
         raise VerificationFailure(
             f"minimal Kraus reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    return ChoiReport(choi=j, choi_rank=rank, classification=classification,
-                      alpha=alpha, eigenvalues=evals, kraus=_kraus_stack(columns, m, n))
+    columns = phase_fix((v @ w[:, :rank]).T).T
+    spectrum = np.zeros(n * m)
+    spectrum[:len(evals)] = evals[:n * m]
+    return ChoiReport(factor=v, choi_rank=rank, classification=classification,
+                      alpha=alpha, eigenvalues=spectrum, kraus=_kraus_stack(columns, m, n))
 
 
 def kraus_from_choi(j, n: int, m: int, tol: ToleranceConfig | None = None) -> np.ndarray:

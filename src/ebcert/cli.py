@@ -34,7 +34,7 @@ from .errors import (
     NotEntanglementBreaking,
     OutOfScope,
 )
-from .numerics import ToleranceConfig
+from .numerics import ToleranceConfig, frob
 from .zoo import (
     depolarizing,
     random_channel,
@@ -213,7 +213,7 @@ def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
         cr = choi(channel, tol)
         report["choi"] = {
             "rank": cr.choi_rank,
-            "trace": _judged(float(np.trace(cr.choi).real), tol.eps_verify),
+            "trace": _judged(frob(cr.factor) ** 2, tol.eps_verify),
             "classification": cr.classification.value,
             "alpha": None if cr.alpha is None else _judged(cr.alpha, tol.eps_eig),
             "eigenvalues": [float(v) for v in cr.eigenvalues],

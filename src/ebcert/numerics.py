@@ -116,6 +116,20 @@ def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np
     return evals[order], phase_fix(evecs[:, order].T).T
 
 
+def factor_distance(a, b) -> float:
+    """Frobenius distance |A A* - B B*| between the products of two factors
+    with one row count, without forming either product.  With a thin QR
+    [A B] = Q [R1 R2] the distance is |R1 R1* - R2 R2*|.  The shorter route
+    through Gram traces, |A* A|^2 + |B* B|^2 - 2 |A* B|^2, cancels to
+    rounding noise near eps_verify and is not used."""
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"factors have {a.shape[0]} and {b.shape[0]} rows")
+    r = np.linalg.qr(np.hstack([a, b]), mode="r")
+    r1, r2 = r[:, :a.shape[1]], r[:, a.shape[1]:]
+    return frob(r1 @ r1.conj().T - r2 @ r2.conj().T)
+
+
 def singular_values(a) -> np.ndarray:
     a = as_matrix(a)
     if a.size == 0:

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from ebcert import (
+    ChoiReport,
+    CPMap,
     EBCertificate,
     KrausChannel,
     certify,
     choi,
     complement_adjoint,
+    complement_adjoint_apply,
     eb_rank,
     is_ppt,
     minimal_kraus,
@@ -336,9 +339,13 @@ class TestCertify:
     def test_one_choi_spectrum_per_call(self, tol, monkeypatch):
         from ebcert import classify_complement_adjoint
 
-        planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
-        generic = random_projection_choi_channel(6, 6, 2, tol)
-        scaled = werner_holevo(5, tol)
+        # presentations with k = 8 Kraus operators, so the k x k Gram
+        # spectra stand apart from the d x d = 6 x 6 interaction elements
+        # and from the nm x nm = 36 x 36 Choi matrix
+        planted = redilate_fixture(random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True),
+                                   8, 11, tol)
+        generic = redilate_fixture(random_projection_choi_channel(6, 6, 2, tol), 8, 12, tol)
+        scaled = werner_holevo(5, tol)  # k = 15, nm = 25
         sizes = []
         eigh = np.linalg.eigh
 
@@ -346,23 +353,57 @@ class TestCertify:
             sizes.append(np.shape(a)[0])
             return eigh(a, *args, **kwargs)
 
-        def choi_sized_calls(run, nm):
+        def eigh_calls(run, *dims):
             sizes.clear()
             run()
-            return sizes.count(nm)
+            return tuple(sizes.count(dim) for dim in dims)
 
         def refute():
             with pytest.raises(NotEntanglementBreaking):
                 certify(generic, tol)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        # the pipeline's Choi spectrum plus verify_certificate's own
-        assert choi_sized_calls(lambda: certify(planted, tol), 36) <= 2
-        # the pipeline's Choi spectrum; the partial-transpose oracle reads
+        # no Choi matrix is decomposed; the pipeline's Gram spectrum plus
+        # verify_certificate's own
+        assert eigh_calls(lambda: certify(planted, tol), 36, 8) == (0, 2)
+        # the pipeline's Gram spectrum; the partial-transpose oracle reads
         # eigenvalues only
-        assert choi_sized_calls(refute, 36) <= 1
-        assert choi_sized_calls(lambda: classify_complement_adjoint(scaled, tol), 25) == 1
-        assert choi_sized_calls(lambda: eb_rank(scaled, tol), 25) == 1
+        assert eigh_calls(refute, 36, 8) == (0, 1)
+        assert eigh_calls(lambda: classify_complement_adjoint(scaled, tol), 25, 15) == (0, 1)
+        assert eigh_calls(lambda: eb_rank(scaled, tol), 25, 15) == (0, 1)
+
+    def test_certify_forms_no_choi_matrix(self, tol, monkeypatch):
+        planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
+        generic = random_projection_choi_channel(6, 6, 2, tol)
+        built = []
+
+        def forbidden(self):
+            raise AssertionError("a Choi matrix was formed")
+
+        def counted(report):
+            built.append(report)
+            return report.factor @ report.factor.conj().T
+
+        monkeypatch.setattr(CPMap, "choi_matrix", forbidden)
+        monkeypatch.setattr(ChoiReport, "choi", property(forbidden))
+        assert certify(planted, tol).eb_rank == 6
+        # the partial-transpose oracle of a refutation reads it once
+        monkeypatch.setattr(ChoiReport, "choi", property(counted))
+        with pytest.raises(NotEntanglementBreaking) as err:
+            certify(generic, tol)
+        assert err.value.ppt_violated
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_adjoint_rank_one_matches_the_complement_adjoint(self, tol, seed):
+        ch = random_projection_choi_channel(5, 4, seed, tol, ensure_eb=True)
+        cert = certify(ch, tol)
+        w, v = cert.w, cert.v
+        images = complement_adjoint_apply(minimal_kraus(ch, tol),
+                                          w[:, :, None] * w.conj()[:, None, :], tol)
+        expected = np.max(np.linalg.norm(images - v[:, :, None] * v.conj()[:, None, :],
+                                         axis=(1, 2)))
+        assert abs(cert.residuals["adjoint_rank_one"] - expected) <= 1e-13
 
 
 class TestVerifyCertificate:

@@ -17,6 +17,7 @@ from ebcert import (
     complement_adjoint_apply,
     complement_from_kraus,
     dual,
+    factor_distance,
     is_minimal,
     load_channel,
     minimal_kraus,
@@ -31,7 +32,9 @@ from ebcert.zoo import (
     identity_channel,
     random_channel,
     random_correlation,
+    random_projection_choi_channel,
     random_schur_complement_channel,
+    redilate_fixture,
     schur_channel,
     schur_complement_channel,
     werner_holevo,
@@ -184,6 +187,28 @@ class TestChoi:
         for ch in (random_channel(4, 2, 3, 11, tol), werner_holevo(2, tol)):
             rep = choi(ch, tol)
             assert np.trace(rep.choi).real == pytest.approx(ch.input_dim, abs=1e-10)
+
+    @pytest.mark.parametrize("make", [
+        lambda tol: random_projection_choi_channel(4, 3, 5, tol, ensure_eb=True),  # k < nm
+        lambda tol: depolarizing(3, tol),  # k = nm
+        lambda tol: redilate_fixture(random_channel(2, 2, 3, 6, tol), 6, 7, tol),  # k > nm
+    ])
+    def test_eigenvalues_match_the_dense_spectrum(self, tol, make):
+        ch = make(tol)
+        n, m = ch.input_dim, ch.output_dim
+        dense = np.linalg.eigvalsh(direct_choi(list(ch.kraus), n, m))[::-1]
+        evals = choi(ch, tol).eigenvalues
+        assert evals.shape == (n * m,)
+        np.testing.assert_allclose(evals, dense, atol=1e-12)
+
+    def test_minimal_set_is_a_redilation_of_the_input(self, tol):
+        ch = redilate_fixture(random_channel(3, 2, 3, 8, tol), 5, 9, tol)
+        rep = choi(ch, tol)
+        assert factor_distance(CPMap(rep.kraus, tol).vec_columns(), ch.vec_columns()) <= 1e-13
+        flat = rep.kraus.reshape(rep.choi_rank, -1)
+        pivots = flat[np.arange(rep.choi_rank), np.argmax(np.abs(flat), axis=1)]
+        np.testing.assert_allclose(pivots.imag, 0.0, atol=1e-15)
+        assert np.all(pivots.real > 0)
 
 
 class TestMinimalKraus:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ebcert import load_channel
+from ebcert import load_channel, save_channel
 from ebcert.cli import main
+from ebcert.zoo import redilate_fixture
 
 
 def run(argv, capsys):
@@ -116,7 +117,11 @@ class TestAnalyze:
             text = text[idx:].strip()
         assert [r["file"] for r in reports] == [str(wh_file), str(sc_file)]
 
-    def test_one_choi_spectrum_per_file(self, wh_file, sc_file, capsys, monkeypatch):
+    def test_one_choi_spectrum_per_file(self, wh_file, sc_file, tmp_path, capsys, monkeypatch):
+        # the Schur complement presented with 5 Kraus operators, so its 5 x 5
+        # Gram spectrum stands apart from the 3 x 3 domain work
+        padded = tmp_path / "sc5.json"
+        save_channel(redilate_fixture(load_channel(sc_file), 5, 0), padded)
         sizes = []
         eigh = np.linalg.eigh
 
@@ -124,12 +129,19 @@ class TestAnalyze:
             sizes.append(np.shape(a)[0])
             return eigh(a, *args, **kwargs)
 
+        def eigh_calls(path, *dims):
+            sizes.clear()
+            code, _, _ = run(["analyze", path, "--format", "json"], capsys)
+            assert code == 0
+            return tuple(sizes.count(dim) for dim in dims)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        code, _, _ = run(["analyze", wh_file, sc_file, "--format", "json"], capsys)
-        assert code == 0
-        # Choi matrices are nm x nm: 4 x 4 for Werner-Holevo, 12 x 12 for the
-        # Schur complement; the classification reuses that spectrum
-        assert (sizes.count(4), sizes.count(12)) == (1, 1)
+        # Choi matrices are nm x nm, 4 x 4 for Werner-Holevo and 12 x 12 for
+        # the Schur complement, and none is decomposed; the spectra come from
+        # the k x k Gram matrices, 3 x 3 and 5 x 5, and the classification
+        # reuses them
+        assert eigh_calls(wh_file, 4, 3) == (0, 1)
+        assert eigh_calls(padded, 12, 5) == (0, 1)
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import pytest
 from ebcert import ToleranceConfig
 from ebcert.errors import DimensionMismatch, NotHermitian
 from ebcert.numerics import (
+    factor_distance,
     hermitian_eig,
     nullspace,
     numerical_rank,
@@ -14,7 +15,7 @@ from ebcert.numerics import (
     unvec,
     vec,
 )
-from ebcert.zoo import werner_holevo
+from ebcert.zoo import random_projection_choi_channel, redilate_fixture, werner_holevo
 
 from oracles import random_complex_matrix, span_projector
 
@@ -175,6 +176,27 @@ class TestNullspace:
         # below eps_rank the default rule calls everything null
         assert nullspace(1e-12 * a, tol).shape == (3, 3)
         assert nullspace(1e-12 * a, tol, cutoff=1e-14).shape == (3, 2)
+
+
+class TestFactorDistance:
+    @pytest.mark.parametrize("rows, ka, kb", [(12, 3, 5), (6, 4, 4), (6, 5, 4), (4, 7, 2)])
+    def test_matches_the_dense_distance(self, rows, ka, kb):
+        # 2k > rows in the last three cases, and ka > rows in the last
+        rng = np.random.default_rng(rows * 100 + ka * 10 + kb)
+        a = random_complex_matrix(rows, ka, rng)
+        b = random_complex_matrix(rows, kb, rng)
+        dense = np.linalg.norm(a @ a.conj().T - b @ b.conj().T)
+        assert factor_distance(a, b) == pytest.approx(dense, rel=1e-12)
+
+    def test_vanishes_between_redilations(self, tol):
+        ch = random_projection_choi_channel(5, 4, 3, tol, ensure_eb=True)
+        wide = redilate_fixture(ch, 9, 4, tol)
+        other = redilate_fixture(ch, 7, 5, tol)
+        assert factor_distance(wide.vec_columns(), other.vec_columns()) <= 1e-13
+
+    def test_rejects_unequal_row_counts(self):
+        with pytest.raises(DimensionMismatch):
+            factor_distance(np.ones((3, 2)), np.ones((4, 2)))
 
 
 class TestVecUnvecKron:
