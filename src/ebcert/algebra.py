@@ -45,6 +45,7 @@ from .errors import (
     VerificationFailure,
 )
 from .numerics import (
+    MAX_RESAMPLE,
     ToleranceConfig,
     _tol,
     as_matrix,
@@ -62,11 +63,20 @@ from .numerics import (
 @dataclass(frozen=True)
 class MatrixAlgebra:
     """Unital *-subalgebra of d x d matrices, held as a Frobenius-orthonormal
-    basis of its span."""
+    basis of its span: one read-only (r, d, d) array, so iterating over
+    ``basis`` gives the basis matrices."""
 
-    ambient_dim: int
-    basis: tuple[np.ndarray, ...]
-    contains_identity: bool
+    basis: np.ndarray
+
+    def __post_init__(self):
+        # a C-order copy: caller-owned arrays stay writable, reshapes are views
+        basis = np.array(self.basis, dtype=complex, order="C")
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[-1]
 
     @property
     def dimension(self) -> int:
@@ -76,39 +86,38 @@ class MatrixAlgebra:
         t = _tol(tol)
         m = as_matrix(x)
         scale = max(1.0, frob(m))
-        return float(_span_residuals(np.stack(self.basis), m[None])[0]) <= t.eps_verify * scale
+        return float(_span_residuals(self.basis, m[None])[0]) <= t.eps_verify * scale
 
     @classmethod
     def from_span(cls, mats, tol: ToleranceConfig | None = None) -> "MatrixAlgebra":
         t = _tol(tol)
         basis = orthonormal_matrix_basis(mats, t)
-        if not basis:
+        if not len(basis):
             raise ValueError("span is empty")
-        d = basis[0].shape[0]
-        if basis[0].shape != (d, d):
+        if basis.shape[1] != basis.shape[2]:
             raise ValueError("algebra elements must be square")
-        eye_res = float(_span_residuals(np.stack(basis), np.eye(d)[None])[0])
-        has_identity = eye_res <= t.eps_verify * math.sqrt(d)
-        alg = cls(ambient_dim=d, basis=tuple(basis), contains_identity=has_identity)
+        alg = cls(basis=basis)
         alg.check_invariants(t)
         return alg
 
     def check_invariants(self, tol: ToleranceConfig | None = None) -> None:
-        """Assert *-closure, multiplicative closure, and identity membership
-        of the span, all at eps_verify: every adjoint and every product of
-        basis elements, the products batched one left factor at a time."""
+        """Assert *-closure and multiplicative closure of the span at
+        eps_verify, and identity membership at eps_verify sqrt(d): every
+        adjoint and every product of basis elements, the products batched
+        one left factor at a time."""
         t = _tol(tol)
-        stack = np.stack(self.basis)
+        stack = self.basis
         res = float(np.max(_span_residuals(stack, stack.conj().transpose(0, 2, 1))))
         if res > t.eps_verify:
             raise VerificationFailure(f"span is not *-closed, residual {res:.3e}")
-        for a in self.basis:
+        for a in stack:
             res = float(np.max(_span_residuals(stack, a @ stack)))
             if res > t.eps_verify:
                 raise VerificationFailure(
                     f"span is not multiplicatively closed, residual {res:.3e}"
                 )
-        if not self.contains_identity:
+        d = self.ambient_dim
+        if float(_span_residuals(stack, np.eye(d)[None])[0]) > t.eps_verify * math.sqrt(d):
             raise VerificationFailure("identity is not in the span")
 
 
@@ -147,8 +156,7 @@ def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None) -> Mat
     fixed = nullspace(composed - np.eye(d * d), t, cutoff=t.eps_rank)
     if fixed.shape[1] == 0:
         raise VerificationFailure("fixed-point space is empty; identity must always be fixed")
-    mats = [unvec(fixed[:, k], d, d) for k in range(fixed.shape[1])]
-    alg = MatrixAlgebra.from_span(mats, t)
+    alg = MatrixAlgebra.from_span(unvec(fixed.T, d, d), t)
     _verify_domain(psi, alg, t)
     return alg
 
@@ -169,7 +177,7 @@ def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> None:
     probes = np.stack([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                        for _ in range(_DOMAIN_PROBES)])
     probes /= np.maximum(_norms(probes), 1.0)[:, None, None]
-    basis = np.stack(alg.basis)
+    basis = alg.basis
     adjoints = basis.conj().transpose(0, 2, 1)
     images, adjoint_images = psi.apply(basis), psi.apply(adjoints)
     res = float(np.max(np.maximum(
@@ -191,8 +199,9 @@ def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> None:
             )
 
 
-def center(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> list[np.ndarray]:
-    """Orthonormal basis of the center, solved in coefficient space.
+def center(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> np.ndarray:
+    """Orthonormal basis of the center as an (c, d, d) stack, solved in
+    coefficient space.
 
     z = sum_k c_k b_k is central exactly when sum_k c_k [b_k, b_l] = 0 for
     every basis element b_l: a thin-SVD null space of that (r d^2) x r
@@ -202,14 +211,14 @@ def center(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> list[np.nd
     algebra that check_invariants accepted.
     """
     t = _tol(tol)
-    stack = np.stack(alg.basis)
+    stack = alg.basis
     r = alg.dimension
     prods = stack[:, None] @ stack[None, :]
     comms = prods - prods.swapaxes(0, 1)
     coeffs = nullspace(comms.reshape(r, -1).T, t, cutoff=t.eps_verify)
     if coeffs.shape[1] == 0:
         raise VerificationFailure("center is empty; a unital algebra contains the identity")
-    return list(np.tensordot(coeffs.T, stack, axes=1))
+    return np.tensordot(coeffs.T, stack, axes=1)
 
 
 @dataclass(frozen=True)
@@ -231,18 +240,6 @@ class AlgebraStructure:
         return tuple((b.multiplicity, b.size) for b in self.blocks)
 
 
-def _cluster_descending(values: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Group a descending array into runs whose consecutive gaps stay within
-    the radius; returns index arrays."""
-    groups: list[list[int]] = [[0]]
-    for k in range(1, values.size):
-        if values[k - 1] - values[k] <= radius:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return [np.array(g) for g in groups]
-
-
 def _separated(evals: np.ndarray, clusters: list[np.ndarray], t: ToleranceConfig) -> bool:
     """Whether the cluster means lie at least 10 eps_eig apart."""
     means = np.array([float(np.mean(evals[c])) for c in clusters])
@@ -250,9 +247,12 @@ def _separated(evals: np.ndarray, clusters: list[np.ndarray], t: ToleranceConfig
 
 
 def _clustered_eig(h: np.ndarray, t: ToleranceConfig):
-    """hermitian_eig plus the eigenvalue clusters at eps_eig."""
+    """hermitian_eig plus the eigenvalue clusters at eps_eig: index arrays of
+    the runs of the descending spectrum whose consecutive gaps stay within
+    eps_eig."""
     evals, evecs = hermitian_eig(h, t)
-    return evals, evecs, _cluster_descending(evals, t.eps_eig)
+    splits = np.flatnonzero(evals[:-1] - evals[1:] > t.eps_eig) + 1
+    return evals, evecs, np.split(np.arange(evals.size), splits)
 
 
 def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> AlgebraStructure:
@@ -268,22 +268,18 @@ def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Algebra
     central = center(alg, t)
     want = len(central)
 
-    chosen = None
-    for attempt in range(t.max_resample):
+    for attempt in range(MAX_RESAMPLE):
         h = random_hermitian_in_span(central, t.rng(0x57C7, attempt))
         evals, evecs, clusters = _clustered_eig(h, t)
-        if len(clusters) != want or not _separated(evals, clusters, t):
-            continue
-        chosen = (evals, evecs, clusters)
-        break
-    if chosen is None:
+        if len(clusters) == want and _separated(evals, clusters, t):
+            break
+    else:
         raise ResampleExhausted(
             f"no central element with {want} separated eigenvalue clusters "
-            f"after {t.max_resample} draws"
+            f"after {MAX_RESAMPLE} draws"
         )
-    _, evecs, clusters = chosen
 
-    stack = np.stack(alg.basis)
+    stack = alg.basis
     blocks = []
     for cluster in clusters:
         cols = evecs[:, cluster]
@@ -312,11 +308,12 @@ def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Algebra
 
 
 def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
-                        tol: ToleranceConfig | None = None) -> list[np.ndarray]:
-    """Vectors w_1..w_d whose rank-one projections lie in the algebra and
-    sum to the identity, from the spectral resolution of a generic Hermitian
-    element with simple spectrum.  Requires a multiplicity-free structure.
-    Ordered by descending eigenvalue, phases fixed."""
+                        tol: ToleranceConfig | None = None) -> np.ndarray:
+    """Rows w_1..w_d of a (d, d) array whose rank-one projections lie in the
+    algebra and sum to the identity, from the spectral resolution of a
+    generic Hermitian element with simple spectrum.  Requires a
+    multiplicity-free structure.  Ordered by descending eigenvalue, phases
+    fixed."""
     t = _tol(tol)
     if not struct.multiplicity_free:
         raise NotMultiplicityFree(
@@ -324,19 +321,15 @@ def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
         )
     d = alg.ambient_dim
 
-    chosen = None
-    for attempt in range(t.max_resample):
+    for attempt in range(MAX_RESAMPLE):
         h = random_hermitian_in_span(alg.basis, t.rng(0x12E5, attempt))
         evals, evecs = hermitian_eig(h, t)
-        if d > 1 and np.min(evals[:-1] - evals[1:]) < 10 * t.eps_eig:
-            continue
-        chosen = (evals, evecs)
-        break
-    if chosen is None:
+        if np.all(evals[:-1] - evals[1:] >= 10 * t.eps_eig):
+            break
+    else:
         raise ResampleExhausted(
-            f"no generic element with simple spectrum after {t.max_resample} draws"
+            f"no generic element with simple spectrum after {MAX_RESAMPLE} draws"
         )
-    _, evecs = chosen
 
     # a second phase fix clears the rounding-level imaginary part that
     # hermitian_eig leaves on each pivot
@@ -344,12 +337,12 @@ def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
     if frob(vectors.T @ vectors.conj() - np.eye(d)) > t.eps_verify:
         raise VerificationFailure("spectral projections do not resolve the identity")
     dyads = vectors[:, :, None] * vectors.conj()[:, None, :]
-    escaped = np.flatnonzero(_span_residuals(np.stack(alg.basis), dyads) > t.eps_verify)
+    escaped = np.flatnonzero(_span_residuals(alg.basis, dyads) > t.eps_verify)
     if escaped.size:
         raise VerificationFailure(
             f"rank-one projection {int(escaped[0])} escapes the algebra span"
         )
-    return list(vectors)
+    return vectors
 
 
 def interaction_elements(kraus, tol: ToleranceConfig | None = None) -> np.ndarray:
@@ -359,7 +352,7 @@ def interaction_elements(kraus, tol: ToleranceConfig | None = None) -> np.ndarra
 
     Each element is a_ij = tr(C K_i K_j*) for a Hermitian Gaussian m x m
     matrix C drawn from the seed, scaled to unit Frobenius norm; the stack
-    holds max(2, max_resample) of them.  The L_b L_a* are the Kraus
+    holds MAX_RESAMPLE of them.  The L_b L_a* are the Kraus
     operators of dual(psi) o psi for the complement adjoint psi, so their
     algebra A has the multiplicative domain of psi as its commutant when
     psi is unital and trace preserving (Kribs 2003).
@@ -368,7 +361,7 @@ def interaction_elements(kraus, tol: ToleranceConfig | None = None) -> np.ndarra
     kraus = np.asarray(kraus, dtype=complex)
     d, m, n = kraus.shape
     rng = t.rng(0x1A7E)
-    count = max(2, t.max_resample)
+    count = MAX_RESAMPLE
     g = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
     coeffs = g + g.conj().transpose(0, 2, 1)
     # (C K_i) paired with K_j entrywise: O(d m^2 n + d^2 m n) per draw
@@ -394,14 +387,12 @@ def interaction_blocks(elements: np.ndarray,
     """
     t = _tol(tol)
     count = len(elements)
-    for attempt in range(t.max_resample):
+    for attempt in range(MAX_RESAMPLE):
         a, b = elements[attempt % count], elements[(attempt + 1) % count]
         evals, evecs, clusters = _clustered_eig(a, t)
         if not _separated(evals, clusters, t):
             continue
-        owner = np.zeros((len(evals), len(clusters)))
-        for k, c in enumerate(clusters):
-            owner[c, k] = 1.0
+        owner = np.repeat(np.eye(len(clusters)), [c.size for c in clusters], axis=0)
         rotated = evecs.conj().T @ b @ evecs
         coupling = np.sqrt(owner.T @ np.abs(rotated) ** 2 @ owner)
         reach = coupling > t.eps_verify * frob(b)
@@ -415,25 +406,27 @@ def interaction_blocks(elements: np.ndarray,
             return tuple(sorted(pairs, key=lambda p: (-p[1], -p[0])))
     raise ResampleExhausted(
         f"no pair of interaction elements with separated clusters of one size per "
-        f"block after {t.max_resample} draws"
+        f"block after {MAX_RESAMPLE} draws"
     )
 
 
 def common_eigenbasis(elements: np.ndarray, tol: ToleranceConfig | None = None) -> np.ndarray:
     """Rows w_1..w_d: the phase-fixed eigenvectors, by descending eigenvalue,
     of the element of the stack whose spectrum splits into the most
-    clusters at eps_eig and, among those, has the widest gap between
-    adjacent clusters.
+    clusters at eps_eig and, among those, has the widest narrowest gap
+    between adjacent clusters; further ties go to the first such element.
+    All elements are decomposed in one call, and the choice is read off the
+    (s, d) array of their spectra.
 
     When the elements commute, the rank-one projections w_i w_i* lie in the
     commutant of their algebra.  Inside a cluster any orthonormal basis
     does; the gap between clusters sets how far rounding turns the basis.
     """
     t = _tol(tol)
-
-    def separation(spectrum):
-        evals, _, clusters = spectrum
-        gap = min((evals[c[0] - 1] - evals[c[0]] for c in clusters[1:]), default=np.inf)
-        return len(clusters), gap
-
-    return max((_clustered_eig(h, t) for h in elements), key=separation)[1].T
+    evals, evecs = hermitian_eig(elements, t)
+    gaps = evals[:, :-1] - evals[:, 1:]
+    splits = gaps > t.eps_eig
+    narrowest = np.min(np.where(splits, gaps, np.inf), axis=1, initial=np.inf)
+    # lexsort is stable and sorts by its last key first
+    best = np.lexsort((-narrowest, -np.sum(splits, axis=1)))[0]
+    return evecs[best].T

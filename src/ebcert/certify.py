@@ -63,36 +63,36 @@ from .numerics import (
     as_matrix,
     factor_distance,
     frob,
+    from_pairs,
     phase_fix,
+    to_pairs,
+    vec,
 )
 
 
 @dataclass(frozen=True)
 class EBCertificate:
     """Verified witness that a channel is entanglement breaking at minimal
-    length.  The vectors and operators are held as read-only stacks, one row
-    per rank-one term, so iterating over a stack gives the vectors or
-    operators; r is the length, d the Choi rank, n and m the input and
-    output dimensions.
+    length.  The vectors are held as read-only stacks, one row per rank-one
+    term, so iterating over a stack gives the vectors; r is the length, d
+    the Choi rank, n and m the input and output dimensions.
 
     w               (r, d) resolution vectors: sum_i w_i w_i* = I on the Choi-rank space
     v               (r, n) input-side vectors: the complement adjoint maps w_i w_i* to v_i v_i*
     u               (r, m) output-side unit vectors
-    rank_one_kraus  (r, m, n) the operators u_i v_i*, a Kraus set for the channel
-    eb_rank         minimal rank-one Kraus count, equal to the Choi rank here
     residuals       measured residuals of every certificate invariant
+
+    Everything else is derived from the three stacks, so a certificate held
+    in memory and the same one read back from JSON are one object.
     """
 
     w: np.ndarray
     v: np.ndarray
     u: np.ndarray
-    rank_one_kraus: np.ndarray
-    eb_rank: int
-    choi_rank: int
     residuals: dict[str, float]
 
     def __post_init__(self):
-        for name in ("w", "v", "u", "rank_one_kraus"):
+        for name in ("w", "v", "u"):
             # np.array copies, so caller-owned arrays stay writable
             stack = np.array(getattr(self, name), dtype=complex)
             stack.setflags(write=False)
@@ -102,19 +102,29 @@ class EBCertificate:
     def r(self) -> int:
         return len(self.w)
 
+    @property
+    def eb_rank(self) -> int:  # the minimal rank-one Kraus count
+        return self.r
+
+    @property
+    def choi_rank(self) -> int:  # d, the dimension of the space the w_i resolve
+        return self.w.shape[1]
+
+    @property
+    def rank_one_kraus(self) -> np.ndarray:
+        """The (r, m, n) operators u_i v_i*, a Kraus set for the channel."""
+        return _dyads(self.u, self.v)
+
     def channel(self, tol: ToleranceConfig | None = None) -> KrausChannel:
         """The channel rebuilt from the rank-one Kraus operators."""
         return KrausChannel(self.rank_one_kraus, tol)
 
     def to_json_dict(self) -> dict:
-        def vecs(stack):
-            return np.stack([stack.real, stack.imag], axis=-1).tolist()
-
         return {
             "r": self.r,
-            "w": vecs(self.w),
-            "v": vecs(self.v),
-            "u": vecs(self.u),
+            "w": to_pairs(self.w),
+            "v": to_pairs(self.v),
+            "u": to_pairs(self.u),
             "eb_rank": self.eb_rank,
             "choi_rank": self.choi_rank,
             "residuals": {k: float(val) for k, val in self.residuals.items()},
@@ -122,13 +132,14 @@ class EBCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EBCertificate":
-        def unvecs(raw):
-            # each [re, im] pair reinterpreted as one complex number
-            return np.asarray(raw, dtype=float).view(complex)[..., 0]
-
-        w, v, u = unvecs(data["w"]), unvecs(data["v"]), unvecs(data["u"])
-        return cls(w=w, v=v, u=u, rank_one_kraus=_dyads(u, v),
-                   eb_rank=int(data["eb_rank"]), choi_rank=int(data["choi_rank"]),
+        """Rebuild a certificate, rejecting one whose length, ranks and
+        stack shapes disagree."""
+        r = int(data["r"])
+        if int(data["eb_rank"]) != r or int(data["choi_rank"]) != r:
+            raise ValueError(f"certificate of length {r} claims eb_rank {data['eb_rank']} "
+                             f"and choi_rank {data['choi_rank']}")
+        return cls(w=from_pairs(data["w"], (r, r)), v=from_pairs(data["v"], (r, None)),
+                   u=from_pairs(data["u"], (r, None)),
                    residuals={k: float(val) for k, val in data.get("residuals", {}).items()})
 
 
@@ -200,7 +211,6 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
         raise OutOfScope(report.classification.value, report.alpha)
 
     minimal = channel.with_kraus(report.kraus, t)
-    d = len(minimal)
     elements = interaction_elements(minimal.kraus, t)
     a, b = elements[:2]
     # the elements have unit norm, so this is |ab - ba| / (|a| |b|)
@@ -226,9 +236,7 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     u = phase_fix(np.einsum("imn,in->im", ops, v) / np.sum(np.abs(v) ** 2, axis=1)[:, None])
     v = np.einsum("imn,im->in", ops.conj(), u)
 
-    cert = EBCertificate(
-        w=w, v=v, u=u, rank_one_kraus=ops, eb_rank=d, choi_rank=d, residuals={},
-    )
+    cert = EBCertificate(w=w, v=v, u=u, residuals={})
     residuals = verify_certificate(cert, channel, t)
     return dataclasses.replace(cert, residuals=residuals)
 
@@ -259,29 +267,19 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
         images - _dyads(v, v), axis=(1, 2))))
     residuals["input_resolution"] = frob(v.T @ v.conj() - np.eye(n))
     residuals["unit_norm"] = float(np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)))
-    residuals["factorization"] = float(np.max(np.linalg.norm(
-        cert.rank_one_kraus - _dyads(u, v), axis=(1, 2))))
+    dyads = cert.rank_one_kraus
+    residuals["factorization"] = float(np.max(np.linalg.norm(combined - dyads, axis=(1, 2))))
     residuals["norm_match"] = float(np.max(np.abs(
         np.linalg.norm(w, axis=1) - np.linalg.norm(v, axis=1))))
-    rebuilt = KrausChannel(cert.rank_one_kraus, t)
+    rebuilt = KrausChannel(dyads, t)
     residuals["choi_match"] = factor_distance(rebuilt.vec_columns(), channel.vec_columns())
 
-    bounds = {
-        "resolution": t.eps_verify,
-        "adjoint_rank_one": t.eps_verify,
-        "input_resolution": t.eps_verify,
-        "unit_norm": t.eps_verify,
-        "factorization": t.eps_verify,
-        "norm_match": t.eps_verify,
-        "choi_match": t.eps_verify * max(1.0, n),
-    }
+    bounds = {**dict.fromkeys(residuals, t.eps_verify), "choi_match": t.eps_verify * max(1.0, n)}
     bad = {k: val for k, val in residuals.items() if val > bounds[k]}
     if bad:
         raise VerificationFailure(f"certificate invariants out of tolerance: {bad}")
-    if not (cert.r == cert.eb_rank == cert.choi_rank == d):
-        raise VerificationFailure(
-            f"length {cert.r}, eb_rank {cert.eb_rank} and choi_rank {cert.choi_rank} must agree"
-        )
+    if cert.r != d:
+        raise VerificationFailure(f"certificate length {cert.r} differs from its Choi rank {d}")
     return residuals
 
 
@@ -327,7 +325,7 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
     # certificate; anchor it to the real channel through the Choi matrix.
     rotated = _dyads(cert.u, np.eye(n))
     direct = minimal_kraus(channel, t).kraus @ basis
-    anchor = factor_distance(CPMap(rotated, t).vec_columns(), CPMap(direct, t).vec_columns())
+    anchor = factor_distance(vec(rotated).T, vec(direct).T)
     if anchor > t.eps_verify * max(1.0, n):
         raise VerificationFailure(
             f"certificate Kraus set does not reproduce the rotated channel: {anchor:.3e}"

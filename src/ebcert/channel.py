@@ -42,9 +42,14 @@ from .numerics import (
     as_matrix,
     as_matrix_stack,
     frob,
+    from_pairs,
     hermitian_eig,
     numerical_rank,
     phase_fix,
+    relative_rank,
+    to_pairs,
+    unvec,
+    vec,
 )
 
 
@@ -56,13 +61,18 @@ class CPMap:
 
     def __init__(self, kraus, tol: ToleranceConfig | None = None):
         t = _tol(tol)
-        ops = [as_matrix(k) for k in kraus]
-        if not ops:
+        try:
+            # a C-order copy: caller-owned arrays stay writable, reshapes are views
+            self._kraus = np.array(kraus, dtype=complex, order="C")
+        except ValueError as exc:
+            raise DimensionMismatch(f"Kraus operators must be matrices of one shape: {exc}") from exc
+        if self._kraus.shape[:1] == (0,):
             raise ValueError("at least one Kraus operator is required")
-        if any(op.shape != ops[0].shape for op in ops):
-            raise DimensionMismatch("all Kraus operators must share one shape")
-        # np.array copies, so caller-owned arrays stay writable
-        self._kraus = np.array(ops)
+        if self._kraus.ndim != 3:
+            raise DimensionMismatch(f"Kraus operators must be matrices of one shape, "
+                                    f"got an array of shape {self._kraus.shape}")
+        if not np.all(np.isfinite(self._kraus)):
+            raise ValueError("matrix entries must be finite")
         self._kraus.setflags(write=False)
         _, self.output_dim, self.input_dim = self._kraus.shape
         rows = self._kraus.reshape(-1, self.input_dim)
@@ -110,8 +120,7 @@ class CPMap:
 
     def vec_columns(self) -> np.ndarray:
         """The nm x k matrix V whose columns are vec(K_i)."""
-        k, m, n = self._kraus.shape
-        return self._kraus.transpose(0, 2, 1).reshape(k, n * m).T
+        return vec(self._kraus).T
 
     def choi_matrix(self) -> np.ndarray:
         """The Choi matrix V V*, built without a spectrum."""
@@ -172,11 +181,6 @@ class ChoiReport:
         return self.factor @ self.factor.conj().T
 
 
-def _kraus_stack(columns: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The m x n operators whose vec's are the given columns, as a stack."""
-    return columns.T.reshape(-1, n, m).transpose(0, 2, 1)
-
-
 def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     """Classify the Choi spectrum and take the minimal Kraus set from the
     same eigendecomposition, without forming the Choi matrix.
@@ -200,11 +204,10 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     v = channel.vec_columns()
     evals, w = hermitian_eig(v.conj().T @ v, t)
 
-    lead = evals[0]
-    rank = 0 if lead <= t.eps_rank else int(np.sum(evals > t.eps_rank * lead))
+    rank = relative_rank(evals, t)
     nonzero = evals[:rank]
 
-    if evals[-1] < -t.eps_verify * max(1.0, lead):
+    if evals[-1] < -t.eps_verify * max(1.0, evals[0]):
         raise InconsistentClassification(
             f"Choi matrix has a negative eigenvalue {evals[-1]:.3e}"
         )
@@ -240,11 +243,11 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
         raise VerificationFailure(
             f"minimal Kraus reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    columns = phase_fix((v @ w[:, :rank]).T).T
+    kraus = unvec(phase_fix((v @ w[:, :rank]).T), m, n)
     spectrum = np.zeros(n * m)
     spectrum[:len(evals)] = evals[:n * m]
     return ChoiReport(factor=v, choi_rank=rank, classification=classification,
-                      alpha=alpha, eigenvalues=spectrum, kraus=_kraus_stack(columns, m, n))
+                      alpha=alpha, eigenvalues=spectrum, kraus=kraus)
 
 
 def kraus_from_choi(j, n: int, m: int, tol: ToleranceConfig | None = None) -> np.ndarray:
@@ -260,10 +263,10 @@ def kraus_from_choi(j, n: int, m: int, tol: ToleranceConfig | None = None) -> np
     if j.shape != (n * m, n * m):
         raise DimensionMismatch(f"Choi matrix must be {n * m}x{n * m}, got {j.shape}")
     evals, evecs = hermitian_eig(j, t)
-    if evals.size == 0 or evals[0] <= t.eps_rank:
+    keep = relative_rank(evals, t)
+    if keep == 0:
         raise ValueError("Choi matrix is numerically zero; no Kraus form exists")
-    keep = int(np.sum(evals > t.eps_rank * evals[0]))
-    return _kraus_stack(evecs[:, :keep] * np.sqrt(evals[:keep]), m, n)
+    return unvec((evecs[:, :keep] * np.sqrt(evals[:keep])).T, m, n)
 
 
 def minimal_kraus(channel: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
@@ -282,23 +285,22 @@ def is_minimal(channel: CPMap, tol: ToleranceConfig | None = None) -> bool:
     return numerical_rank(channel.vec_columns(), tol) == len(channel)
 
 
-def dual(channel: CPMap, tol: ToleranceConfig | None = None, verify: bool = True) -> CPMap:
+def dual(channel: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
     """Hilbert-Schmidt dual, with Kraus operators the adjoints of the
-    original ones.  When ``verify`` is set, one random trace pairing
-    tr(dual(X) Y) = tr(X F(Y)) is checked at eps_verify."""
+    original ones, checked on one random trace pairing
+    tr(dual(X) Y) = tr(X F(Y)) at eps_verify."""
     t = _tol(tol)
     out = CPMap(channel.kraus.conj().transpose(0, 2, 1), t)
-    if verify:
-        rng = t.rng(0xD0A1)
-        m, n = channel.output_dim, channel.input_dim
-        x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lhs = np.trace(out.apply(x) @ y)
-        rhs = np.trace(x @ channel.apply(y))
-        if abs(lhs - rhs) > t.eps_verify * max(1.0, abs(rhs)):
-            raise VerificationFailure(
-                f"dual trace pairing residual {abs(lhs - rhs):.3e} exceeds tolerance"
-            )
+    rng = t.rng(0xD0A1)
+    m, n = channel.output_dim, channel.input_dim
+    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    lhs = np.trace(out.apply(x) @ y)
+    rhs = np.trace(x @ channel.apply(y))
+    if abs(lhs - rhs) > t.eps_verify * max(1.0, abs(rhs)):
+        raise VerificationFailure(
+            f"dual trace pairing residual {abs(lhs - rhs):.3e} exceeds tolerance"
+        )
     return out
 
 
@@ -356,7 +358,7 @@ def complement_adjoint(minimal: CPMap, tol: ToleranceConfig | None = None) -> CP
     if not is_minimal(minimal, t):
         raise NotMinimalKraus("complement adjoint requires a minimal Kraus set")
     comp = complement_from_kraus(minimal.kraus, t)
-    return dual(comp, t, verify=False)
+    return dual(comp, t)
 
 
 def complement_adjoint_apply(minimal: CPMap, x, tol: ToleranceConfig | None = None) -> np.ndarray:
@@ -455,23 +457,11 @@ def redilate(channel: CPMap, isometry, tol: ToleranceConfig | None = None) -> CP
 # row-major flat list of [re, im] pairs
 # ---------------------------------------------------------------------------
 
-def _matrix_to_pairs(op: np.ndarray) -> list[list[float]]:
-    flat = op.reshape(-1)  # row-major
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    if flat.size != rows * cols:
-        raise DimensionMismatch(f"matrix data has {flat.size} entries, expected {rows * cols}")
-    return flat.reshape(rows, cols)
-
-
 def channel_to_json_dict(channel: CPMap) -> dict:
     return {
         "n": channel.input_dim,
         "m": channel.output_dim,
-        "kraus": [_matrix_to_pairs(op) for op in channel.kraus],
+        "kraus": to_pairs(channel.kraus.reshape(len(channel), -1)),
     }
 
 
@@ -482,17 +472,17 @@ def channel_from_json_dict(data: dict, tol: ToleranceConfig | None = None) -> Kr
         n = int(data["n"])
         m = int(data["m"])
         kraus_data = data["kraus"]
+        count = len(kraus_data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel data: {exc}") from exc
-    if n < 1 or m < 1 or not kraus_data:
+    if n < 1 or m < 1 or not count:
         raise ValueError("channel data must have positive dimensions and at least one operator")
-    ops = [_pairs_to_matrix(pairs, m, n) for pairs in kraus_data]
-    return KrausChannel(ops, tol)
+    return KrausChannel(from_pairs(kraus_data, (count, m * n)).reshape(count, m, n), tol)
 
 
-def save_channel(channel: CPMap, path, indent: int | None = 2) -> None:
+def save_channel(channel: CPMap, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_json_dict(channel), fh, indent=indent)
+        json.dump(channel_to_json_dict(channel), fh, indent=2)
         fh.write("\n")
 
 

@@ -34,7 +34,7 @@ from .errors import (
     NotEntanglementBreaking,
     OutOfScope,
 )
-from .numerics import ToleranceConfig, frob
+from .numerics import ToleranceConfig, frob, to_pairs
 from .zoo import (
     depolarizing,
     random_channel,
@@ -233,7 +233,7 @@ def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
             st = structure(dom, tol)
             report["algebra"] = {
                 "dimension": dom.dimension,
-                "basis": [_complex_matrix_pairs(b) for b in dom.basis],
+                "basis": to_pairs(dom.basis),
                 "blocks": [list(p) for p in st.pairs()],
                 "multiplicity_free": st.multiplicity_free,
             }
@@ -277,18 +277,21 @@ def _print_analysis_text(report: dict) -> None:
     print(f"  elapsed: {report['timings']['analyze_seconds']:.3f}s")
 
 
-def _cmd_analyze(args) -> int:
-    tol = _tolerances(args)
-    results = [_analyze_file(path, tol) for path in args.files]
+def _emit(results: list[tuple[dict, int]], fmt: str, print_text) -> int:
+    """Print the per-file reports in input order and return the first
+    nonzero exit code, or EXIT_OK."""
     for report, _ in results:
-        if args.format == "json":
+        if fmt == "json":
             print(json.dumps(report, indent=2))
         else:
-            _print_analysis_text(report)
-    for _, code in results:
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
+            print_text(report)
+    return next((code for _, code in results if code != EXIT_OK), EXIT_OK)
+
+
+def _cmd_analyze(args) -> int:
+    tol = _tolerances(args)
+    return _emit([_analyze_file(path, tol) for path in args.files], args.format,
+                 _print_analysis_text)
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +359,13 @@ def _cmd_certify(args) -> int:
     if args.out is not None and len(args.files) != 1:
         print("error: --out requires exactly one input file", file=sys.stderr)
         return EXIT_INPUT
-    results = [_certify_file(path, tol, args.out) for path in args.files]
-    for report, _ in results:
-        if args.format == "json":
-            print(json.dumps(report, indent=2))
-        else:
-            _print_certify_text(report, tol)
-    for _, code in results:
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
+    return _emit([_certify_file(path, tol, args.out) for path in args.files], args.format,
+                  lambda report: _print_certify_text(report, tol))
 
 
 # ---------------------------------------------------------------------------
 # normal-form
 # ---------------------------------------------------------------------------
-
-def _complex_matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
 
 def _cmd_normal_form(args) -> int:
     tol = _tolerances(args)
@@ -398,8 +389,8 @@ def _cmd_normal_form(args) -> int:
 
     dump = {
         "file": str(args.file),
-        "basis_change": _complex_matrix_pairs(form.basis_change),
-        "correlation": _complex_matrix_pairs(form.correlation),
+        "basis_change": to_pairs(form.basis_change),
+        "correlation": to_pairs(form.correlation),
         "residual": {"value": form.residual, "tolerance": tol.eps_verify},
     }
     if args.out is not None:

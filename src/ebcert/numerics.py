@@ -9,11 +9,17 @@ Vectorization convention
 Under this convention ``vec(A X B) = kron(B.T, A) @ vec(X)``, and the block
 matrix built from ``vec`` outer products agrees entry-for-entry with the
 Kronecker layout used everywhere else in the package.  The row-stacking
-convention is never used.
+convention is never used.  ``vec`` and ``unvec`` also map an (s, rows, cols)
+stack of matrices to the (s, rows cols) stack of their vec's and back, so
+this module is the only place that spells the convention out.
+
+Complex arrays are written to JSON as nested lists of ``[re, im]`` pairs
+(:func:`to_pairs`, :func:`from_pairs`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,21 +35,17 @@ class ToleranceConfig:
     eps_eig       eigenvalue clustering radius
     eps_verify    residual norm bound for equality checks
     seed          master seed for all randomized operations
-    max_resample  retry budget for generic-element draws
     """
 
     eps_rank: float = 1e-10
     eps_eig: float = 1e-8
     eps_verify: float = 1e-8
     seed: int = 0
-    max_resample: int = 8
 
     def __post_init__(self):
         for name in ("eps_rank", "eps_eig", "eps_verify"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.max_resample < 1:
-            raise ValueError("max_resample must be at least 1")
 
     def rng(self, *salt: int) -> np.random.Generator:
         """Deterministic generator derived from the master seed and a salt."""
@@ -51,6 +53,9 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# retry budget for generic-element draws
+MAX_RESAMPLE = 8
 
 
 def _tol(tol: ToleranceConfig | None) -> ToleranceConfig:
@@ -83,24 +88,28 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def hermitian_residual(a: np.ndarray) -> float:
-    return frob(a - a.conj().T)
-
-
 def as_hermitian(a, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Coerce to a square complex matrix within the Hermitian residual
-    bound eps_verify (1 + |a|); raises NotHermitian otherwise."""
+    """Coerce one square complex matrix, or an (s, d, d) stack of them, each
+    within the Hermitian residual bound eps_verify (1 + |a|); raises
+    NotHermitian otherwise."""
     t = _tol(tol)
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if hermitian_residual(a) > t.eps_verify * (1.0 + frob(a)):
-        raise NotHermitian(f"Hermitian residual {hermitian_residual(a):.3e} above tolerance")
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got dimension {a.ndim}")
+    if a.shape[-2] != a.shape[-1]:
+        raise NotHermitian(f"matrix is {a.shape[-2]}x{a.shape[-1]}, not square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    residual = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    bad = residual > t.eps_verify * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    if np.any(bad):
+        raise NotHermitian(f"Hermitian residual {float(np.max(residual[bad])):.3e} above tolerance")
     return a
 
 
 def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of an
+    (s, d, d) stack.
 
     Returns eigenvalues in descending order and the matching orthonormal
     eigenvector columns, each phase-fixed so its largest-modulus entry is
@@ -112,8 +121,10 @@ def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np
         evals, evecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    order = np.argsort(evals)[::-1]
-    return evals[order], phase_fix(evecs[:, order].T).T
+    order = np.argsort(evals, axis=-1)[..., ::-1]
+    # phase_fix works on rows: the eigenvectors, gathered as rows
+    rows = np.take_along_axis(evecs.swapaxes(-1, -2), order[..., None], axis=-2)
+    return np.take_along_axis(evals, order, axis=-1), phase_fix(rows).swapaxes(-1, -2)
 
 
 def factor_distance(a, b) -> float:
@@ -130,25 +141,24 @@ def factor_distance(a, b) -> float:
     return frob(r1 @ r1.conj().T - r2 @ r2.conj().T)
 
 
-def singular_values(a) -> np.ndarray:
-    a = as_matrix(a)
-    if a.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(a, compute_uv=False)
+def relative_rank(values: np.ndarray, tol: ToleranceConfig | None = None) -> int:
+    """Count of the entries of a descending array of singular values or
+    eigenvalues above the relative cutoff.
 
-
-def numerical_rank(a, tol: ToleranceConfig | None = None) -> int:
-    """Count of singular values above the relative cutoff.
-
-    Rank is 0 whenever the largest singular value itself is below eps_rank;
-    otherwise singular values are compared against eps_rank * sigma_max, so
+    Rank is 0 whenever the largest entry itself is at most eps_rank;
+    otherwise entries are compared against eps_rank times the largest, so
     the decision is stable under overall scaling.
     """
     t = _tol(tol)
-    s = singular_values(a)
-    if s.size == 0 or s[0] <= t.eps_rank:
+    if values.size == 0 or values[0] <= t.eps_rank:
         return 0
-    return int(np.sum(s > t.eps_rank * s[0]))
+    return int(np.sum(values > t.eps_rank * values[0]))
+
+
+def numerical_rank(a, tol: ToleranceConfig | None = None) -> int:
+    """Matrix rank at the relative cutoff of :func:`relative_rank`."""
+    a = as_matrix(a)
+    return relative_rank(np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0), tol)
 
 
 def nullspace(a, tol: ToleranceConfig | None = None,
@@ -156,29 +166,32 @@ def nullspace(a, tol: ToleranceConfig | None = None,
     """Orthonormal basis of the right null space, as matrix columns.
 
     Singular values at or below ``cutoff`` count as zero; the default is the
-    relative rule of :func:`numerical_rank`.
+    relative rule of :func:`relative_rank`.
     """
-    t = _tol(tol)
     a = as_matrix(a)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    if cutoff is None:
-        cutoff = t.eps_rank * s[0] if s.size and s[0] > t.eps_rank else np.inf
-    return vh[int(np.sum(s > cutoff)):].conj().T
+    rank = relative_rank(s, tol) if cutoff is None else int(np.sum(s > cutoff))
+    return vh[rank:].conj().T
 
 
 def vec(a) -> np.ndarray:
-    """Column-stacking vectorization (see module docstring)."""
-    return as_matrix(a).reshape(-1, order="F")
+    """Column-stacking vectorization (see module docstring) of one matrix,
+    or of each matrix of a stack."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got dimension {a.ndim}")
+    return a.swapaxes(-1, -2).reshape(*a.shape[:-2], -1)
 
 
 def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a rows x cols matrix."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"vector of length {v.size} cannot fill a {rows}x{cols} matrix")
-    return v.reshape((rows, cols), order="F")
+    """Inverse of :func:`vec`: one rows x cols matrix from a vector, or an
+    (s, rows, cols) stack from the rows of an (s, rows cols) array."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim not in (1, 2) or v.shape[-1] != rows * cols:
+        raise DimensionMismatch(f"array of shape {v.shape} cannot fill {rows}x{cols} matrices")
+    return v.reshape(*v.shape[:-1], cols, rows).swapaxes(-1, -2)
 
 
 def phase_fix(v: np.ndarray) -> np.ndarray:
@@ -212,30 +225,55 @@ def random_isometry(rows: int, cols: int, seed) -> np.ndarray:
 
 def random_hermitian_in_span(basis, seed) -> np.ndarray:
     """Random Hermitian element H = G + G* with G a real-Gaussian combination
-    of the basis.  H lies in the span whenever the span is closed under
-    adjoints."""
-    mats = [as_matrix(b) for b in basis]
-    if not mats:
-        raise ValueError("basis must be nonempty")
-    shape = mats[0].shape
-    if shape[0] != shape[1] or any(m.shape != shape for m in mats):
+    of an (r, d, d) basis stack.  H lies in the span whenever the span is
+    closed under adjoints."""
+    basis = np.asarray(basis, dtype=complex)
+    if basis.ndim != 3 or len(basis) == 0:
+        raise ValueError("basis must be a nonempty stack of matrices")
+    if basis.shape[1] != basis.shape[2]:
         raise DimensionMismatch("basis matrices must share one square shape")
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(len(mats))
-    g = sum(c * m for c, m in zip(coeffs, mats))
+    g = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
     return g + g.conj().T
 
 
-def orthonormal_matrix_basis(mats, tol: ToleranceConfig | None = None) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the span of the given matrices."""
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        return []
-    rows, cols = mats[0].shape
-    stacked = np.column_stack([vec(m) for m in mats])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    t = _tol(tol)
-    if s.size == 0 or s[0] <= t.eps_rank:
-        return []
-    rank = int(np.sum(s > t.eps_rank * s[0]))
-    return [unvec(u[:, k], rows, cols) for k in range(rank)]
+def orthonormal_matrix_basis(mats, tol: ToleranceConfig | None = None) -> np.ndarray:
+    """Frobenius-orthonormal basis of the span of an (s, rows, cols) stack,
+    as an (r, rows, cols) stack; r is 0 for a numerically zero span."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3:
+        raise DimensionMismatch(f"expected a stack of matrices, got dimension {mats.ndim}")
+    _, rows, cols = mats.shape
+    u, s, _ = np.linalg.svd(vec(mats).T, full_matrices=False)
+    return unvec(u[:, :relative_rank(s, tol)].T, rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# JSON codec: a complex array as nested lists of [re, im] pairs
+# ---------------------------------------------------------------------------
+
+def to_pairs(a) -> list:
+    """Nested lists of [re, im] pairs in the shape of the array."""
+    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+
+
+def from_pairs(raw, shape) -> np.ndarray:
+    """Inverse of :func:`to_pairs`: the complex array of the given shape, a
+    None entry leaving that axis free.  Raises ValueError for entries that
+    are not finite numbers and DimensionMismatch for any other shape."""
+    want = (*shape, 2)
+    count = "" if None in shape else f"{math.prod(shape)} "
+    expected = f"expected {count}[re, im] pairs in shape {want}"
+    try:
+        pairs = np.array(raw)
+    except ValueError as exc:  # ragged nesting
+        raise DimensionMismatch(f"matrix data is ragged, {expected}") from exc
+    if pairs.dtype.kind not in "iuf":
+        raise ValueError("matrix data must be nested lists of [re, im] numbers")
+    if pairs.ndim != len(want) or any(w not in (None, g) for w, g in zip(want, pairs.shape)):
+        raise DimensionMismatch(f"matrix data has shape {pairs.shape}, {expected}")
+    pairs = pairs.astype(float)
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("matrix entries must be finite")
+    # each [re, im] pair reinterpreted as one complex number
+    return pairs.view(complex)[..., 0]

@@ -29,6 +29,7 @@ from .errors import (
     NotUnitVector,
 )
 from .numerics import (
+    MAX_RESAMPLE,
     ToleranceConfig,
     _tol,
     as_matrix,
@@ -53,11 +54,7 @@ class CorrelationMatrix:
 
     @classmethod
     def from_vectors(cls, vectors, tol: ToleranceConfig | None = None) -> "CorrelationMatrix":
-        cols = _vector_columns(vectors)
-        for i in range(cols.shape[1]):
-            norm = float(np.linalg.norm(cols[:, i]))
-            if abs(norm - 1.0) > _tol(tol).eps_verify:
-                raise NotUnitVector(i, norm)
+        cols = _unit_columns(vectors, tol)
         gram = cols.conj().T @ cols
         return cls(matrix=gram, vectors=cols)
 
@@ -74,12 +71,18 @@ class CorrelationMatrix:
             raise InvalidCorrelation(f"diagonal deviates from one by {diag_err:.3e}")
 
 
-def _vector_columns(vectors) -> np.ndarray:
+def _unit_columns(vectors, tol: ToleranceConfig | None) -> np.ndarray:
+    """The vectors as matrix columns, each of unit norm within eps_verify;
+    raises NotUnitVector with the first index that is not."""
     arr = np.asarray(vectors, dtype=complex)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if isinstance(vectors, (list, tuple)):
         arr = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    norms = np.linalg.norm(arr, axis=0)
+    off = np.flatnonzero(np.abs(norms - 1.0) > _tol(tol).eps_verify)
+    if off.size:
+        raise NotUnitVector(int(off[0]), float(norms[off[0]]))
     return arr
 
 
@@ -126,18 +129,11 @@ def schur_complement_channel(vectors, tol: ToleranceConfig | None = None) -> Kra
     matrix is the projection sum_k E_kk (x) u_k u_k* of rank n, and it is the
     complement of the entrywise-product channel of the Gram matrix of the
     conjugated vectors."""
-    t = _tol(tol)
-    cols = _vector_columns(vectors)
+    cols = _unit_columns(vectors, tol)
     m, n = cols.shape
-    ops = []
-    for k in range(n):
-        norm = float(np.linalg.norm(cols[:, k]))
-        if abs(norm - 1.0) > t.eps_verify:
-            raise NotUnitVector(k, norm)
-        op = np.zeros((m, n), dtype=complex)
-        op[:, k] = cols[:, k]
-        ops.append(op)
-    return KrausChannel(ops, t)
+    ops = np.zeros((n, m, n), dtype=complex)
+    ops[np.arange(n), :, np.arange(n)] = cols.T
+    return KrausChannel(ops, tol)
 
 
 def random_schur_complement_channel(n: int, m: int, seed,
@@ -168,13 +164,7 @@ def depolarizing(n: int, tol: ToleranceConfig | None = None) -> KrausChannel:
     matrix units as Kraus operators; its Choi matrix is I / n."""
     if n < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    ops = []
-    for i in range(n):
-        for k in range(n):
-            op = np.zeros((n, n), dtype=complex)
-            op[i, k] = 1.0 / np.sqrt(n)
-            ops.append(op)
-    return KrausChannel(ops, tol)
+    return KrausChannel(np.eye(n * n).reshape(n * n, n, n) / np.sqrt(n), tol)
 
 
 def identity_channel(n: int, tol: ToleranceConfig | None = None) -> KrausChannel:
@@ -188,9 +178,7 @@ def random_channel(n: int, m: int, d: int, seed,
     preservation is exact by construction."""
     if m * d < n:
         raise DimensionMismatch(f"no isometry from dimension {n} into {m}x{d}")
-    iso = random_isometry(m * d, n, seed)
-    ops = [iso[i * m:(i + 1) * m, :] for i in range(d)]
-    return KrausChannel(ops, tol)
+    return KrausChannel(random_isometry(m * d, n, seed).reshape(d, m, n), tol)
 
 
 # Scaling rounds per draw: generic draws converge linearly, in a few dozen
@@ -226,7 +214,7 @@ def random_projection_choi_channel(n: int, m: int, seed,
 
     target = min(1e-13, t.eps_verify / 100.0)
     eye_n = np.eye(n)
-    for restart in range(t.max_resample):
+    for restart in range(MAX_RESAMPLE):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9C01, 3 + restart]))
         ops = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
         for _ in range(_SCALING_ITERATIONS):
@@ -238,7 +226,7 @@ def random_projection_choi_channel(n: int, m: int, seed,
                 return complement_from_kraus(ops, t)
             ops = _inverse_sqrt(gram) @ ops
     raise ConstructionFailure(
-        f"operator scaling stalled after {t.max_resample} restarts"
+        f"operator scaling stalled after {MAX_RESAMPLE} restarts"
     )
 
 

@@ -111,6 +111,15 @@ class TestMatrixAlgebra:
         assert alg.contains(np.diag([1.0, 2.0, -1.0]), tol)
         assert not alg.contains(np.ones((3, 3)), tol)
 
+    def test_basis_is_one_read_only_stack(self, tol):
+        mats = [np.eye(2), np.diag([1.0, -1.0])]
+        alg = MatrixAlgebra.from_span(mats, tol)
+        assert isinstance(alg.basis, np.ndarray)
+        assert alg.basis.shape == (2, 2, 2) and alg.ambient_dim == 2
+        assert not alg.basis.flags.writeable
+        with pytest.raises(ValueError):
+            alg.basis[0, 0, 0] = 5.0
+
 
 class TestMultiplicativeDomain:
     def test_unitary_conjugation_has_full_domain(self, tol):

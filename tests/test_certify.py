@@ -24,6 +24,7 @@ from ebcert import (
     verify_eb_witness,
 )
 from ebcert.errors import (
+    DimensionMismatch,
     NotEntanglementBreaking,
     NotMinimalKraus,
     NotOrthonormal,
@@ -350,7 +351,8 @@ class TestCertify:
         eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
+            # the trailing size, so a stack of d x d matrices counts as d
+            sizes.append(np.shape(a)[-1])
             return eigh(a, *args, **kwargs)
 
         def eigh_calls(run, *dims):
@@ -445,6 +447,27 @@ class TestVerifyCertificate:
             np.testing.assert_allclose(a, b, atol=1e-15)
         for a, b in zip(cert.rank_one_kraus, back.rank_one_kraus):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_same_verdict_in_memory_and_after_json(self, tol):
+        import dataclasses
+        ch = random_projection_choi_channel(4, 4, 2, tol, ensure_eb=True)
+        cert = certify(ch, tol)
+        phases = np.exp(1j * np.linspace(0.5, 2.5, cert.r))
+        bad = dataclasses.replace(cert, u=phases[:, None] * cert.u)
+        for held in (bad, EBCertificate.from_json_dict(bad.to_json_dict())):
+            with pytest.raises(VerificationFailure, match="factorization"):
+                verify_certificate(held, ch, tol)
+
+    def test_json_rejects_disagreeing_lengths(self, tol):
+        data = certify(random_schur_complement_channel(3, 2, 12, tol), tol).to_json_dict()
+        for key in ("r", "eb_rank", "choi_rank"):
+            with pytest.raises(ValueError):
+                EBCertificate.from_json_dict({**data, key: 4})
+        for key in ("w", "v", "u"):
+            with pytest.raises(DimensionMismatch):
+                EBCertificate.from_json_dict({**data, key: data[key][:2]})
+        with pytest.raises(DimensionMismatch):
+            EBCertificate.from_json_dict({**data, "w": [row[:2] for row in data["w"]]})
 
 
 class TestSchurNormalForm:

@@ -75,6 +75,19 @@ class TestConstruction:
         ops[0][0, 0] = 5.0  # the caller's arrays stay theirs
         assert ch.kraus[0, 0, 0] == pytest.approx(1 / np.sqrt(2))
 
+    @pytest.mark.parametrize("kraus, error", [
+        ([], ValueError),
+        (np.zeros((0, 2, 2)), ValueError),
+        ([np.eye(2), np.eye(3)], DimensionMismatch),  # ragged
+        ([np.eye(2), np.ones(2)], DimensionMismatch),
+        (np.eye(2), DimensionMismatch),  # one matrix, not a list of them
+        ([np.array([[np.nan, 0], [0, 1]])], ValueError),
+        ([np.array([[np.inf, 0], [0, 1]])], ValueError),
+    ])
+    def test_rejects_malformed_kraus_lists(self, tol, kraus, error):
+        with pytest.raises(error):
+            CPMap(kraus, tol)
+
     def test_with_kraus_keeps_the_kind(self, tol):
         half = [np.eye(2) * 0.5]
         ch = identity_channel(2, tol)

@@ -126,7 +126,8 @@ class TestAnalyze:
         eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
+            # the trailing size, so a stack of d x d matrices counts as d
+            sizes.append(np.shape(a)[-1])
             return eigh(a, *args, **kwargs)
 
         def eigh_calls(path, *dims):
@@ -160,6 +161,15 @@ class TestAnalyze:
         code, stdout, _ = run(["analyze", bad], capsys)
         assert code == 2
         assert "expected 4" in stdout
+
+    @pytest.mark.parametrize("command", ["analyze", "certify", "normal-form"])
+    @pytest.mark.parametrize("kraus", [[[1, 0]], [[["x", 0]]]], ids=["numbers", "strings"])
+    def test_malformed_pairs_are_input_errors(self, tmp_path, capsys, command, kraus):
+        # numbers in place of [re, im] pairs, and a pair that is not numbers
+        bad = tmp_path / "pairs.json"
+        bad.write_text(json.dumps({"n": 2, "m": 2, "kraus": kraus}))
+        code, _, _ = run([command, bad], capsys)
+        assert code == 2
 
 
 class TestCertify:

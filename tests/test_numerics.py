@@ -4,7 +4,9 @@ import pytest
 from ebcert import ToleranceConfig
 from ebcert.errors import DimensionMismatch, NotHermitian
 from ebcert.numerics import (
+    MAX_RESAMPLE,
     factor_distance,
+    from_pairs,
     hermitian_eig,
     nullspace,
     numerical_rank,
@@ -13,6 +15,7 @@ from ebcert.numerics import (
     random_hermitian_in_span,
     random_unitary,
     unvec,
+    to_pairs,
     vec,
 )
 from ebcert.zoo import random_projection_choi_channel, redilate_fixture, werner_holevo
@@ -31,7 +34,7 @@ class TestToleranceConfig:
         assert t.eps_rank == 1e-10
         assert t.eps_eig == 1e-8
         assert t.eps_verify == 1e-8
-        assert t.max_resample == 8
+        assert MAX_RESAMPLE == 8
 
     @pytest.mark.parametrize("field", ["eps_rank", "eps_eig", "eps_verify"])
     def test_rejects_nonpositive_epsilons(self, field):
@@ -96,6 +99,23 @@ class TestHermitianEig:
             got_evals, got = hermitian_eig(a, tol)
             np.testing.assert_array_equal(got_evals, evals[order])
             np.testing.assert_array_equal(got, expected)
+
+    def test_stack_matches_per_matrix_calls_bit_for_bit(self, tol):
+        rng = np.random.default_rng(13)
+        for n in (1, 3, 8):
+            g = np.stack([random_hermitian(n, rng) for _ in range(4)])
+            # rounded entries and a multiple of the identity give tied eigenvalues
+            stack = np.concatenate([g, np.round(g), 2 * np.eye(n)[None]])
+            evals, evecs = hermitian_eig(stack, tol)
+            for k, a in enumerate(stack):
+                one_evals, one_evecs = hermitian_eig(a, tol)
+                np.testing.assert_array_equal(evals[k], one_evals)
+                np.testing.assert_array_equal(evecs[k], one_evecs)
+
+    def test_stack_rejects_one_non_hermitian_matrix(self, tol):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(NotHermitian):
+            hermitian_eig(stack, tol)
 
     def test_rejects_non_hermitian(self, tol):
         with pytest.raises(NotHermitian):
@@ -218,6 +238,18 @@ class TestVecUnvecKron:
         with pytest.raises(DimensionMismatch):
             unvec(np.arange(5), 2, 3)
 
+    def test_stacks_roundtrip_and_match_per_matrix(self):
+        rng = np.random.default_rng(2)
+        stack = np.stack([random_complex_matrix(3, 5, rng) for _ in range(4)])
+        vecs = vec(stack)
+        assert vecs.shape == (4, 15)
+        for v, a in zip(vecs, stack):
+            np.testing.assert_array_equal(v, vec(a))
+            np.testing.assert_array_equal(unvec(v, 3, 5), a)
+        np.testing.assert_array_equal(unvec(vecs, 3, 5), stack)
+        with pytest.raises(DimensionMismatch):
+            unvec(vecs, 5, 5)
+
     def test_vec_of_product_identity(self, tol):
         # vec(A X B) = kron(B.T, A) vec(X) for the column-stacking convention
         rng = np.random.default_rng(17)
@@ -262,6 +294,33 @@ class TestRandomness:
         p = span_projector(span, tol)
         v = vec(h)
         assert np.linalg.norm(p @ v - v) <= tol.eps_verify * np.linalg.norm(v)
+
+
+class TestPairs:
+    def test_roundtrip_exact(self):
+        rng = np.random.default_rng(4)
+        a = random_complex_matrix(3, 2, rng)
+        a[0, 0] = -0.0
+        back = from_pairs(to_pairs(a), (3, 2))
+        np.testing.assert_array_equal(back, a)
+        assert np.signbit(back[0, 0].real)
+        assert to_pairs(a)[1][0] == [float(a[1, 0].real), float(a[1, 0].imag)]
+
+    def test_free_axis(self):
+        assert from_pairs([[[1, 0], [0, 1]]], (1, None)).shape == (1, 2)
+
+    @pytest.mark.parametrize("raw, error", [
+        ([[1, 0]], DimensionMismatch),  # numbers in place of pairs
+        ([[[1, 0, 0]]], DimensionMismatch),  # a triple in place of a pair
+        ([[[1, 0]], [[1, 0], [0, 0]]], DimensionMismatch),  # ragged
+        ([[["x", 0]]], ValueError),
+        ([[["1", "0"]]], ValueError),  # numbers written as strings
+        ([[[None, 0]]], ValueError),
+        ([[[float("nan"), 0]]], ValueError),
+    ])
+    def test_rejects_malformed_data(self, raw, error):
+        with pytest.raises(error):
+            from_pairs(raw, (1, 1))
 
 
 class TestBasisHelpers:
