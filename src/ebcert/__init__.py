@@ -18,10 +18,12 @@ from .algebra import (
 from .certify import (
     EBCertificate,
     EBRankReport,
+    NPTWitness,
     SchurNormalForm,
     certify,
     eb_rank,
     is_ppt,
+    npt_witness,
     partial_transpose,
     schur_normal_form,
     verify_certificate,
@@ -103,4 +105,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -15,8 +15,10 @@ identity, and they recombine the minimal Kraus operators into rank-one ones,
 certifying entanglement breaking at length equal to the Choi rank.  The
 certificate is re-checked from scratch by :func:`verify_certificate`, and a
 refutation is cross-checked against the partial-transpose criterion, an
-independent oracle that plays no part in the decision itself.  Neither the
-domain nor any d^2 x d^2 operator is formed.
+independent oracle that plays no part in the decision itself, by a
+matrix-free search for a negative direction (:func:`npt_witness`).  Neither
+the domain, nor any d^2 x d^2 operator, nor the nm x nm Choi matrix is
+formed.
 
 Channels with a scaled-projection Choi matrix are refused rather than
 guessed: the equivalence between entanglement breaking and a multiplicity
@@ -64,8 +66,10 @@ from .numerics import (
     factor_distance,
     frob,
     from_pairs,
+    json_int,
     phase_fix,
     to_pairs,
+    unvec,
     vec,
 )
 
@@ -134,10 +138,9 @@ class EBCertificate:
     def from_json_dict(cls, data: dict) -> "EBCertificate":
         """Rebuild a certificate, rejecting one whose length, ranks and
         stack shapes disagree."""
-        r = int(data["r"])
-        if int(data["eb_rank"]) != r or int(data["choi_rank"]) != r:
-            raise ValueError(f"certificate of length {r} claims eb_rank {data['eb_rank']} "
-                             f"and choi_rank {data['choi_rank']}")
+        r, eb, cr = (json_int(data[key], key) for key in ("r", "eb_rank", "choi_rank"))
+        if eb != r or cr != r:
+            raise ValueError(f"certificate of length {r} claims eb_rank {eb} and choi_rank {cr}")
         return cls(w=from_pairs(data["w"], (r, r)), v=from_pairs(data["v"], (r, None)),
                    u=from_pairs(data["u"], (r, None)),
                    residuals={k: float(val) for k, val in data.get("residuals", {}).items()})
@@ -200,8 +203,8 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
 
     Raises OutOfScope for scaled-projection or unclassified Choi matrices,
     NotEntanglementBreaking (with the domain's block pairs, the commutator
-    against its bound and an independent partial-transpose cross-check) on
-    refutation, and VerificationFailure if any internal consistency check
+    against its bound and an independent partial-transpose witness with its
+    margin) on refutation, and VerificationFailure if any internal consistency check
     breaks, which is always a bug or a tolerance breach rather than a
     property of the channel.
     """
@@ -217,9 +220,12 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     kappa = frob(a @ b - b @ a)
     bound = math.sqrt(t.eps_eig)
     if kappa > bound:
-        ppt_ok = is_ppt(report.choi, channel.input_dim, channel.output_dim, t)
-        raise NotEntanglementBreaking(interaction_blocks(elements, t), ppt_violated=not ppt_ok,
-                                      commutator=kappa, bound=bound)
+        witness = npt_witness(minimal.vec_columns(), channel.input_dim, channel.output_dim, t)
+        raise NotEntanglementBreaking(
+            interaction_blocks(elements, t), ppt_violated=witness is not None,
+            commutator=kappa, bound=bound,
+            witness_quotient=None if witness is None else witness.quotient,
+            witness_bound=None if witness is None else witness.bound)
 
     w = common_eigenbasis(elements, t)
     try:
@@ -412,10 +418,96 @@ def partial_transpose(j, n: int, m: int) -> np.ndarray:
 
 
 def is_ppt(j, n: int, m: int, tol: ToleranceConfig | None = None) -> bool:
-    """Positive partial transpose check, used only as an independent
-    cross-validation oracle for refutations; a negative partial transpose
-    certifies that the Choi matrix is not separable."""
+    """Dense positive partial transpose check of an nm x nm matrix: a
+    negative partial transpose certifies that the Choi matrix is not
+    separable.  :func:`certify` uses the matrix-free :func:`npt_witness`;
+    this full eigenvalue check is the reference it is tested against."""
     t = _tol(tol)
     evals = np.linalg.eigvalsh(as_hermitian(partial_transpose(j, n, m), t))
     scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
     return bool(evals[0] >= -t.eps_verify * scale)
+
+
+# Lanczos steps npt_witness takes at most; zoo refutations find their
+# witness within a few
+NPT_STEPS = 40
+
+
+@dataclass(frozen=True)
+class NPTWitness:
+    """A unit vector x = vec(Y) with x* J^T_A x = quotient below -bound, for
+    J^T_A the partial transpose of the Choi matrix J: a proof that J^T_A is
+    not positive, so the Choi matrix is not separable."""
+
+    vector: np.ndarray
+    quotient: float
+    bound: float
+
+
+def npt_witness(factor, n: int, m: int,
+                tol: ToleranceConfig | None = None) -> NPTWitness | None:
+    """Search for a negative direction of the partial transpose of J = V V*,
+    given the nm x k factor V with columns vec(K_i), without forming J.
+
+    Runs Lanczos with full reorthogonalization on x -> J^T_A x, which for
+    x = vec(Y) is vec(sum_i K_i (K_i* Y)^T), two matrix products, from a
+    seeded random start for at most NPT_STEPS steps (and at most nm).  It
+    returns the lowest Ritz vector once its Rayleigh quotient, recomputed
+    with one fresh product, lies below -eps_verify max(1, tr J).  As
+    |J^T_A|_2 <= |J|_F <= tr J, that bound is never weaker than the scale of
+    :func:`is_ppt`, so a witness implies ``is_ppt`` is False.  None means no
+    witness within the budget, not a proof that J is PPT.
+    """
+    t = _tol(tol)
+    v = as_matrix(factor)
+    if v.shape[0] != n * m:
+        raise ValueError(f"factor must have {n * m} rows, got {v.shape[0]}")
+    k = v.shape[1]
+    kraus = unvec(v.T, m, n)
+    adjoints = kraus.conj().transpose(0, 2, 1).reshape(k * n, m)  # the K_i* stacked
+    side_by_side = kraus.transpose(1, 0, 2).reshape(m, k * n)  # [K_1 ... K_k]
+
+    def apply(x):
+        products = (adjoints @ unvec(x, m, n)).reshape(k, n, n)
+        return vec(side_by_side @ products.transpose(0, 2, 1).reshape(k * n, n))
+
+    scale = max(1.0, frob(v) ** 2)
+    bound = t.eps_verify * scale
+    rng = t.rng(0x9E7A)
+    steps = min(NPT_STEPS, n * m)
+    basis = np.zeros((steps, n * m), dtype=complex)  # orthonormal Lanczos rows
+    tri = np.zeros((steps, steps))
+    start = rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m)
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        w = apply(basis[j])
+        tri[j, j] = np.vdot(basis[j], w).real
+        for _ in range(2):  # reorthogonalize against every earlier row, twice
+            w -= (basis[:j + 1].conj() @ w) @ basis[:j + 1]
+        lowest = tri[:j + 1, :j + 1]
+        theta = np.linalg.eigvalsh(lowest)[0]
+        if theta < -bound:
+            x = _lowest_ritz_coefficients(lowest, theta, rng) @ basis[:j + 1]
+            x /= np.linalg.norm(x)
+            quotient = float(np.vdot(x, apply(x)).real)
+            if quotient < -bound:
+                return NPTWitness(vector=x, quotient=quotient, bound=bound)
+        beta = np.linalg.norm(w)
+        if j + 1 == steps or beta <= t.eps_rank * scale:  # budget spent or subspace invariant
+            break
+        tri[j, j + 1] = tri[j + 1, j] = beta
+        basis[j + 1] = w / beta
+    return None
+
+
+def _lowest_ritz_coefficients(tri: np.ndarray, theta: float, rng) -> np.ndarray:
+    """Unit eigenvector of a small symmetric matrix for its eigenvalue
+    theta, by two steps of inverse iteration from a random start, shifted
+    just below theta so the solve stays regular."""
+    size = len(tri)
+    shift = theta - size * np.finfo(float).eps * max(1.0, float(np.max(np.abs(tri))))
+    s = rng.standard_normal(size)
+    for _ in range(2):
+        s = np.linalg.solve(tri - shift * np.eye(size), s)
+        s /= np.linalg.norm(s)
+    return s

@@ -44,6 +44,7 @@ from .numerics import (
     frob,
     from_pairs,
     hermitian_eig,
+    json_int,
     numerical_rank,
     phase_fix,
     relative_rank,
@@ -469,8 +470,8 @@ def channel_from_json_dict(data: dict, tol: ToleranceConfig | None = None) -> Kr
     """Rebuild a channel, validating dimensions and the trace-preserving
     condition.  The resulting object carries the measured residual."""
     try:
-        n = int(data["n"])
-        m = int(data["m"])
+        n = json_int(data["n"], "n")
+        m = json_int(data["m"], "m")
         kraus_data = data["kraus"]
         count = len(kraus_data)
     except (KeyError, TypeError, ValueError) as exc:

@@ -137,22 +137,31 @@ class NotEntanglementBreaking(CertificationRefusal):
     commutant of that algebra, has a repeated tensor factor and no rank-one
     Kraus decomposition exists.
 
-    blocks        (multiplicity, size) pairs of the domain's blocks
-    ppt_violated  whether the partial transpose of the Choi matrix is
-                  negative, an independent cross-check
-    commutator    relative commutator |ab - ba| / (|a| |b|) of the two
-                  elements
-    bound         the threshold it exceeds, sqrt(eps_eig)
+    blocks            (multiplicity, size) pairs of the domain's blocks
+    ppt_violated      the independent partial-transpose cross-check: True
+                      when a witness vector proves the partial transpose of
+                      the Choi matrix negative, False when none was found
+                      within the search budget (which does not prove it
+                      positive), None when not given
+    commutator        relative commutator |ab - ba| / (|a| |b|) of the two
+                      elements
+    bound             the threshold it exceeds, sqrt(eps_eig)
+    witness_quotient  Rayleigh quotient of the witness on the partial
+                      transpose, below -witness_bound; None without one
+    witness_bound     eps_verify max(1, tr J); None without a witness
     """
 
     reason_code = "not_entanglement_breaking"
 
     def __init__(self, blocks: tuple, ppt_violated: bool | None = None,
-                 commutator: float | None = None, bound: float | None = None):
+                 commutator: float | None = None, bound: float | None = None,
+                 witness_quotient: float | None = None, witness_bound: float | None = None):
         self.blocks = tuple((int(i), int(j)) for i, j in blocks)
         self.ppt_violated = ppt_violated
         self.commutator = None if commutator is None else float(commutator)
         self.bound = None if bound is None else float(bound)
+        self.witness_quotient = None if witness_quotient is None else float(witness_quotient)
+        self.witness_bound = None if witness_bound is None else float(witness_bound)
         detail = f"multiplicative domain has structure {list(self.blocks)}"
         if self.commutator is not None and self.bound is not None:
             detail += f"; relative commutator {self.commutator:.3e} above {self.bound:.1e}"
@@ -166,4 +175,6 @@ class NotEntanglementBreaking(CertificationRefusal):
         out["ppt_violated"] = self.ppt_violated
         out["commutator"] = self.commutator
         out["bound"] = self.bound
+        out["witness_quotient"] = self.witness_quotient
+        out["witness_bound"] = self.witness_bound
         return out

@@ -14,7 +14,8 @@ stack of matrices to the (s, rows cols) stack of their vec's and back, so
 this module is the only place that spells the convention out.
 
 Complex arrays are written to JSON as nested lists of ``[re, im]`` pairs
-(:func:`to_pairs`, :func:`from_pairs`).
+(:func:`to_pairs`, :func:`from_pairs`), and integer fields are read with
+:func:`json_int`.
 """
 
 from __future__ import annotations
@@ -255,6 +256,15 @@ def orthonormal_matrix_basis(mats, tol: ToleranceConfig | None = None) -> np.nda
 def to_pairs(a) -> list:
     """Nested lists of [re, im] pairs in the shape of the array."""
     return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+
+
+def json_int(value, name: str) -> int:
+    """An integer field of JSON data: ints and integral floats pass; bools,
+    fractional numbers and anything else raise ValueError."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def from_pairs(raw, shape) -> np.ndarray:

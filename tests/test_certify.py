@@ -16,6 +16,7 @@ from ebcert import (
     is_ppt,
     minimal_kraus,
     multiplicative_domain,
+    npt_witness,
     partial_transpose,
     random_unitary,
     schur_normal_form,
@@ -368,8 +369,9 @@ class TestCertify:
         # no Choi matrix is decomposed; the pipeline's Gram spectrum plus
         # verify_certificate's own
         assert eigh_calls(lambda: certify(planted, tol), 36, 8) == (0, 2)
-        # the pipeline's Gram spectrum; the partial-transpose oracle reads
-        # eigenvalues only
+        # the pipeline's Gram spectrum; the partial-transpose witness takes
+        # its small Ritz values with eigvalsh and its Ritz vector by inverse
+        # iteration, so it adds no eigh
         assert eigh_calls(refute, 36, 8) == (0, 1)
         assert eigh_calls(lambda: classify_complement_adjoint(scaled, tol), 25, 15) == (0, 1)
         assert eigh_calls(lambda: eb_rank(scaled, tol), 25, 15) == (0, 1)
@@ -380,21 +382,35 @@ class TestCertify:
         built = []
 
         def forbidden(self):
+            built.append(self)
             raise AssertionError("a Choi matrix was formed")
-
-        def counted(report):
-            built.append(report)
-            return report.factor @ report.factor.conj().T
 
         monkeypatch.setattr(CPMap, "choi_matrix", forbidden)
         monkeypatch.setattr(ChoiReport, "choi", property(forbidden))
         assert certify(planted, tol).eb_rank == 6
-        # the partial-transpose oracle of a refutation reads it once
-        monkeypatch.setattr(ChoiReport, "choi", property(counted))
+        # the partial-transpose cross-check of a refutation works on the factor
         with pytest.raises(NotEntanglementBreaking) as err:
             certify(generic, tol)
         assert err.value.ppt_violated
-        assert len(built) == 1
+        assert len(built) == 0
+
+    @pytest.mark.parametrize("ensure_eb", [False, True])
+    def test_generic_refutation_at_scale_forms_no_choi_matrix(self, tol, monkeypatch, ensure_eb):
+        # at n = m = 32 the Choi matrix is 1024 x 1024; neither branch forms it
+        ch = random_projection_choi_channel(32, 32, 1, tol, ensure_eb=ensure_eb)
+
+        def forbidden(self):
+            raise AssertionError("a Choi matrix was formed")
+
+        monkeypatch.setattr(CPMap, "choi_matrix", forbidden)
+        monkeypatch.setattr(ChoiReport, "choi", property(forbidden))
+        if ensure_eb:
+            assert certify(ch, tol).eb_rank == 32
+            return
+        with pytest.raises(NotEntanglementBreaking) as err:
+            certify(ch, tol)
+        assert err.value.ppt_violated is True
+        assert err.value.witness_quotient < -err.value.witness_bound
 
     @pytest.mark.parametrize("seed", range(3))
     def test_adjoint_rank_one_matches_the_complement_adjoint(self, tol, seed):
@@ -463,6 +479,11 @@ class TestVerifyCertificate:
         for key in ("r", "eb_rank", "choi_rank"):
             with pytest.raises(ValueError):
                 EBCertificate.from_json_dict({**data, key: 4})
+            # a bool or a fraction is not truncated into a length
+            for value in (True, 3.5, "3"):
+                with pytest.raises(ValueError):
+                    EBCertificate.from_json_dict({**data, key: value})
+        assert EBCertificate.from_json_dict({**data, "r": 3.0}).r == 3
         for key in ("w", "v", "u"):
             with pytest.raises(DimensionMismatch):
                 EBCertificate.from_json_dict({**data, key: data[key][:2]})
@@ -589,3 +610,50 @@ class TestPartialTranspose:
         b = random_complex_matrix(3, 3, rng)
         rho = np.kron(a @ a.conj().T, b @ b.conj().T)
         assert is_ppt(rho / np.trace(rho), 2, 3, tol)
+
+
+class TestNPTWitness:
+    @pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (2, 3), (3, 5), (5, 3), (6, 6), (9, 4),
+                                      (9, 9)])
+    def test_agrees_with_the_dense_oracle_on_zoo_draws(self, tol, n, m):
+        for seed in range(40):
+            for ensure_eb in (False, True):
+                ch = random_projection_choi_channel(n, m, seed, tol, ensure_eb=ensure_eb)
+                factor = minimal_kraus(ch, tol).vec_columns()
+                witness = npt_witness(factor, n, m, tol)
+                j = ch.choi_matrix()
+                assert (witness is not None) == (not is_ppt(j, n, m, tol)), (seed, ensure_eb)
+                if witness is None:
+                    continue
+                x = witness.vector
+                assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+                dense = np.vdot(x, partial_transpose(j, n, m) @ x).real
+                assert abs(witness.quotient - dense) <= 1e-12
+                assert witness.quotient < -witness.bound
+                assert witness.bound == pytest.approx(tol.eps_verify * n)
+
+    def test_maximally_entangled_state_has_a_witness(self, tol):
+        phi = np.zeros((4, 1), dtype=complex)
+        phi[0] = phi[3] = 1 / np.sqrt(2)
+        witness = npt_witness(phi, 2, 2, tol)
+        assert witness is not None
+        # the partial transpose of |phi><phi| is half the swap, lowest eigenvalue -1/2
+        assert witness.quotient == pytest.approx(-0.5, abs=1e-12)
+
+    def test_product_state_has_none(self, tol):
+        rng = np.random.default_rng(22)
+        a = random_complex_matrix(2, 1, rng)
+        b = random_complex_matrix(3, 1, rng)
+        factor = np.kron(a, b)
+        assert is_ppt(factor @ factor.conj().T, 2, 3, tol)
+        assert npt_witness(factor / np.linalg.norm(factor), 2, 3, tol) is None
+
+    def test_is_seeded(self, tol):
+        factor = random_projection_choi_channel(3, 3, 2, tol).vec_columns()
+        first, again = npt_witness(factor, 3, 3, tol), npt_witness(factor, 3, 3, tol)
+        np.testing.assert_array_equal(first.vector, again.vector)
+        assert first.quotient == again.quotient
+
+    def test_rejects_a_factor_of_the_wrong_height(self, tol):
+        with pytest.raises(ValueError):
+            npt_witness(np.ones((5, 2)), 2, 3, tol)

@@ -486,6 +486,16 @@ class TestChannelFiles:
         with pytest.raises(ValueError):
             channel_from_json_dict({"n": 0, "m": 1, "kraus": [[[1, 0]]]}, tol)
 
+    @pytest.mark.parametrize("n, m", [(True, True), (2.9, 1.2), ("1", 1), (1, None)])
+    def test_reader_rejects_non_integer_dimensions(self, tol, n, m):
+        # bools and fractional numbers are not truncated into dimensions
+        with pytest.raises(ValueError):
+            channel_from_json_dict({"n": n, "m": m, "kraus": [[[1, 0]]]}, tol)
+
+    def test_reader_accepts_integral_floats(self, tol):
+        loaded = channel_from_json_dict({"n": 1.0, "m": 1, "kraus": [[[1, 0]]]}, tol)
+        assert (loaded.input_dim, loaded.output_dim) == (1, 1)
+
     def test_written_file_is_loadable_json(self, tol, tmp_path):
         path = tmp_path / "dep.json"
         save_channel(depolarizing(2, tol), path)

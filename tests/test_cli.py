@@ -150,6 +150,23 @@ class TestAnalyze:
         code, stdout, _ = run(["analyze", bad], capsys)
         assert code == 2
         assert "error" in stdout
+        # certify reports per file on stdout; normal-form has one file and uses stderr
+        code, stdout, _ = run(["certify", bad], capsys)
+        assert code == 2
+        assert "error" in stdout
+        code, _, stderr = run(["normal-form", bad], capsys)
+        assert code == 2
+        assert "error" in stderr
+
+    @pytest.mark.parametrize("command", ["analyze", "certify", "normal-form"])
+    @pytest.mark.parametrize("dims", [(True, True), (2.9, 1.2)], ids=["bools", "fractions"])
+    def test_non_integer_dimensions_are_input_errors(self, tmp_path, capsys, command, dims):
+        # {"n": true, "m": true} would otherwise load as a 1 x 1 channel
+        bad = tmp_path / "dims.json"
+        bad.write_text(json.dumps({"n": dims[0], "m": dims[1], "kraus": [[[1, 0]]]}))
+        code, stdout, stderr = run([command, bad], capsys)
+        assert code == 2
+        assert "must be an integer" in (stderr if command == "normal-form" else stdout)
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code, _, _ = run(["analyze", tmp_path / "nope.json"], capsys)
@@ -204,6 +221,8 @@ class TestCertify:
         assert report["refusal"]["reason"] == "not_entanglement_breaking"
         assert report["refusal"]["structure"] == [[2, 1]]
         assert report["refusal"]["ppt_violated"] is True
+        # the partial-transpose witness states its margin
+        assert report["refusal"]["witness_quotient"] < -report["refusal"]["witness_bound"] < 0
 
     def test_corrupted_input_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
