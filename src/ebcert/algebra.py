@@ -2,30 +2,29 @@
 block decomposition.
 
 The multiplicative domain of a unital trace-preserving CP map F is the set of
-A with F(AX) = F(A)F(X) and F(XA) = F(X)F(A) for all X.  For such maps it
-coincides with the fixed-point space of the composition dual(F) o F, which is
-what gets computed here: the null space of (M - I) for the transfer matrix M
-of that composition.  Because that equality is a cited fact rather than one
-this package re-derives, every computed domain is post-verified against the
-defining bilinear conditions and the adjoint-product criterion
-F(A A*) = F(A) F(A*); a verified failure is reported, never accepted.
+A with F(AX) = F(A)F(X) and F(XA) = F(X)F(A) for all X.  For such maps it is
+the commutant of the algebra generated by the Kraus operators of
+dual(F) o F (Kribs 2003), which is how it is built here: generic Hermitian
+elements of their span give the blocks of that algebra and a basis of its
+commutant (:func:`interaction_elements`, :func:`commutant_from_elements`),
+and no d^2 x d^2 operator is formed.  Because that equality is a cited fact
+rather than one this package re-derives, every built domain is
+post-verified against the defining bilinear conditions and the
+adjoint-product criterion F(A A*) = F(A) F(A*); a verified failure is
+reported, never accepted.
 
 A unital *-subalgebra of d x d matrices is unitarily equivalent to a direct
 sum of blocks, each a full matrix algebra of size j_k repeated with
-multiplicity i_k.  The structure pass recovers the multiset {(i_k, j_k)} from
-eigenvalue clustering of a generic central element; it is multiplicity-free
-exactly when every i_k = 1, which is when the algebra contains rank-one
-projections summing to the identity.
+multiplicity i_k.  The structure pass recovers the multiset {(i_k, j_k)} of
+any such algebra from eigenvalue clustering of a generic central element; it
+is multiplicity-free exactly when every i_k = 1, which is when the algebra
+contains rank-one projections summing to the identity.  The center and span
+membership are solved in the algebra's own coefficient space (see
+:func:`center`).
 
-Both the center and span membership are solved in the algebra's own
-coefficient space (see :func:`center`), never with d^2 x d^2 operators such
-as the commutator actions of the commutant.
-
-The certifier takes a shorter route that never forms the domain: the domain
-is the commutant of the algebra generated by the Kraus operators of
-dual(F) o F, so generic elements of their span decide whether it is
-multiplicity free (the algebra is abelian) and give its block pairs
-(:func:`interaction_elements`, :func:`interaction_blocks`,
+The certifier takes a shorter route that never forms the domain: generic
+elements of the span decide whether it is multiplicity free (the generated
+algebra is abelian) and give its block pairs (:func:`interaction_blocks`,
 :func:`common_eigenbasis`).
 """
 
@@ -53,10 +52,8 @@ from .numerics import (
     hermitian_eig,
     nullspace,
     numerical_rank,
-    orthonormal_matrix_basis,
     phase_fix,
     random_hermitian_in_span,
-    unvec,
 )
 
 
@@ -87,18 +84,6 @@ class MatrixAlgebra:
         m = as_matrix(x)
         scale = max(1.0, frob(m))
         return float(_span_residuals(self.basis, m[None])[0]) <= t.eps_verify * scale
-
-    @classmethod
-    def from_span(cls, mats, tol: ToleranceConfig | None = None) -> "MatrixAlgebra":
-        t = _tol(tol)
-        basis = orthonormal_matrix_basis(mats, t)
-        if not len(basis):
-            raise ValueError("span is empty")
-        if basis.shape[1] != basis.shape[2]:
-            raise ValueError("algebra elements must be square")
-        alg = cls(basis=basis)
-        alg.check_invariants(t)
-        return alg
 
     def check_invariants(self, tol: ToleranceConfig | None = None) -> None:
         """Assert *-closure and multiplicative closure of the span at
@@ -137,28 +122,29 @@ _DOMAIN_PROBES = 3
 def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
     """Multiplicative domain of a unital trace-preserving CP map.
 
-    Computed as the fixed-point space of dual(psi) o psi via an SVD null
-    space of (M - I), then post-verified (see :func:`_verify_domain`); a
-    failed verification raises VerificationFailure.
+    Built as the commutant of the algebra generated by the Kraus operators
+    P_b* P_a of dual(psi) o psi (see :func:`commutant_from_elements`), then
+    post-verified (see :func:`_verify_domain`); a failed verification raises
+    VerificationFailure.
     """
-    t = _tol(tol)
+    return _domain_blocks(psi, _tol(tol))[0]
+
+
+def _domain_blocks(psi: CPMap, t: ToleranceConfig):
+    """:func:`multiplicative_domain` together with the block pairs of the
+    domain, ordered like :meth:`AlgebraStructure.pairs`."""
     if psi.input_dim != psi.output_dim:
         raise NotUnitalOrNotTP("map must be an endomorphism to be unital and trace preserving")
     if psi.tp_residual > t.eps_verify or psi.unital_residual() > t.eps_verify:
         raise NotUnitalOrNotTP(
             f"tp residual {psi.tp_residual:.3e}, unital residual {psi.unital_residual():.3e}"
         )
-    d = psi.input_dim
-    transfer = psi.transfer_matrix()
-    composed = transfer.conj().T @ transfer
-    # dual(psi) o psi is a contraction, so its gap to 1 is judged on the
-    # absolute scale 1, not against a largest singular value that can be tiny
-    fixed = nullspace(composed - np.eye(d * d), t, cutoff=t.eps_rank)
-    if fixed.shape[1] == 0:
-        raise VerificationFailure("fixed-point space is empty; identity must always be fixed")
-    alg = MatrixAlgebra.from_span(unvec(fixed.T, d, d), t)
+    # the (d, k, d) stack K_i[a, c] = conj(P_a[c, i]) has tr(C K_i K_j*) =
+    # (sum_ab C_ab P_b* P_a)_ij, so its interaction elements span {P_b* P_a}
+    elements = interaction_elements(np.conj(psi.kraus).transpose(2, 0, 1), t)
+    alg, pairs = commutant_from_elements(elements, t)
     _verify_domain(psi, alg, t)
-    return alg
+    return alg, pairs
 
 
 def _norms(mats: np.ndarray) -> np.ndarray:
@@ -385,7 +371,17 @@ def interaction_blocks(elements: np.ndarray,
     close, or a component that mixes cluster sizes, moves on to the next
     pair of the stack; ordered like :meth:`AlgebraStructure.pairs`.
     """
-    t = _tol(tol)
+    _, clusters, _, _, members = _coupled_clusters(elements, _tol(tol))
+    return _sorted_pairs((len(group), clusters[group[0]].size) for group in members)
+
+
+def _coupled_clusters(elements: np.ndarray, t: ToleranceConfig):
+    """For the first pair (a, b) of the stack whose clusters are separated
+    and whose components each hold clusters of one size (see
+    :func:`interaction_blocks`): a's eigenvectors and clusters, b in a's
+    eigenbasis, the coupling of each pair of clusters (the Frobenius norm of
+    b's block between them) and the cluster indices of each connected
+    component."""
     count = len(elements)
     for attempt in range(MAX_RESAMPLE):
         a, b = elements[attempt % count], elements[(attempt + 1) % count]
@@ -399,15 +395,92 @@ def interaction_blocks(elements: np.ndarray,
         reach |= np.eye(len(clusters), dtype=bool)
         for _ in range(len(clusters).bit_length()):
             reach = reach @ reach
-        components = np.unique(reach, axis=0)  # one row per connected component
-        sizes = [{clusters[k].size for k in np.flatnonzero(row)} for row in components]
-        if all(len(s) == 1 for s in sizes):
-            pairs = [(int(row.sum()), s.pop()) for row, s in zip(components, sizes)]
-            return tuple(sorted(pairs, key=lambda p: (-p[1], -p[0])))
+        # each connected component's clusters, read off its first cluster's row
+        firsts = reach[np.argmax(reach, axis=1) == np.arange(len(clusters))]
+        members = [np.flatnonzero(row) for row in firsts]
+        if all(len({clusters[k].size for k in group}) == 1 for group in members):
+            return evecs, clusters, rotated, coupling, members
     raise ResampleExhausted(
         f"no pair of interaction elements with separated clusters of one size per "
         f"block after {MAX_RESAMPLE} draws"
     )
+
+
+def _sorted_pairs(pairs) -> tuple[tuple[int, int], ...]:
+    """Block pairs ordered like :meth:`AlgebraStructure.pairs`."""
+    return tuple(sorted(pairs, key=lambda p: (-p[1], -p[0])))
+
+
+def _spanning_tree(weights: np.ndarray) -> list[tuple[int, int]]:
+    """Edges (parent, child) of a maximum-weight spanning tree of a
+    connected graph given by its symmetric weight matrix, grown from node 0
+    (Prim); each child comes after its parent."""
+    size = len(weights)
+    inside = np.zeros(size, dtype=bool)
+    inside[0] = True
+    best, parent = weights[0].copy(), np.zeros(size, dtype=int)
+    edges = []
+    for _ in range(size - 1):
+        child = int(np.argmax(np.where(inside, -np.inf, best)))
+        edges.append((int(parent[child]), child))
+        inside[child] = True
+        closer = weights[child] > best
+        best, parent = np.where(closer, weights[child], best), np.where(closer, child, parent)
+    return edges
+
+
+def commutant_from_elements(elements: np.ndarray, tol: ToleranceConfig | None = None
+                            ) -> tuple[MatrixAlgebra, tuple[tuple[int, int], ...]]:
+    """The commutant of the algebra generated by a stack of generic
+    Hermitian elements, with its block pairs (multiplicity, size) ordered
+    like :meth:`AlgebraStructure.pairs`.
+
+    The clusters of a and their coupling by b are those of
+    :func:`interaction_blocks`.  In a component of i clusters of size j, the
+    eigenvector frames F_p of the clusters hold i copies of one
+    j-dimensional factor, and b's block F_p* b F_q is a multiple of the
+    unitary that carries copy q onto copy p.  Along a maximum spanning tree
+    of the coupling, each frame F_q is turned by the polar factor of its
+    block with its parent, so that every frame of the component holds the
+    same copy; then sum_p F_p E_st F_p* / sqrt(i), over the j x j matrix
+    units E_st, is an orthonormal basis of the component's I_i (x) M_j.
+
+    The basis is accepted only if it commutes with every element of the
+    stack within eps_verify, and VerificationFailure is raised otherwise.
+    That check certifies the whole commutant: a's spectral projections and
+    b's aligned couplings along a connected tree generate the block algebra
+    of sums of M_i (x) I_j, so elements that all commute with the basis
+    generate exactly that algebra.  Elements more degenerate than the
+    algebra they generate are misread and fail it.
+    """
+    t = _tol(tol)
+    evecs, clusters, rotated, coupling, members = _coupled_clusters(elements, t)
+    turns = np.eye(len(evecs), dtype=complex)  # block diagonal, one block per cluster
+    for group in members:
+        for p, q in _spanning_tree(coupling[np.ix_(group, group)]):
+            cp, cq = clusters[group[p]], clusters[group[q]]
+            u, _, vh = np.linalg.svd(turns[np.ix_(cp, cp)].conj().T @ rotated[np.ix_(cp, cq)])
+            turns[np.ix_(cq, cq)] = (u @ vh).conj().T
+    frames = evecs @ turns
+    pairs = [(len(group), clusters[group[0]].size) for group in members]
+    parts = []
+    for i, j in sorted(set(pairs)):
+        # (components, j, d, i): column p of slice s is column s of frame F_p
+        cols = np.array([[clusters[k] for k in group]
+                         for group, pair in zip(members, pairs) if pair == (i, j)])
+        stack = frames[:, cols].transpose(1, 3, 0, 2)
+        units = stack[:, :, None] @ stack.conj().swapaxes(-1, -2)[:, None]
+        parts.append(units.reshape(-1, *frames.shape) / math.sqrt(i))
+    basis = np.concatenate(parts)
+    # all r x s commutators at once: for s elements and a map with k Kraus
+    # operators this is s / k of one apply in _verify_domain
+    residual = float(np.max(_norms(basis[:, None] @ elements - elements @ basis[:, None])))
+    if residual > t.eps_verify:
+        raise VerificationFailure(
+            f"commutant built from the interaction elements fails to commute with them: "
+            f"residual {residual:.3e} above eps_verify {t.eps_verify:.1e}"
+        )
+    return MatrixAlgebra(basis=basis), _sorted_pairs(pairs)
 
 
 def common_eigenbasis(elements: np.ndarray, tol: ToleranceConfig | None = None) -> np.ndarray:

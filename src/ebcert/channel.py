@@ -98,26 +98,18 @@ class CPMap:
         or on each matrix of an (s, n, n) stack."""
         k, m, n = self._kraus.shape
         x = as_matrix_stack(x, n)
-        # (K_i X)[a, :] . conj(K_i)[b, :] summed over i: one product over the
-        # (operator, column) pairs
-        left = np.swapaxes(self._kraus @ x[..., None, :, :], -3, -2)
-        left = left.reshape(*x.shape[:-2], m, k * n)
-        return left @ self._kraus.transpose(1, 0, 2).reshape(m, k * n).conj().T
+        # (X K_i*)[c, b] for every X of the stack and every i from one
+        # product, laid out as (c, i, b); then sum_(c, i) K_i[a, c] (X K_i*)[c, b]
+        # as a second product that reads it without a copy
+        right = x.reshape(-1, n) @ self._kraus.conj().transpose(2, 0, 1).reshape(n, k * m)
+        return self._kraus.transpose(1, 2, 0).reshape(m, n * k) @ right.reshape(
+            *x.shape[:-2], n * k, m)
 
     def unital_residual(self) -> float:
         return frob(self.apply(np.eye(self.input_dim)) - np.eye(self.output_dim))
 
     def is_unital(self, tol: ToleranceConfig | None = None) -> bool:
         return self.unital_residual() <= _tol(tol).eps_verify
-
-    def transfer_matrix(self) -> np.ndarray:
-        """Matrix of the map on column-stacked vectors:
-        vec(F(X)) = transfer_matrix() @ vec(X), that is sum_i kron(conj K_i, K_i)."""
-        k, m, n = self._kraus.shape
-        flat = self._kraus.reshape(k, m * n)
-        # entry (b m + a, d n + c) of kron(conj K_i, K_i) is conj(K_i[b, d]) K_i[a, c]
-        pairs = (flat.conj().T @ flat).reshape(m, n, m, n)
-        return pairs.transpose(0, 2, 1, 3).reshape(m * m, n * n)
 
     def vec_columns(self) -> np.ndarray:
         """The nm x k matrix V whose columns are vec(K_i)."""

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import multiplicative_domain, structure
+from .algebra import _domain_blocks
 from .certify import certify, schur_normal_form
 from .channel import (
     ChoiClass,
@@ -229,13 +229,12 @@ def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
         }
         if cr.classification is ChoiClass.PROJECTION:
             adjoint = complement_adjoint(channel.with_kraus(cr.kraus, tol), tol)
-            dom = multiplicative_domain(adjoint, tol)
-            st = structure(dom, tol)
+            dom, pairs = _domain_blocks(adjoint, tol)
             report["algebra"] = {
                 "dimension": dom.dimension,
                 "basis": to_pairs(dom.basis),
-                "blocks": [list(p) for p in st.pairs()],
-                "multiplicity_free": st.multiplicity_free,
+                "blocks": [list(p) for p in pairs],
+                "multiplicity_free": all(i == 1 for i, _ in pairs),
             }
         report["timings"] = {"analyze_seconds": time.perf_counter() - t0}
         return report, EXIT_OK

@@ -39,8 +39,8 @@ class InconsistentClassification(EBCertError):
 
 
 class NotUnitalOrNotTP(EBCertError):
-    """Map is not unital and trace-preserving, so the fixed-point route to
-    the multiplicative domain does not apply."""
+    """Map is not unital and trace-preserving, so the multiplicative domain
+    is not the commutant of the interaction algebra and is not built."""
 
 
 class VerificationFailure(EBCertError):

@@ -238,17 +238,6 @@ def random_hermitian_in_span(basis, seed) -> np.ndarray:
     return g + g.conj().T
 
 
-def orthonormal_matrix_basis(mats, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Frobenius-orthonormal basis of the span of an (s, rows, cols) stack,
-    as an (r, rows, cols) stack; r is 0 for a numerically zero span."""
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim != 3:
-        raise DimensionMismatch(f"expected a stack of matrices, got dimension {mats.ndim}")
-    _, rows, cols = mats.shape
-    u, s, _ = np.linalg.svd(vec(mats).T, full_matrices=False)
-    return unvec(u[:, :relative_rank(s, tol)].T, rows, cols)
-
-
 # ---------------------------------------------------------------------------
 # JSON codec: a complex array as nested lists of [re, im] pairs
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ Everything here is written against the raw Kraus data with fresh numpy code
 so that library results are checked along a different path than the one that
 produced them.  The commutant and the span intersection are the d^2 x d^2
 route to an algebra's center, kept as the reference for the library's
-coefficient-space solve.
+coefficient-space solve; :func:`fixed_point_domain` is the d^2 x d^2 route
+to a multiplicative domain, kept as the reference for the library's build
+from interaction elements.
 """
 
 import numpy as np
 
 from ebcert import MatrixAlgebra, complement_from_kraus, nullspace, random_unitary, unvec, vec
+from ebcert.numerics import relative_rank
 
 
 def apply_kraus(kraus, x):
@@ -99,6 +102,57 @@ def span_projector(mats, tol):
     return basis @ basis.conj().T
 
 
+def orthonormal_matrix_basis(mats, tol):
+    """Frobenius-orthonormal basis of the span of a stack of matrices, as an
+    (r, rows, cols) stack from an SVD of their vec's; r is 0 for a
+    numerically zero span."""
+    mats = np.asarray(mats, dtype=complex)
+    _, rows, cols = mats.shape
+    u, s, _ = np.linalg.svd(vec(mats).T, full_matrices=False)
+    return unvec(u[:, :relative_rank(s, tol)].T, rows, cols)
+
+
+def algebra_from_span(mats, tol):
+    """The MatrixAlgebra on the span of the given matrices, checked for
+    *-closure, multiplicative closure and the identity."""
+    basis = orthonormal_matrix_basis(mats, tol)
+    if not len(basis):
+        raise ValueError("span is empty")
+    alg = MatrixAlgebra(basis=basis)
+    alg.check_invariants(tol)
+    return alg
+
+
+def transfer_matrix(kraus):
+    """Matrix of X -> sum_i K_i X K_i* on column-stacked vectors, that is
+    sum_i kron(conj K_i, K_i), from one product over the Kraus index."""
+    kraus = np.asarray(kraus, dtype=complex)
+    k, m, n = kraus.shape
+    flat = kraus.reshape(k, m * n)
+    # entry (b m + a, d n + c) of kron(conj K_i, K_i) is conj(K_i[b, d]) K_i[a, c]
+    pairs = (flat.conj().T @ flat).reshape(m, n, m, n)
+    return pairs.transpose(0, 2, 1, 3).reshape(m * m, n * n)
+
+
+def fixed_point_domain(psi, tol):
+    """Multiplicative domain of a unital trace-preserving map as the
+    fixed-point space of dual(psi) o psi: the null space of M* M - I for the
+    transfer matrix M of psi, at the absolute cutoff eps_rank."""
+    d = psi.input_dim
+    transfer = transfer_matrix(psi.kraus)
+    fixed = nullspace(transfer.conj().T @ transfer - np.eye(d * d), tol, cutoff=tol.eps_rank)
+    return algebra_from_span(unvec(fixed.T, d, d), tol)
+
+
+def subspace_gap(first, second):
+    """Largest sine of a principal angle between the spans of two
+    Frobenius-orthonormal (r, d, d) stacks: the spectral norm of the part of
+    the second basis outside the first span."""
+    a = first.reshape(len(first), -1)
+    b = second.reshape(len(second), -1)
+    return float(np.linalg.norm(b - (b @ a.conj().T) @ a, 2))
+
+
 def commutant(alg, tol):
     """All matrices commuting with every element of the algebra, via the null
     space of the stacked d^2 x d^2 commutator actions on vec(X)."""
@@ -106,7 +160,7 @@ def commutant(alg, tol):
     eye = np.eye(d)
     stacked = np.vstack([np.kron(eye, b) - np.kron(b.T, eye) for b in alg.basis])
     null = nullspace(stacked, tol)
-    return MatrixAlgebra.from_span([unvec(null[:, k], d, d) for k in range(null.shape[1])], tol)
+    return algebra_from_span([unvec(null[:, k], d, d) for k in range(null.shape[1])], tol)
 
 
 def intersect_spans(first, second, tol):

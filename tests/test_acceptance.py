@@ -12,7 +12,6 @@ import numpy as np
 from ebcert import (
     ChoiClass,
     KrausChannel,
-    MatrixAlgebra,
     ToleranceConfig,
     certify,
     choi,
@@ -38,7 +37,7 @@ from ebcert.zoo import (
     werner_holevo,
 )
 
-from oracles import brute_force_eb_search, random_complex_matrix
+from oracles import algebra_from_span, brute_force_eb_search, random_complex_matrix
 
 TOL = ToleranceConfig()
 
@@ -407,14 +406,14 @@ def test_criterion_7_structure_recognition():
         d = mats[0].shape[0]
         for k in range(20):
             u = random_unitary(d, 9000 + 100 * hash(name) % 1000 + k)
-            alg = MatrixAlgebra.from_span(
+            alg = algebra_from_span(
                 [u @ m @ u.conj().T for m in mats], TOL
             )
             got = structure(alg, TOL).pairs()
             if got != expected:
                 failures.append(f"{name}@{k}: {got}")
                 break
-        alg = MatrixAlgebra.from_span(mats, TOL)
+        alg = algebra_from_span(mats, TOL)
         for seed in (0, 31, 997):
             got = structure(alg, ToleranceConfig(seed=seed)).pairs()
             if got != expected:

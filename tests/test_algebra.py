@@ -4,7 +4,6 @@ import pytest
 from ebcert import (
     CPMap,
     KrausChannel,
-    MatrixAlgebra,
     ToleranceConfig,
     center,
     complement_adjoint,
@@ -14,15 +13,26 @@ from ebcert import (
     rank_one_resolution,
     structure,
 )
+from ebcert.algebra import _domain_blocks, commutant_from_elements, interaction_blocks
 from ebcert.errors import NotMultiplicityFree, NotUnitalOrNotTP, VerificationFailure
 from ebcert.zoo import (
     depolarizing,
     random_channel,
+    random_projection_choi_channel,
     random_schur_complement_channel,
     schur_channel,
 )
 
-from oracles import commutant, intersect_spans, random_complex_matrix, span_projector
+from oracles import (
+    algebra_from_span,
+    block_unital_complement,
+    commutant,
+    fixed_point_domain,
+    intersect_spans,
+    random_complex_matrix,
+    span_projector,
+    subspace_gap,
+)
 
 
 def matrix_units(d):
@@ -36,17 +46,17 @@ def matrix_units(d):
 
 
 def diagonal_algebra(d, tol):
-    return MatrixAlgebra.from_span(
+    return algebra_from_span(
         [np.diag(row) for row in np.eye(d).astype(complex)], tol
     )
 
 
 def full_algebra(d, tol):
-    return MatrixAlgebra.from_span(matrix_units(d), tol)
+    return algebra_from_span(matrix_units(d), tol)
 
 
 def conjugated(alg, unitary, tol):
-    return MatrixAlgebra.from_span(
+    return algebra_from_span(
         [unitary @ b @ unitary.conj().T for b in alg.basis], tol
     )
 
@@ -62,12 +72,12 @@ def block_diag_algebra(sizes, tol):
             m[offset:offset + size, offset:offset + size] = u
             mats.append(m)
         offset += size
-    return MatrixAlgebra.from_span(mats, tol)
+    return algebra_from_span(mats, tol)
 
 
 def repeated_block_algebra(multiplicity, size, tol):
     """Elements I_multiplicity (x) B for B of the given size."""
-    return MatrixAlgebra.from_span(
+    return algebra_from_span(
         [np.kron(np.eye(multiplicity), u) for u in matrix_units(size)], tol
     )
 
@@ -80,7 +90,7 @@ def scalar_plus_block_algebra(tol):
         m = np.zeros((5, 5), dtype=complex)
         m[3:, 3:] = u
         mats.append(m)
-    return MatrixAlgebra.from_span(mats, tol)
+    return algebra_from_span(mats, tol)
 
 
 class TestMatrixAlgebra:
@@ -97,14 +107,14 @@ class TestMatrixAlgebra:
         e12 = np.zeros((2, 2), dtype=complex)
         e12[0, 1] = 1.0
         with pytest.raises(VerificationFailure):
-            MatrixAlgebra.from_span([e12, np.eye(2)], tol)
+            algebra_from_span([e12, np.eye(2)], tol)
 
     def test_invariants_reject_star_closed_span_without_products(self, tol):
         # span{I, sigma_x, sigma_z} is *-closed but sigma_x sigma_z = -i sigma_y
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sz = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises(VerificationFailure, match="multiplicatively"):
-            MatrixAlgebra.from_span([np.eye(2), sx, sz], tol)
+            algebra_from_span([np.eye(2), sx, sz], tol)
 
     def test_contains(self, tol):
         alg = diagonal_algebra(3, tol)
@@ -113,7 +123,7 @@ class TestMatrixAlgebra:
 
     def test_basis_is_one_read_only_stack(self, tol):
         mats = [np.eye(2), np.diag([1.0, -1.0])]
-        alg = MatrixAlgebra.from_span(mats, tol)
+        alg = algebra_from_span(mats, tol)
         assert isinstance(alg.basis, np.ndarray)
         assert alg.basis.shape == (2, 2, 2) and alg.ambient_dim == 2
         assert not alg.basis.flags.writeable
@@ -186,6 +196,98 @@ class TestMultiplicativeDomain:
         assert np.linalg.norm(img @ img - img) > 1e-3
 
 
+ORACLE_FIXTURES = [
+    *[pytest.param(lambda tol, sizes=sizes, j=j, seed=seed:
+                   block_unital_complement(sizes, j, seed, tol),
+                   id=f"blocks{''.join(map(str, sizes))}x{j}-seed{seed}")
+      for sizes, j in [((1, 3), 1), ((2, 2), 1), ((1, 1, 2), 1), ((2,), 2),
+                       ((1, 2), 2), ((2, 1), 3), ((1, 1), 3)]
+      for seed in range(2)],
+    *[pytest.param(lambda tol, n=n, eb=eb:
+                   random_projection_choi_channel(n, n, 1 + (not eb), tol, ensure_eb=eb),
+                   id=f"{'planted' if eb else 'generic'}-{n}")
+      for n in (6, 16) for eb in (True, False)],
+]
+
+
+def clifford_generators():
+    """Five pairwise anticommuting Hermitian unitaries on C^4."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]])
+    z = np.diag([1.0, -1.0]).astype(complex)
+    eye = np.eye(2)
+    return np.stack([np.kron(x, eye), np.kron(y, eye),
+                     np.kron(z, x), np.kron(z, y), np.kron(z, z)])
+
+
+class TestCommutantFromElements:
+    @pytest.mark.parametrize("build", ORACLE_FIXTURES)
+    def test_domain_matches_the_fixed_point_oracle(self, tol, build):
+        psi = complement_adjoint(minimal_kraus(build(tol), tol), tol)
+        dom, pairs = _domain_blocks(psi, tol)
+        reference = fixed_point_domain(psi, tol)
+        assert dom.dimension == reference.dimension
+        assert subspace_gap(reference.basis, dom.basis) <= 1e-10
+        assert pairs == structure(reference, tol).pairs()
+        assert multiplicative_domain(psi, tol).dimension == dom.dimension
+
+    def test_basis_is_orthonormal_by_construction(self, tol):
+        psi = complement_adjoint(minimal_kraus(block_unital_complement((1, 2), 2, 0, tol), tol), tol)
+        flat = multiplicative_domain(psi, tol).basis.reshape(8, -1)
+        np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(8), atol=1e-12)
+
+    def test_clifford_span_is_refused_not_misread(self, tol):
+        """Elements more degenerate than the algebra they generate raise a
+        named error instead of giving a wrong basis.
+
+        Every element of span{I, g_1, ..., g_5}, for pairwise anticommuting
+        Hermitian unitaries g_k on C^4, has two doubly degenerate eigenvalues,
+        since (x.g)^2 = |x|^2 I, yet the span generates M_4, whose commutant
+        is the scalars.  The clusters of size two read as the pair (2, 2).
+
+        No unital trace-preserving psi has its interaction span inside
+        span{I, g_k} unless that span is abelian, so the builder is handed
+        such elements directly.  For Kraus operators P_1, ..., P_k of psi,
+        the kd x kd matrix G of blocks P_b* P_a is L* L for L = [P_1 ... P_k],
+        and L L* = I (psi unital) makes G a projection.  With every block in
+        the span, G = Y_0 (x) I + sum_k Y_k (x) g_k for Hermitian k x k
+        matrices Y, and G^2 = G forces [Y_k, Y_l] = 0, {Y_0, Y_k} = Y_k and
+        Y_0^2 + sum_k Y_k^2 = Y_0.  In a joint eigenbasis of the Y_k, with
+        eigenvalue vectors y(c) in R^5, each c with y(c) != 0 has
+        (Y_0)_cc = 1/2 and every diagonal entry of Y_0 is nonnegative.  Trace
+        preservation, sum_a P_a* P_a = I, gives tr Y_0 = 1 and
+        sum_c y(c) = 0: so at most two c have y(c) != 0, and those two have
+        opposite vectors.  Every block then lies in span{I, u.g} for one
+        vector u, an abelian algebra whose degenerate clusters are read
+        correctly (see the next test).
+        """
+        gammas = np.concatenate([np.eye(4)[None], clifford_generators()])
+        coeffs = np.random.default_rng(5).standard_normal((8, 6))
+        elements = np.tensordot(coeffs, gammas, axes=1)
+        elements /= np.linalg.norm(elements, axis=(1, 2))[:, None, None]
+        spectra = np.linalg.eigvalsh(elements)
+        np.testing.assert_allclose(spectra[:, 0], spectra[:, 1], atol=1e-12)
+        np.testing.assert_allclose(spectra[:, 2], spectra[:, 3], atol=1e-12)
+        assert interaction_blocks(elements, tol) == ((2, 2),)  # the generated algebra is M_4
+        with pytest.raises(VerificationFailure, match="residual .* above eps_verify"):
+            commutant_from_elements(elements, tol)
+
+    @pytest.mark.parametrize("kraus", [
+        pytest.param(lambda g: np.stack([np.eye(4), *g]) / np.sqrt(6), id="all-generators"),
+        pytest.param(lambda g: np.stack([0.6 * np.eye(4), 0.8 * g[0]]), id="one-generator"),
+    ])
+    def test_clifford_unital_maps_recover_the_domain(self, tol, kraus):
+        # Kraus operators in span{I, g_k}: with several generators their
+        # products P_b* P_a leave the span and generate M_4; with one the
+        # span is abelian and each eigenvalue is doubly degenerate
+        psi = KrausChannel(kraus(clifford_generators()), tol)
+        dom, pairs = _domain_blocks(psi, tol)
+        reference = fixed_point_domain(psi, tol)
+        assert dom.dimension == reference.dimension
+        assert subspace_gap(reference.basis, dom.basis) <= 1e-10
+        assert pairs == structure(reference, tol).pairs()
+
+
 class TestCommutant:
     def test_full_algebra_commutant_is_scalars(self, tol):
         com = commutant(full_algebra(3, tol), tol)
@@ -193,7 +295,7 @@ class TestCommutant:
         assert com.contains(np.eye(3), tol)
 
     def test_scalar_commutant_is_everything(self, tol):
-        triv = MatrixAlgebra.from_span([np.eye(3)], tol)
+        triv = algebra_from_span([np.eye(3)], tol)
         assert commutant(triv, tol).dimension == 9
 
     def test_diagonal_is_its_own_commutant(self, tol):

@@ -1,4 +1,7 @@
+import contextlib
 import importlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from ebcert import (
     npt_witness,
     partial_transpose,
     random_unitary,
+    save_channel,
     schur_normal_form,
     structure,
     verify_certificate,
@@ -305,6 +309,47 @@ class TestCertify:
         with pytest.raises(NotEntanglementBreaking):
             certify(generic, tol)
         assert sum(w >= 36 for w in widths) == 0
+
+    def test_analyze_does_not_build_the_fixed_point_space(self, tol, tmp_path, monkeypatch):
+        # CLI analyze reads the domain from the interaction elements: no SVD
+        # or eigh of width d^2 or more, and no center or structure pass
+        from ebcert import cli
+
+        paths = []
+        for name, ch in (("planted", random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)),
+                         ("generic", random_projection_choi_channel(6, 6, 2, tol))):
+            paths.append(tmp_path / f"{name}.json")
+            save_channel(ch, paths[-1])
+        widths = []
+
+        def counting(fn):
+            def wrapper(a, *args, **kwargs):
+                widths.append(np.shape(a)[-1])
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        def structure_pass(*args, **kwargs):
+            raise AssertionError("analyze entered the center or structure pass")
+
+        monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        for module in ("algebra", "cli"):
+            for name in ("center", "structure"):
+                monkeypatch.setattr(importlib.import_module(f"ebcert.{module}"), name,
+                                    structure_pass, raising=False)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["analyze", "--format", "json", *map(str, paths)])
+        assert code == 0
+        assert widths and max(widths) < 36
+        decoder, text, reports = json.JSONDecoder(), out.getvalue().strip(), []
+        while text:
+            report, end = decoder.raw_decode(text)
+            reports.append(report["algebra"])
+            text = text[end:].strip()
+        assert [r["blocks"] for r in reports] == [[[1, 1]] * 6, [[6, 1]]]
+        assert [r["dimension"] for r in reports] == [6, 1]
+        assert [r["multiplicity_free"] for r in reports] == [True, False]
 
     def test_refutation_states_its_margin(self, tol):
         with pytest.raises(NotEntanglementBreaking) as err:

@@ -10,7 +10,6 @@ from ebcert.numerics import (
     hermitian_eig,
     nullspace,
     numerical_rank,
-    orthonormal_matrix_basis,
     phase_fix,
     random_hermitian_in_span,
     random_unitary,
@@ -20,7 +19,7 @@ from ebcert.numerics import (
 )
 from ebcert.zoo import random_projection_choi_channel, redilate_fixture, werner_holevo
 
-from oracles import random_complex_matrix, span_projector
+from oracles import orthonormal_matrix_basis, random_complex_matrix, span_projector
 
 
 def random_hermitian(n, rng):
