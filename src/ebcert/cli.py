@@ -75,7 +75,11 @@ def _add_tolerance_args(parser: argparse.ArgumentParser) -> None:
 def _tolerances(args) -> ToleranceConfig:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("EBCERT_SEED", "0"))
+        env = os.environ.get("EBCERT_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"EBCERT_SEED must be an integer, got {env!r}") from None
     base = ToleranceConfig()
     return ToleranceConfig(
         eps_rank=args.tol_rank if args.tol_rank is not None else base.eps_rank,
@@ -175,8 +179,7 @@ def _generate(args, tol: ToleranceConfig):
     raise ValueError(f"unknown family {family}")
 
 
-def _cmd_gen(args) -> int:
-    tol = _tolerances(args)
+def _cmd_gen(args, tol: ToleranceConfig) -> int:
     try:
         channel, stem = _generate(args, tol)
     except (ValueError, EBCertError) as exc:
@@ -287,8 +290,7 @@ def _emit(results: list[tuple[dict, int]], fmt: str, print_text) -> int:
     return next((code for _, code in results if code != EXIT_OK), EXIT_OK)
 
 
-def _cmd_analyze(args) -> int:
-    tol = _tolerances(args)
+def _cmd_analyze(args, tol: ToleranceConfig) -> int:
     return _emit([_analyze_file(path, tol) for path in args.files], args.format,
                  _print_analysis_text)
 
@@ -353,8 +355,7 @@ def _print_certify_text(report: dict, tol: ToleranceConfig) -> None:
     print(f"  elapsed: {report['timings']['certify_seconds']:.3f}s")
 
 
-def _cmd_certify(args) -> int:
-    tol = _tolerances(args)
+def _cmd_certify(args, tol: ToleranceConfig) -> int:
     if args.out is not None and len(args.files) != 1:
         print("error: --out requires exactly one input file", file=sys.stderr)
         return EXIT_INPUT
@@ -366,8 +367,7 @@ def _cmd_certify(args) -> int:
 # normal-form
 # ---------------------------------------------------------------------------
 
-def _cmd_normal_form(args) -> int:
-    tol = _tolerances(args)
+def _cmd_normal_form(args, tol: ToleranceConfig) -> int:
     try:
         channel = load_channel(args.file, tol)
     except (OSError, ValueError, EBCertError) as exc:
@@ -411,18 +411,15 @@ def _cmd_normal_form(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "certify":
-        return _cmd_certify(args)
-    if args.command == "normal-form":
-        return _cmd_normal_form(args)
-    parser.error(f"unknown command {args.command}")
-    return EXIT_INPUT
+    args = build_parser().parse_args(argv)
+    try:
+        tol = _tolerances(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    commands = {"gen": _cmd_gen, "analyze": _cmd_analyze, "certify": _cmd_certify,
+                "normal-form": _cmd_normal_form}
+    return commands[args.command](args, tol)
 
 
 if __name__ == "__main__":

@@ -47,6 +47,8 @@ class ToleranceConfig:
         for name in ("eps_rank", "eps_eig", "eps_verify"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def rng(self, *salt: int) -> np.random.Generator:
         """Deterministic generator derived from the master seed and a salt."""

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -137,6 +138,14 @@ class TestVerifyEBWitness:
         padded = redilate_fixture(depolarizing(2, tol), 6, 3, tol)
         with pytest.raises(NotMinimalKraus):
             verify_eb_witness(padded, list(np.eye(6)), tol)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_witness(self, tol, entry):
+        minimal = minimal_kraus(random_schur_complement_channel(4, 3, 7, tol), tol)
+        witness = np.eye(len(minimal), dtype=complex)
+        witness[0, 0] = entry
+        with pytest.raises(ValueError, match="finite"):
+            verify_eb_witness(minimal, witness, tol)
 
 
 class TestCertify:
@@ -469,6 +478,45 @@ class TestCertify:
         assert abs(cert.residuals["adjoint_rank_one"] - expected) <= 1e-13
 
 
+def mix_two_rows(w):
+    """Rotate the first two witness vectors into each other: the sum of
+    their outer products, so the resolution, is unchanged, but each
+    recombined operator gets rank two."""
+    w = np.array(w)
+    w[:2] = np.array([[1, -1], [1, 1]]) / np.sqrt(2) @ w[:2]
+    return w
+
+
+class TestCertifyGate:
+    def test_certify_runs_no_other_acceptance_check(self, tol, monkeypatch):
+        def other_check(*args, **kwargs):
+            raise AssertionError("certify ran a check besides verify_certificate")
+
+        # by module object: the package rebinds the name ebcert.certify
+        for module in ("certify", "channel"):
+            for name in ("verify_eb_witness", "is_minimal"):
+                monkeypatch.setattr(importlib.import_module(f"ebcert.{module}"), name,
+                                    other_check, raising=False)
+        for ch in (random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True),
+                   random_schur_complement_channel(6, 6, 1, tol)):
+            assert certify(ch, tol).eb_rank == 6
+
+    @pytest.mark.parametrize("tamper, failing, holding", [
+        (mix_two_rows, "factorization", "resolution"),
+        (lambda w: w / np.sqrt(2), "resolution", "factorization"),
+    ], ids=["rank-two", "half-resolution"])
+    def test_verify_certificate_refuses_a_bad_witness(self, tol, monkeypatch, tamper,
+                                                      failing, holding):
+        module = importlib.import_module("ebcert.certify")
+        eigenbasis = module.common_eigenbasis
+        monkeypatch.setattr(module, "common_eigenbasis",
+                            lambda *args, **kwargs: tamper(eigenbasis(*args, **kwargs)))
+        with pytest.raises(VerificationFailure) as err:
+            certify(random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True), tol)
+        assert f"'{failing}'" in str(err.value)
+        assert f"'{holding}'" not in str(err.value)
+
+
 class TestVerifyCertificate:
     def test_build_and_check_are_separate_paths(self, tol):
         ch = random_schur_complement_channel(4, 4, 8, tol)
@@ -480,12 +528,20 @@ class TestVerifyCertificate:
         }
 
     def test_detects_corrupted_witness(self, tol):
-        import dataclasses
         ch = random_schur_complement_channel(3, 3, 9, tol)
         cert = certify(ch, tol)
         bad = dataclasses.replace(cert, w=tuple(0.5 * w for w in cert.w))
         with pytest.raises(VerificationFailure):
             verify_certificate(bad, ch, tol)
+
+    def test_nan_residual_fails_closed(self, tol):
+        # NaN compares false against every bound, so it must count as failing
+        ch = random_schur_complement_channel(4, 3, 7, tol)
+        cert = certify(ch, tol)
+        w = np.array(cert.w)
+        w[0, 0] = np.nan
+        with pytest.raises(VerificationFailure, match="out of tolerance"):
+            verify_certificate(dataclasses.replace(cert, w=w), ch, tol)
 
     def test_detects_wrong_channel(self, tol):
         cert = certify(random_schur_complement_channel(3, 3, 10, tol), tol)
@@ -510,7 +566,6 @@ class TestVerifyCertificate:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_same_verdict_in_memory_and_after_json(self, tol):
-        import dataclasses
         ch = random_projection_choi_channel(4, 4, 2, tol, ensure_eb=True)
         cert = certify(ch, tol)
         phases = np.exp(1j * np.linspace(0.5, 2.5, cert.r))
@@ -587,7 +642,6 @@ class TestSchurNormalForm:
         assert evals[0] >= -tol.eps_verify
 
     def test_corrupted_certificate_raises_not_orthonormal(self, tol):
-        import dataclasses
         ch = random_schur_complement_channel(3, 3, 19, tol)
         cert = certify(ch, tol)
         skewed = list(cert.v)

@@ -291,3 +291,28 @@ class TestSeedHandling:
             ["analyze", ch_file, "--tol-rank", "1e-9", "--tol-eig", "1e-7",
              "--tol-verify", "1e-7"], capsys)
         assert code == 0
+
+
+class TestBadOptions:
+    @pytest.mark.parametrize("command", ["gen", "analyze", "certify", "normal-form"])
+    @pytest.mark.parametrize("options, env, named", [
+        (["--tol-eig", "-1"], None, "eps_eig"),
+        (["--tol-eig", "nan"], None, "eps_eig"),
+        (["--tol-verify", "0"], None, "eps_verify"),
+        (["--seed", "-3"], None, "seed"),
+        ([], "abc", "EBCERT_SEED"),
+    ], ids=["negative-tol", "nan-tol", "zero-tol", "negative-seed", "env-seed"])
+    def test_bad_option_is_input_error(self, tmp_path, capsys, monkeypatch, command,
+                                       options, env, named):
+        ch_file = tmp_path / "sc.json"
+        run(["gen", "schur-complement", "--n", "2", "--m", "2", "--out", ch_file], capsys)
+        if env is not None:
+            monkeypatch.setenv("EBCERT_SEED", env)
+        out = tmp_path / "out.json"
+        target = (["depolarizing", "--n", "2", "--out", out] if command == "gen"
+                  else [ch_file])
+        code, stdout, stderr = run([command, *target, *options], capsys)
+        assert code == 2
+        assert stderr.startswith("error: ") and named in stderr
+        assert stdout == ""
+        assert not out.exists()

@@ -40,6 +40,10 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(**{field: 0.0})
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            ToleranceConfig(seed=-3)
+
     def test_rng_is_deterministic_and_salted(self):
         t = ToleranceConfig(seed=5)
         a = t.rng(1).standard_normal(4)
