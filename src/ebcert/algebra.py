@@ -117,6 +117,11 @@ def _span_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 # random probes X of the bilinear domain conditions, drawn from salt 0xA15E
 _DOMAIN_PROBES = 3
+# element budget of apply's intermediate in _verify_domain's grouped
+# bilinear checks, group * (_DOMAIN_PROBES + r) * d * k * d complex entries
+# (1 MB): the whole basis is one group at d = k = r = 6, one element per
+# group from d = k = r = 16 on
+_VERIFY_BUDGET = 1 << 16
 
 
 def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
@@ -151,13 +156,16 @@ def _norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(mats, axis=(-2, -1))
 
 
-def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> None:
+def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> float:
     """Check the adjoint-product criterion psi(A A*) = psi(A) psi(A*), and
     its mirror, on every basis element A at eps_verify; then the bilinear
     conditions psi(A X) = psi(A) psi(X) and psi(X A) = psi(X) psi(A) for
     every basis element A against _DOMAIN_PROBES random probes and every
-    basis element X, at eps_verify max(1, |A| |X|).  The applies are
-    batched over the basis stack, one left factor at a time."""
+    basis element X, at eps_verify max(1, |A| |X|).  The bilinear applies
+    take groups of left factors, one apply per side on each group's
+    (group x (_DOMAIN_PROBES + r)) product stack, with the group as large
+    as _VERIFY_BUDGET allows for apply's intermediate and at least one
+    element.  Returns the largest bilinear residual."""
     d = psi.input_dim
     rng = t.rng(0xA15E)
     probes = np.stack([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -175,14 +183,26 @@ def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> None:
         )
     others = np.concatenate([probes, basis])
     other_images = np.concatenate([psi.apply(probes), images])
-    other_norms = _norms(others)
-    for a, image in zip(basis, images):
-        res = np.maximum(_norms(psi.apply(a @ others) - image @ other_images),
-                         _norms(psi.apply(others @ a) - other_images @ image))
-        if np.any(res > t.eps_verify * np.maximum(1.0, frob(a) * other_norms)):
+    bounds = t.eps_verify * np.maximum(1.0, _norms(basis)[:, None] * _norms(others))
+    s = len(others)
+    group = max(1, _VERIFY_BUDGET // (s * d * len(psi) * d))
+
+    def applied(products):  # psi on each matrix of a (group, s, d, d) stack
+        return psi.apply(products.reshape(-1, d, d)).reshape(products.shape)
+
+    worst = 0.0
+    for g in range(0, len(basis), group):
+        a, image = basis[g:g + group, None], images[g:g + group, None]
+        res = np.maximum(_norms(applied(a @ others) - image @ other_images),
+                         _norms(applied(others @ a) - other_images @ image))
+        failed = np.any(res > bounds[g:g + group], axis=1)
+        if np.any(failed):
+            first = res[np.argmax(failed)]
             raise VerificationFailure(
-                f"bilinear multiplicativity fails, residual {float(np.max(res)):.3e}"
+                f"bilinear multiplicativity fails, residual {float(np.max(first)):.3e}"
             )
+        worst = max(worst, float(np.max(res)))
+    return worst
 
 
 def center(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> np.ndarray:

@@ -51,6 +51,7 @@ from .numerics import (
     to_pairs,
     unvec,
     vec,
+    write_json,
 )
 
 
@@ -475,8 +476,7 @@ def channel_from_json_dict(data: dict, tol: ToleranceConfig | None = None) -> Kr
 
 def save_channel(channel: CPMap, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_json_dict(channel), fh, indent=2)
-        fh.write("\n")
+        write_json(fh, channel_to_json_dict(channel))
 
 
 def load_channel(path, tol: ToleranceConfig | None = None) -> KrausChannel:

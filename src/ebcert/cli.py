@@ -1,17 +1,19 @@
 """Batch command-line front end: generate, analyze, certify, and report on
 channels stored as JSON files.
 
-Exit codes are a stable contract: 0 success, 2 input error, 4 refuted
-(not entanglement breaking), 5 out of scope (Choi matrix not a projection),
-3 numerical inconsistency.  Several input files are processed one after
-another, in input order, and the exit code is the first nonzero one in that
-order.
+Exit codes are a stable contract: 0 success, 2 input error (an unreadable
+input or an unwritable output path), 4 refuted (not entanglement breaking),
+5 out of scope (Choi matrix not a projection), 3 numerical inconsistency.
+Several input files are processed one after another, in input order, and the
+exit code is the first nonzero one in that order.
+
+Every JSON document, printed or written, is one compact line, so the JSON
+format prints one document per input file, one per line (JSON Lines).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -34,7 +36,7 @@ from .errors import (
     NotEntanglementBreaking,
     OutOfScope,
 )
-from .numerics import ToleranceConfig, frob, to_pairs
+from .numerics import ToleranceConfig, frob, to_pairs, write_json
 from .zoo import (
     depolarizing,
     random_channel,
@@ -186,7 +188,11 @@ def _cmd_gen(args, tol: ToleranceConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out = args.out if args.out is not None else Path(f"{stem}.json")
-    save_channel(channel, out)
+    try:
+        save_channel(channel, out)
+    except OSError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     print(f"{out}: {args.family} channel, {channel.input_dim}x{channel.input_dim} -> "
           f"{channel.output_dim}x{channel.output_dim}, {len(channel)} Kraus operators, "
           f"tp residual {channel.tp_residual:.3e}, seed {tol.seed}")
@@ -284,7 +290,7 @@ def _emit(results: list[tuple[dict, int]], fmt: str, print_text) -> int:
     nonzero exit code, or EXIT_OK."""
     for report, _ in results:
         if fmt == "json":
-            print(json.dumps(report, indent=2))
+            write_json(sys.stdout, report)
         else:
             print_text(report)
     return next((code for _, code in results if code != EXIT_OK), EXIT_OK)
@@ -298,6 +304,11 @@ def _cmd_analyze(args, tol: ToleranceConfig) -> int:
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
+
+def _write_file(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(fh, obj)
+
 
 def _certify_file(path: Path, tol: ToleranceConfig, out: Path | None) -> tuple[dict, int]:
     report: dict = {"file": str(path)}
@@ -321,10 +332,13 @@ def _certify_file(path: Path, tol: ToleranceConfig, out: Path | None) -> tuple[d
         report["error"] = f"numerical: {exc}"
         return report, EXIT_NUMERICAL
     cert_path = out if out is not None else path.with_suffix(".cert.json")
-    with open(cert_path, "w", encoding="utf-8") as fh:
-        json.dump(cert.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-    report["certificate"] = cert.to_json_dict()
+    cert_dict = cert.to_json_dict()
+    try:
+        _write_file(cert_path, cert_dict)
+    except OSError as exc:
+        report["error"] = f"output: {exc}"
+        return report, EXIT_INPUT
+    report["certificate"] = cert_dict
     report["certificate_file"] = str(cert_path)
     report["timings"] = {"certify_seconds": time.perf_counter() - t0}
     return report, EXIT_OK
@@ -393,11 +407,13 @@ def _cmd_normal_form(args, tol: ToleranceConfig) -> int:
         "residual": {"value": form.residual, "tolerance": tol.eps_verify},
     }
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(dump, fh, indent=2)
-            fh.write("\n")
+        try:
+            _write_file(args.out, dump)
+        except OSError as exc:
+            print(f"error: output: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     if args.format == "json":
-        print(json.dumps(dump, indent=2))
+        write_json(sys.stdout, dump)
     else:
         n = form.correlation.shape[0]
         print(f"== {args.file}")

@@ -14,12 +14,13 @@ stack of matrices to the (s, rows cols) stack of their vec's and back, so
 this module is the only place that spells the convention out.
 
 Complex arrays are written to JSON as nested lists of ``[re, im]`` pairs
-(:func:`to_pairs`, :func:`from_pairs`), and integer fields are read with
-:func:`json_int`.
+(:func:`to_pairs`, :func:`from_pairs`), integer fields are read with
+:func:`json_int`, and every document is written by :func:`write_json`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -247,6 +248,13 @@ def random_hermitian_in_span(basis, seed) -> np.ndarray:
 def to_pairs(a) -> list:
     """Nested lists of [re, im] pairs in the shape of the array."""
     return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+
+
+def write_json(fh, obj) -> None:
+    """Write one JSON document as a single compact line.  ``json.dumps``
+    without ``indent`` is the one call that reaches the C encoder;
+    ``json.dump`` and any ``indent`` run the pure-Python one."""
+    fh.write(json.dumps(obj) + "\n")
 
 
 def json_int(value, name: str) -> int:

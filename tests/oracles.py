@@ -6,12 +6,15 @@ produced them.  The commutant and the span intersection are the d^2 x d^2
 route to an algebra's center, kept as the reference for the library's
 coefficient-space solve; :func:`fixed_point_domain` is the d^2 x d^2 route
 to a multiplicative domain, kept as the reference for the library's build
-from interaction elements.
+from interaction elements; :func:`verify_domain_per_element` is the
+one-left-factor-at-a-time form of the domain's post-verification, kept as
+the reference for the library's grouped checks.
 """
 
 import numpy as np
 
 from ebcert import MatrixAlgebra, complement_from_kraus, nullspace, random_unitary, unvec, vec
+from ebcert.errors import VerificationFailure
 from ebcert.numerics import relative_rank
 
 
@@ -142,6 +145,46 @@ def fixed_point_domain(psi, tol):
     transfer = transfer_matrix(psi.kraus)
     fixed = nullspace(transfer.conj().T @ transfer - np.eye(d * d), tol, cutoff=tol.eps_rank)
     return algebra_from_span(unvec(fixed.T, d, d), tol)
+
+
+def verify_domain_per_element(psi, alg, tol):
+    """The checks of the library's domain verification, with the bilinear
+    applies taken one left factor at a time: the adjoint-product criterion
+    and its mirror on every basis element, then psi(A X) = psi(A) psi(X)
+    and psi(X A) = psi(X) psi(A) for every basis element A against the same
+    three seeded probes and every basis element X, at eps_verify
+    max(1, |A| |X|).  Returns the largest bilinear residual."""
+    def norms(mats):
+        return np.linalg.norm(mats, axis=(-2, -1))
+
+    d = psi.input_dim
+    rng = tol.rng(0xA15E)
+    probes = np.stack([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                       for _ in range(3)])
+    probes /= np.maximum(norms(probes), 1.0)[:, None, None]
+    basis = alg.basis
+    adjoints = basis.conj().transpose(0, 2, 1)
+    images, adjoint_images = psi.apply(basis), psi.apply(adjoints)
+    res = float(np.max(np.maximum(
+        norms(psi.apply(basis @ adjoints) - images @ adjoint_images),
+        norms(psi.apply(adjoints @ basis) - adjoint_images @ images))))
+    if res > tol.eps_verify:
+        raise VerificationFailure(
+            f"adjoint-product criterion fails on a basis element, residual {res:.3e}"
+        )
+    others = np.concatenate([probes, basis])
+    other_images = np.concatenate([psi.apply(probes), images])
+    other_norms = norms(others)
+    worst = 0.0
+    for a, image in zip(basis, images):
+        res = np.maximum(norms(psi.apply(a @ others) - image @ other_images),
+                         norms(psi.apply(others @ a) - other_images @ image))
+        if np.any(res > tol.eps_verify * np.maximum(1.0, np.linalg.norm(a) * other_norms)):
+            raise VerificationFailure(
+                f"bilinear multiplicativity fails, residual {float(np.max(res)):.3e}"
+            )
+        worst = max(worst, float(np.max(res)))
+    return worst
 
 
 def subspace_gap(first, second):

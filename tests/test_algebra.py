@@ -4,6 +4,7 @@ import pytest
 from ebcert import (
     CPMap,
     KrausChannel,
+    MatrixAlgebra,
     ToleranceConfig,
     center,
     complement_adjoint,
@@ -13,7 +14,13 @@ from ebcert import (
     rank_one_resolution,
     structure,
 )
-from ebcert.algebra import _domain_blocks, commutant_from_elements, interaction_blocks
+from ebcert import algebra
+from ebcert.algebra import (
+    _domain_blocks,
+    _verify_domain,
+    commutant_from_elements,
+    interaction_blocks,
+)
 from ebcert.errors import NotMultiplicityFree, NotUnitalOrNotTP, VerificationFailure
 from ebcert.zoo import (
     depolarizing,
@@ -32,6 +39,7 @@ from oracles import (
     random_complex_matrix,
     span_projector,
     subspace_gap,
+    verify_domain_per_element,
 )
 
 
@@ -162,11 +170,14 @@ class TestMultiplicativeDomain:
 
     def test_verification_rejects_a_span_beyond_the_domain(self, tol):
         # complete dephasing on M_2 has the diagonal matrices as its domain;
-        # the off-diagonal units of full M_2 break the adjoint-product criterion
-        from ebcert.algebra import _verify_domain
-
-        with pytest.raises(VerificationFailure):
-            _verify_domain(schur_channel(np.eye(2), tol), full_algebra(2, tol), tol)
+        # the off-diagonal units of full M_2 break the adjoint-product
+        # criterion, here and in the per-element reference
+        psi, alg = schur_channel(np.eye(2), tol), full_algebra(2, tol)
+        with pytest.raises(VerificationFailure) as reference:
+            verify_domain_per_element(psi, alg, tol)
+        with pytest.raises(VerificationFailure) as grouped:
+            _verify_domain(psi, alg, tol)
+        assert str(grouped.value) == str(reference.value)
 
     def test_domain_satisfies_bilinear_conditions(self, tol):
         ch = schur_channel(np.eye(3), tol)  # dephasing, domain = diagonal
@@ -286,6 +297,47 @@ class TestCommutantFromElements:
         assert dom.dimension == reference.dimension
         assert subspace_gap(reference.basis, dom.basis) <= 1e-10
         assert pairs == structure(reference, tol).pairs()
+
+
+VERIFY_FIXTURES = [p for p in ORACLE_FIXTURES if not p.id.startswith("generic")]
+
+
+class TestVerifyDomain:
+    """The grouped bilinear checks against the one-left-factor-at-a-time
+    reference in the oracles: same verdicts, same messages, same residuals."""
+
+    @staticmethod
+    def domain(build, tol):
+        psi = complement_adjoint(minimal_kraus(build(tol), tol), tol)
+        return psi, multiplicative_domain(psi, tol)
+
+    @pytest.mark.parametrize("group", [None, 5], ids=["budget", "fives"])
+    @pytest.mark.parametrize("build", VERIFY_FIXTURES)
+    def test_grouped_checks_match_the_reference(self, tol, build, group, monkeypatch):
+        psi, dom = self.domain(build, tol)
+        if group is not None:  # a budget that fits five left factors per group
+            d, r = psi.input_dim, dom.dimension
+            monkeypatch.setattr(algebra, "_VERIFY_BUDGET", group * (3 + r) * d * len(psi) * d)
+        reference = verify_domain_per_element(psi, dom, tol)
+        assert abs(_verify_domain(psi, dom, tol) - reference) <= 1e-14
+
+    @pytest.mark.parametrize("build", [p for p in VERIFY_FIXTURES if p.id.startswith("planted")])
+    def test_both_reject_one_element_moved_off_the_domain(self, tol, build):
+        # A + 1e-6 E with E orthogonal to the domain: the adjoint-product
+        # criterion moves only at second order, the bilinear checks at first
+        psi, dom = self.domain(build, tol)
+        d, r = psi.input_dim, dom.dimension
+        off = random_complex_matrix(d, d, np.random.default_rng(3)).reshape(1, -1)
+        flat = dom.basis.reshape(r, -1)
+        off -= (off @ flat.conj().T) @ flat
+        basis = dom.basis.copy()
+        basis[r // 2] += 1e-6 * (off / np.linalg.norm(off)).reshape(d, d)
+        moved = MatrixAlgebra(basis)
+        with pytest.raises(VerificationFailure, match="bilinear") as reference:
+            verify_domain_per_element(psi, moved, tol)
+        with pytest.raises(VerificationFailure, match="bilinear") as grouped:
+            _verify_domain(psi, moved, tol)
+        assert str(grouped.value) == str(reference.value)
 
 
 class TestCommutant:

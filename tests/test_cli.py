@@ -3,15 +3,41 @@ import json
 import numpy as np
 import pytest
 
-from ebcert import load_channel, save_channel
+from ebcert import (
+    EBCertificate,
+    algebra,
+    channel,
+    channel_to_json_dict,
+    cli,
+    load_channel,
+    save_channel,
+    verify_certificate,
+)
 from ebcert.cli import main
 from ebcert.zoo import redilate_fixture
+
+from oracles import verify_domain_per_element
 
 
 def run(argv, capsys):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def gen_projection_choi(path, n, seed, capsys, planted=True):
+    """A random-projection-choi channel file, planted entanglement breaking
+    or generic."""
+    argv = ["gen", "random-projection-choi", "--n", n, "--m", n, "--seed", seed, "--out", path]
+    code, _, _ = run(argv + (["--ensure-eb"] if planted else []), capsys)
+    assert code == 0
+    return path
+
+
+def write_indented(fh, obj):
+    """The 0.6.0 layout of every JSON document: indent=2, then a newline."""
+    json.dump(obj, fh, indent=2)
+    fh.write("\n")
 
 
 class TestGen:
@@ -143,6 +169,31 @@ class TestAnalyze:
         # reuses them
         assert eigh_calls(wh_file, 4, 3) == (0, 1)
         assert eigh_calls(padded, 12, 5) == (0, 1)
+
+    def test_domain_verification_applies(self, tmp_path, capsys, monkeypatch):
+        # r = 6: five applies for the images and the adjoint-product
+        # criterion, then one per side for the whole basis as one group
+        path = gen_projection_choi(tmp_path / "p.json", 6, 1, capsys)
+        apply, verify = channel.CPMap.apply, algebra._verify_domain
+        calls, inside = [], []
+
+        def counting_apply(self, x):
+            calls.extend(inside)
+            return apply(self, x)
+
+        def tracked_verify(*args):
+            inside.append(1)
+            try:
+                return verify(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(channel.CPMap, "apply", counting_apply)
+        monkeypatch.setattr(algebra, "_verify_domain", tracked_verify)
+        code, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["algebra"]["dimension"] == 6
+        assert len(calls) == 7
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -316,3 +367,120 @@ class TestBadOptions:
         assert stderr.startswith("error: ") and named in stderr
         assert stdout == ""
         assert not out.exists()
+
+
+class TestOutputErrors:
+    """An output path that cannot be written is an input error, exit 2,
+    with an `error: output:` message and no traceback."""
+
+    def test_gen(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code, stdout, stderr = run(["gen", "depolarizing", "--n", "2", "--out", out], capsys)
+        assert code == 2
+        assert stderr.startswith("error: output: ")
+        assert stdout == ""
+
+    def test_certify_reports_per_file_and_runs_the_rest(self, tmp_path, capsys):
+        first = gen_projection_choi(tmp_path / "first.json", 4, 1, capsys)
+        second = gen_projection_choi(tmp_path / "second.json", 4, 2, capsys)
+        (tmp_path / "first.cert.json").mkdir()  # the default certificate path is taken
+        code, stdout, _ = run(["certify", first, second, "--format", "json"], capsys)
+        assert code == 2
+        failed, certified = map(json.loads, stdout.splitlines())
+        assert failed["file"] == str(first) and failed["error"].startswith("output: ")
+        assert certified["file"] == str(second) and "certificate" in certified
+        assert (tmp_path / "second.cert.json").is_file()
+        code, _, stderr = run(["certify", second, "--out", tmp_path / "missing" / "c.json"],
+                              capsys)
+        assert code == 2
+        assert stderr == ""
+
+    def test_normal_form(self, tmp_path, capsys):
+        path = gen_projection_choi(tmp_path / "p.json", 4, 1, capsys)
+        code, stdout, stderr = run(["normal-form", path, "--format", "json",
+                                    "--out", tmp_path / "missing" / "nf.json"], capsys)
+        assert code == 2
+        assert stderr.startswith("error: output: ")
+        assert stdout == ""
+
+
+class TestJsonLayout:
+    """Every JSON document is one compact line from the C encoder; readers
+    take the 0.6.0 indented layout too, and the values are the 0.6.0 ones."""
+
+    def test_no_document_reaches_the_python_encoder(self, tmp_path, capsys, monkeypatch):
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder was used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        path = gen_projection_choi(tmp_path / "p.json", 4, 1, capsys)
+        for argv in (["analyze", path, "--format", "json"],
+                     ["certify", path, "--format", "json"],
+                     ["normal-form", path, "--format", "json", "--out", tmp_path / "nf.json"]):
+            code, stdout, _ = run(argv, capsys)
+            assert code == 0, argv
+            json.loads(stdout)
+
+    @pytest.mark.parametrize("command", ["analyze", "certify"])
+    def test_json_format_prints_one_line_per_file(self, tmp_path, capsys, command):
+        paths = [gen_projection_choi(tmp_path / f"p{seed}.json", 4, seed, capsys)
+                 for seed in range(3)]
+        code, stdout, _ = run([command, *paths, "--format", "json"], capsys)
+        assert code == 0
+        lines = stdout.split("\n")
+        assert len(lines) == 4 and lines[-1] == ""
+        assert [json.loads(line)["file"] for line in lines[:-1]] == [str(p) for p in paths]
+
+    def test_files_are_one_line(self, tmp_path, capsys):
+        path = gen_projection_choi(tmp_path / "p.json", 4, 1, capsys)
+        run(["certify", path, "--out", tmp_path / "c.json"], capsys)
+        for written in (path, tmp_path / "c.json"):
+            text = written.read_text()
+            assert text.endswith("\n") and text.count("\n") == 1
+
+    def test_indented_files_still_load(self, tmp_path, capsys):
+        path = gen_projection_choi(tmp_path / "p.json", 4, 1, capsys)
+        cert_file = tmp_path / "c.json"
+        run(["certify", path, "--out", cert_file], capsys)
+        compact = EBCertificate.from_json_dict(json.loads(cert_file.read_text()))
+        indented_channel = tmp_path / "indented.json"
+        with open(indented_channel, "w", encoding="utf-8") as fh:
+            write_indented(fh, channel_to_json_dict(load_channel(path)))
+        with open(cert_file, "w", encoding="utf-8") as fh:
+            write_indented(fh, compact.to_json_dict())
+        assert cert_file.read_text().count("\n") > 1
+        indented = EBCertificate.from_json_dict(json.loads(cert_file.read_text()))
+        ch = load_channel(indented_channel)
+        assert verify_certificate(indented, ch) == verify_certificate(compact, load_channel(path))
+        code, stdout, _ = run(["certify", indented_channel, "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["certificate"]["eb_rank"] == compact.eb_rank
+
+    @pytest.mark.parametrize("planted", [True, False], ids=["planted", "generic"])
+    def test_documents_keep_their_values(self, tmp_path, capsys, monkeypatch, planted):
+        """Every document parses to what the 0.6.0 writer and the
+        per-element domain verification give, timings aside."""
+        path = tmp_path / "p.json"
+        argvs = [["analyze", path, "--format", "json"],
+                 ["certify", path, "--format", "json", "--out", tmp_path / "c.json"]]
+        written = [path]
+        if planted:
+            argvs.append(["normal-form", path, "--format", "json",
+                          "--out", tmp_path / "nf.json"])
+            written += [tmp_path / "c.json", tmp_path / "nf.json"]
+
+        def documents():
+            gen_projection_choi(path, 6, 2, capsys, planted)
+            docs = []
+            for argv in argvs:
+                _, stdout, _ = run(argv, capsys)
+                docs.append(json.loads(stdout))
+                docs[-1].pop("timings", None)
+            return docs + [json.loads(p.read_text()) for p in written]
+
+        current = documents()
+        assert len(current) == (6 if planted else 3)
+        monkeypatch.setattr(cli, "write_json", write_indented)
+        monkeypatch.setattr(channel, "write_json", write_indented)
+        monkeypatch.setattr(algebra, "_verify_domain", verify_domain_per_element)
+        assert documents() == current
