@@ -14,6 +14,7 @@ format prints one document per input file, one per line (JSON Lines).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -137,6 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tolerance_args(nf)
 
     return parser
+
+
+# built on first use, not at import, and shared by every main call
+_parser = functools.cache(build_parser)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +432,7 @@ def _cmd_normal_form(args, tol: ToleranceConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = _tolerances(args)
     except ValueError as exc:

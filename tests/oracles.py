@@ -7,8 +7,10 @@ route to an algebra's center, kept as the reference for the library's
 coefficient-space solve; :func:`fixed_point_domain` is the d^2 x d^2 route
 to a multiplicative domain, kept as the reference for the library's build
 from interaction elements; :func:`verify_domain_per_element` is the
-one-left-factor-at-a-time form of the domain's post-verification, kept as
-the reference for the library's grouped checks.
+domain's post-verification with every product of two basis elements
+applied, one left factor at a time, kept as the reference for the library's
+gate, which applies only the products with its probes; :func:`schwarz_defects`
+gives the two residuals that the gate's proof relates.
 """
 
 import numpy as np
@@ -148,11 +150,11 @@ def fixed_point_domain(psi, tol):
 
 
 def verify_domain_per_element(psi, alg, tol):
-    """The checks of the library's domain verification, with the bilinear
-    applies taken one left factor at a time: the adjoint-product criterion
-    and its mirror on every basis element, then psi(A X) = psi(A) psi(X)
-    and psi(X A) = psi(X) psi(A) for every basis element A against the same
-    three seeded probes and every basis element X, at eps_verify
+    """The domain verification with every bilinear product applied, one
+    left factor at a time: the adjoint-product criterion and its mirror on
+    every basis element at eps_verify, then psi(A X) = psi(A) psi(X) and
+    psi(X A) = psi(X) psi(A) for every basis element A against the
+    library's three seeded probes and every basis element X, at eps_verify
     max(1, |A| |X|).  Returns the largest bilinear residual."""
     def norms(mats):
         return np.linalg.norm(mats, axis=(-2, -1))
@@ -185,6 +187,23 @@ def verify_domain_per_element(psi, alg, tol):
             )
         worst = max(worst, float(np.max(res)))
     return worst
+
+
+def schwarz_defects(psi, basis):
+    """The largest adjoint-product residual over a basis (criterion and
+    mirror) and the largest bilinear residual between two basis elements,
+    one left factor at a time."""
+    def norms(mats):
+        return np.linalg.norm(mats, axis=(-2, -1))
+
+    adjoints = basis.conj().transpose(0, 2, 1)
+    images, adjoint_images = psi.apply(basis), psi.apply(adjoints)
+    criterion = max(float(np.max(norms(psi.apply(basis @ adjoints) - images @ adjoint_images))),
+                    float(np.max(norms(psi.apply(adjoints @ basis) - adjoint_images @ images))))
+    pairs = max(max(float(np.max(norms(psi.apply(a @ basis) - image @ images))),
+                    float(np.max(norms(psi.apply(basis @ a) - images @ image))))
+                for a, image in zip(basis, images))
+    return criterion, pairs
 
 
 def subspace_gap(first, second):

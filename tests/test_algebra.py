@@ -14,7 +14,6 @@ from ebcert import (
     rank_one_resolution,
     structure,
 )
-from ebcert import algebra
 from ebcert.algebra import (
     _domain_blocks,
     _verify_domain,
@@ -38,6 +37,7 @@ from oracles import (
     intersect_spans,
     random_complex_matrix,
     span_projector,
+    schwarz_defects,
     subspace_gap,
     verify_domain_per_element,
 )
@@ -302,9 +302,23 @@ class TestCommutantFromElements:
 VERIFY_FIXTURES = [p for p in ORACLE_FIXTURES if not p.id.startswith("generic")]
 
 
+def moved_off(dom, offset):
+    """The domain's basis with its middle element moved by offset along a
+    unit direction orthogonal to the domain."""
+    r, d = dom.dimension, dom.ambient_dim
+    off = random_complex_matrix(d, d, np.random.default_rng(3)).reshape(1, -1)
+    flat = dom.basis.reshape(r, -1)
+    off -= (off @ flat.conj().T) @ flat
+    basis = dom.basis.copy()
+    basis[r // 2] += offset * (off / np.linalg.norm(off)).reshape(d, d)
+    return MatrixAlgebra(basis)
+
+
 class TestVerifyDomain:
-    """The grouped bilinear checks against the one-left-factor-at-a-time
-    reference in the oracles: same verdicts, same messages, same residuals."""
+    """The gate, which applies psi to products with three probes only,
+    against the reference in the oracles, which also evaluates every product
+    of two basis elements: same verdicts, and on a domain the same largest
+    residual to 1e-14, as every residual there is rounding."""
 
     @staticmethod
     def domain(build, tol):
@@ -313,31 +327,65 @@ class TestVerifyDomain:
 
     @pytest.mark.parametrize("group", [None, 5], ids=["budget", "fives"])
     @pytest.mark.parametrize("build", VERIFY_FIXTURES)
-    def test_grouped_checks_match_the_reference(self, tol, build, group, monkeypatch):
+    def test_grouped_checks_match_the_reference(self, tol, build, group):
+        # budget: the basis as built; fives: the same span in another
+        # orthonormal basis, each group of five elements turned by a random
+        # unitary, so the elements are no longer matrix units of the blocks
         psi, dom = self.domain(build, tol)
-        if group is not None:  # a budget that fits five left factors per group
-            d, r = psi.input_dim, dom.dimension
-            monkeypatch.setattr(algebra, "_VERIFY_BUDGET", group * (3 + r) * d * len(psi) * d)
+        if group is not None:
+            r, rng = dom.dimension, np.random.default_rng(11)
+            turn = np.zeros((r, r), dtype=complex)
+            for g in range(0, r, group):
+                size = min(group, r - g)
+                turn[g:g + size, g:g + size] = random_unitary(size, rng)
+            dom = MatrixAlgebra(np.tensordot(turn, dom.basis, axes=1))
         reference = verify_domain_per_element(psi, dom, tol)
         assert abs(_verify_domain(psi, dom, tol) - reference) <= 1e-14
 
     @pytest.mark.parametrize("build", [p for p in VERIFY_FIXTURES if p.id.startswith("planted")])
     def test_both_reject_one_element_moved_off_the_domain(self, tol, build):
         # A + 1e-6 E with E orthogonal to the domain: the adjoint-product
-        # criterion moves only at second order, the bilinear checks at first
+        # criterion moves only at second order, the probes at first
         psi, dom = self.domain(build, tol)
-        d, r = psi.input_dim, dom.dimension
-        off = random_complex_matrix(d, d, np.random.default_rng(3)).reshape(1, -1)
-        flat = dom.basis.reshape(r, -1)
-        off -= (off @ flat.conj().T) @ flat
-        basis = dom.basis.copy()
-        basis[r // 2] += 1e-6 * (off / np.linalg.norm(off)).reshape(d, d)
-        moved = MatrixAlgebra(basis)
+        moved = moved_off(dom, 1e-6)
         with pytest.raises(VerificationFailure, match="bilinear") as reference:
             verify_domain_per_element(psi, moved, tol)
-        with pytest.raises(VerificationFailure, match="bilinear") as grouped:
+        with pytest.raises(VerificationFailure, match="bilinear") as gate:
             _verify_domain(psi, moved, tol)
-        assert str(grouped.value) == str(reference.value)
+        assert str(gate.value) == str(reference.value)
+
+    @pytest.mark.parametrize("kraus", [
+        pytest.param(lambda tol: np.stack([np.sqrt(p) * random_unitary(4, s) for s, p in
+                                           enumerate([0.5, 0.3, 0.2])]), id="mixed-unitary"),
+        pytest.param(lambda tol: complement_adjoint(minimal_kraus(
+            random_projection_choi_channel(5, 5, 1, tol, ensure_eb=True), tol), tol).kraus,
+            id="planted-adjoint"),
+    ])
+    def test_defect_factors_through_the_stacked_kraus(self, tol, kraus):
+        # psi(X* Y) - psi(X)* psi(Y) = B_X* B_Y, B_X = (I (x) X)V - V psi(X)
+        # for V the K_i* stacked into a kd x d matrix
+        psi = CPMap(kraus(tol), tol)
+        k, d, _ = psi.kraus.shape
+        v = psi.kraus.conj().transpose(0, 2, 1)
+        rng = np.random.default_rng(4)
+
+        def b(x):
+            return (x @ v - v @ psi.apply(x)).reshape(k * d, d)
+
+        for _ in range(3):
+            x, y = (random_complex_matrix(d, d, rng) for _ in range(2))
+            defect = psi.apply(x.conj().T @ y) - psi.apply(x).conj().T @ psi.apply(y)
+            np.testing.assert_allclose(b(x).conj().T @ b(y), defect, atol=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-4], ids=["built", "moved"])
+    @pytest.mark.parametrize("build", VERIFY_FIXTURES)
+    def test_criterion_bounds_the_basis_products(self, tol, build, offset):
+        # every residual between two basis elements is at most d^(1/4) times
+        # the largest adjoint-product residual; with an element moved by 1e-4
+        # both sit between 1e-9 and 1e-8, far above rounding
+        psi, dom = self.domain(build, tol)
+        criterion, pairs = schwarz_defects(psi, moved_off(dom, offset).basis)
+        assert pairs <= psi.input_dim ** 0.25 * criterion
 
 
 class TestCommutant:

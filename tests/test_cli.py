@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from ebcert import (
     EBCertificate,
+    KrausChannel,
     algebra,
     channel,
     channel_to_json_dict,
@@ -14,7 +16,7 @@ from ebcert import (
     verify_certificate,
 )
 from ebcert.cli import main
-from ebcert.zoo import redilate_fixture
+from ebcert.zoo import random_projection_choi_channel, redilate_fixture
 
 from oracles import verify_domain_per_element
 
@@ -171,8 +173,9 @@ class TestAnalyze:
         assert eigh_calls(padded, 12, 5) == (0, 1)
 
     def test_domain_verification_applies(self, tmp_path, capsys, monkeypatch):
-        # r = 6: five applies for the images and the adjoint-product
-        # criterion, then one per side for the whole basis as one group
+        # r = 6: five applies for the images, the adjoint-product criterion
+        # and the probe images, then one per side for each of the three
+        # probes; no product of two basis elements is applied
         path = gen_projection_choi(tmp_path / "p.json", 6, 1, capsys)
         apply, verify = channel.CPMap.apply, algebra._verify_domain
         calls, inside = [], []
@@ -193,7 +196,37 @@ class TestAnalyze:
         code, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
         assert code == 0
         assert json.loads(stdout)["algebra"]["dimension"] == 6
-        assert len(calls) == 7
+        assert len(calls) == 11
+
+    @pytest.mark.parametrize("n, eps", [(6, 3e-10), (3, 1e-9)])
+    def test_perturbed_documents_match_the_reference_gate(self, tmp_path, capsys, monkeypatch,
+                                                           tol, n, eps):
+        """On planted channels plus eps times a whole-stack complex Gaussian
+        draw, re-normalized to trace preservation, analyze gives the same exit
+        code and document as with the reference domain verification, which
+        also applies every product of two basis elements."""
+        paths = []
+        for seed in range(32):
+            ops = random_projection_choi_channel(n, n, seed, tol, ensure_eb=True).kraus
+            rng = np.random.default_rng(100 + seed)
+            ops = ops + eps * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape))
+            evals, evecs = np.linalg.eigh(np.einsum("kji,kjl->il", ops.conj(), ops))
+            ops = ops @ (evecs / np.sqrt(evals)) @ evecs.conj().T
+            paths.append(tmp_path / f"p{seed}.json")
+            save_channel(KrausChannel(ops, tol), paths[-1])
+
+        def outcomes():
+            out = []
+            for path in paths:
+                code, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
+                doc = json.loads(stdout)
+                doc.pop("timings", None)
+                out.append((code, doc))
+            return out
+
+        shipped = outcomes()
+        monkeypatch.setattr(algebra, "_verify_domain", verify_domain_per_element)
+        assert outcomes() == shipped
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -367,6 +400,23 @@ class TestBadOptions:
         assert stderr.startswith("error: ") and named in stderr
         assert stdout == ""
         assert not out.exists()
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = gen_projection_choi(tmp_path / "p.json", 3, 1, capsys)
+    code, _, _ = run(["analyze", path], capsys)
+    assert code == 0
+    assert built.count("ebcert") == 1
+    assert cli.build_parser() is not cli._parser()
 
 
 class TestOutputErrors:
