@@ -184,9 +184,12 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     sqrt(lambda).  So the minimal Kraus columns are V W_r, for the
     eigenvectors W_r of G above the rank cutoff, phase-fixed: a unitary
     re-dilation of the given list.  The set is checked by the residual of
-    the Choi matrix it rebuilds, |R R* - (R W_r)(R W_r)*| for the
-    triangular factor R of V = QR, which equals |J - V W_r (V W_r)*|;
-    when k >= nm, V is used in place of R.
+    the Choi matrix it rebuilds, |J - V W_r (V W_r)*| = |V P V*| for the
+    Hermitian P = I - W_r W_r*, whose square is tr(P G P G): no unitary W or
+    idempotent P is assumed.  Unlike the Gram-trace route that
+    :func:`~ebcert.numerics.factor_distance` rejects, no terms of size
+    |J|^2 cancel: P is formed first, and tr(P G P G) is itself the squared
+    norm of the small matrix G^(1/2) P G^(1/2).
 
     The cost is O(nm k^2 + k^3) for k Kraus operators, so a list longer
     than nm pays O(k^3) for at most nm nonzero eigenvalues.  A thin SVD of V
@@ -196,7 +199,8 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     t = _tol(tol)
     n, m = channel.input_dim, channel.output_dim
     v = channel.vec_columns()
-    evals, w = hermitian_eig(v.conj().T @ v, t)
+    g = v.conj().T @ v
+    evals, w = hermitian_eig(g, t)
 
     rank = relative_rank(evals, t)
     nonzero = evals[:rank]
@@ -229,15 +233,15 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
             f"projection Choi matrix must have rank {n}, got {rank}"
         )
 
-    # a V no taller than wide is its own shortest factor
-    r = v if len(evals) >= n * m else np.linalg.qr(v, mode="r")
-    kept = r @ w[:, :rank]
-    residual = frob(r @ r.conj().T - kept @ kept.conj().T)
-    if residual > t.eps_verify * max(1.0, n):
+    # |V P V*|^2 = tr(P G P G) = sum of (P G) times its transpose, entrywise
+    kept = w[:, :rank]
+    pg = (np.eye(len(evals)) - kept @ kept.conj().T) @ g
+    residual = np.sqrt(abs(np.sum(pg * pg.T).real))
+    if not residual <= t.eps_verify * max(1.0, n):
         raise VerificationFailure(
             f"minimal Kraus reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    kraus = unvec(phase_fix((v @ w[:, :rank]).T), m, n)
+    kraus = unvec(phase_fix((v @ kept).T), m, n)
     spectrum = np.zeros(n * m)
     spectrum[:len(evals)] = evals[:n * m]
     return ChoiReport(factor=v, choi_rank=rank, classification=classification,
@@ -398,14 +402,15 @@ def classify_complement_adjoint(
     t = _tol(tol)
     if not channel.trace_preserving:
         raise NotTracePreserving(channel.tp_residual, "complement requires a channel")
-    return _classify_complement_adjoint(channel, choi(channel, t), t)
+    return _classify_complement_adjoint(choi(channel, t), t)
 
 
-def _classify_complement_adjoint(channel: KrausChannel, cr: ChoiReport,
-                                 t: ToleranceConfig) -> ComplementAdjointReport:
-    """:func:`classify_complement_adjoint` on the channel's Choi report."""
+def _classify_complement_adjoint(cr: ChoiReport, t: ToleranceConfig) -> ComplementAdjointReport:
+    """:func:`classify_complement_adjoint` on a channel's Choi report."""
     d = cr.choi_rank
-    gram = complement_from_kraus(cr.kraus, t).apply(np.eye(channel.input_dim))
+    # the complement sends I_n to the Gram matrix tr(K_i K_j*) of the minimal set
+    rows = cr.kraus.reshape(d, -1)
+    gram = rows @ rows.conj().T
     alpha = float(np.trace(gram).real) / d
     res_identity = frob(gram - np.eye(d))
     res_scaled = frob(gram - alpha * np.eye(d))

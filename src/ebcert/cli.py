@@ -235,7 +235,7 @@ def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
                 float(v) / channel.input_dim for v in cr.eigenvalues
             ],
         }
-        ca = _classify_complement_adjoint(channel, cr, tol)
+        ca = _classify_complement_adjoint(cr, tol)
         report["complement_adjoint"] = {
             "kind": ca.kind.value,
             "alpha": ca.alpha,

@@ -125,10 +125,10 @@ def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np
         evals, evecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    order = np.argsort(evals, axis=-1)[..., ::-1]
-    # phase_fix works on rows: the eigenvectors, gathered as rows
-    rows = np.take_along_axis(evecs.swapaxes(-1, -2), order[..., None], axis=-2)
-    return np.take_along_axis(evals, order, axis=-1), phase_fix(rows).swapaxes(-1, -2)
+    # eigh returns ascending eigenvalues, so reversing gives the descending
+    # order; phase_fix works on rows, so the eigenvectors are reversed as rows
+    rows = evecs.swapaxes(-1, -2)[..., ::-1, :]
+    return evals[..., ::-1], phase_fix(rows).swapaxes(-1, -2)
 
 
 def factor_distance(a, b) -> float:

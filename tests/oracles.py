@@ -11,11 +11,24 @@ domain's post-verification with every product of two basis elements
 applied, one left factor at a time, kept as the reference for the library's
 gate, which applies only the products with its probes; :func:`schwarz_defects`
 gives the two residuals that the gate's proof relates.
+:func:`qr_reconstruction_residual` is the minimal Kraus reconstruction
+residual through a thin QR of the Choi factor, kept as the reference for
+the library's Gram-matrix route, and :func:`classify_by_complement_apply`
+classifies the complement adjoint by applying the complement to the
+identity, kept as the reference for the library's direct Gram product.
 """
 
 import numpy as np
 
-from ebcert import MatrixAlgebra, complement_from_kraus, nullspace, random_unitary, unvec, vec
+from ebcert import (
+    ComplementAdjointKind,
+    MatrixAlgebra,
+    complement_from_kraus,
+    nullspace,
+    random_unitary,
+    unvec,
+    vec,
+)
 from ebcert.errors import VerificationFailure
 from ebcert.numerics import relative_rank
 
@@ -50,6 +63,33 @@ def minimal_kraus_direct(kraus, n, m, cutoff=1e-10):
         if evals[k] > cutoff * top:
             ops.append(np.sqrt(evals[k]) * evecs[:, k].reshape((m, n), order="F"))
     return ops
+
+
+def qr_reconstruction_residual(v, w, rank):
+    """|J - V W_r (V W_r)*| for the Choi factor V (nm x k) and the first
+    ``rank`` columns W_r of a k x k eigenbasis w of its Gram matrix, as
+    |R R* - (R W_r)(R W_r)*| for the triangular factor R of V = QR; when
+    k >= nm, V is used in place of R."""
+    r = v if w.shape[0] >= v.shape[0] else np.linalg.qr(v, mode="r")
+    kept = r @ w[:, :rank]
+    return float(np.linalg.norm(r @ r.conj().T - kept @ kept.conj().T))
+
+
+def classify_by_complement_apply(cr, tol):
+    """(kind, alpha, residual) of the complement adjoint from a Choi report:
+    the complement of the report's minimal Kraus set applied to I_n, compared
+    with I_d and with alpha I_d, alpha its mean diagonal entry."""
+    n = cr.kraus.shape[2]
+    d = cr.choi_rank
+    gram = complement_from_kraus(cr.kraus, tol).apply(np.eye(n))
+    alpha = float(np.trace(gram).real) / d
+    res_identity = float(np.linalg.norm(gram - np.eye(d)))
+    res_scaled = float(np.linalg.norm(gram - alpha * np.eye(d)))
+    if res_identity <= tol.eps_verify:
+        return ComplementAdjointKind.TRACE_PRESERVING, 1.0, res_identity
+    if res_scaled <= tol.eps_verify * max(1.0, abs(alpha)):
+        return ComplementAdjointKind.TRACE_STABILIZING, alpha, res_scaled
+    return ComplementAdjointKind.NEITHER, None, res_scaled
 
 
 def rank_one_pair_objective(k1, k2, thetas, phis):

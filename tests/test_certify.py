@@ -430,6 +430,51 @@ class TestCertify:
         assert eigh_calls(lambda: classify_complement_adjoint(scaled, tol), 25, 15) == (0, 1)
         assert eigh_calls(lambda: eb_rank(scaled, tol), 25, 15) == (0, 1)
 
+    def test_only_the_certificate_check_runs_a_qr(self, tol, monkeypatch):
+        from ebcert import classify_complement_adjoint
+
+        planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
+        generic = random_projection_choi_channel(6, 6, 2, tol)
+        scaled = werner_holevo(5, tol)  # k = 15 < nm = 25
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        def qr_calls(run):
+            calls.clear()
+            run()
+            return len(calls)
+
+        def refute():
+            with pytest.raises(NotEntanglementBreaking):
+                certify(generic, tol)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        assert qr_calls(lambda: choi(scaled, tol)) == 0
+        assert qr_calls(lambda: classify_complement_adjoint(scaled, tol)) == 0
+        assert qr_calls(lambda: eb_rank(scaled, tol)) == 0
+        assert qr_calls(refute) == 0
+        # the factor_distance of verify_certificate
+        assert qr_calls(lambda: certify(planted, tol)) == 1
+
+    def test_complement_adjoint_classification_applies_nothing(self, tol, monkeypatch):
+        from ebcert import classify_complement_adjoint
+
+        scaled = werner_holevo(5, tol)
+        calls = []
+        apply = CPMap.apply
+
+        def counting_apply(self, x):
+            calls.append(1)
+            return apply(self, x)
+
+        monkeypatch.setattr(CPMap, "apply", counting_apply)
+        classify_complement_adjoint(scaled, tol)
+        assert len(calls) == 0
+
     def test_certify_forms_no_choi_matrix(self, tol, monkeypatch):
         planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
         generic = random_projection_choi_channel(6, 6, 2, tol)

@@ -1,4 +1,6 @@
+import importlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from ebcert import (
     redilate,
     save_channel,
 )
-from ebcert.errors import DimensionMismatch, NotMinimalKraus, NotTracePreserving
+from ebcert.errors import DimensionMismatch, NotMinimalKraus, NotTracePreserving, VerificationFailure
 from ebcert.numerics import random_isometry
 from ebcert.zoo import (
     depolarizing,
@@ -40,7 +42,17 @@ from ebcert.zoo import (
     werner_holevo,
 )
 
-from oracles import apply_kraus, direct_choi, random_complex_matrix, random_density, transfer_matrix
+from oracles import (
+    apply_kraus,
+    classify_by_complement_apply,
+    direct_choi,
+    qr_reconstruction_residual,
+    random_complex_matrix,
+    random_density,
+    transfer_matrix,
+)
+
+CHANNEL = importlib.import_module("ebcert.channel")
 
 
 def matrix_unit(n, i, j):
@@ -222,6 +234,55 @@ class TestChoi:
         pivots = flat[np.arange(rep.choi_rank), np.argmax(np.abs(flat), axis=1)]
         np.testing.assert_allclose(pivots.imag, 0.0, atol=1e-15)
         assert np.all(pivots.real > 0)
+
+    def test_nan_eigenbasis_fails_verification(self, tol, monkeypatch):
+        ch = werner_holevo(3, tol)
+        eig = CHANNEL.hermitian_eig
+
+        def nan_eigenbasis(a, t):
+            evals, w = eig(a, t)
+            return evals, np.full_like(w, np.nan)
+
+        monkeypatch.setattr(CHANNEL, "hermitian_eig", nan_eigenbasis)
+        with pytest.raises(VerificationFailure, match="reconstruction residual"):
+            choi(ch, tol)
+
+    @pytest.mark.parametrize("variant, n, m, k, rank", [
+        (variant, *case)
+        for variant in ("true", "swap", "scaled", "mixed")
+        for case in ((2, 3, 4, 4), (3, 3, 5, 3),  # k < nm
+                     (2, 2, 4, 4), (2, 3, 6, 2),  # k = nm
+                     (2, 2, 7, 4), (2, 2, 9, 2))  # k > nm
+        # a full-rank basis has no dropped column to swap
+        if variant != "swap" or case[3] < case[2]
+    ])
+    def test_residual_check_matches_the_qr_route(self, tol, monkeypatch, variant, n, m, k, rank):
+        # a factor V = vec(K_i) of the given rank, scaled to |V|^2 = n
+        rng = np.random.default_rng([n, m, k, rank])
+        flat = random_complex_matrix(k, rank, rng) @ random_complex_matrix(rank, m * n, rng)
+        ch = CPMap(flat.reshape(k, m, n) * np.sqrt(n) / np.linalg.norm(flat), tol)
+        v = ch.vec_columns()
+        eig = CHANNEL.hermitian_eig
+        evals, w = eig(v.conj().T @ v, tol)
+        if variant == "swap":
+            w = w.copy()
+            w[:, [rank - 1, rank]] = w[:, [rank, rank - 1]]
+        elif variant == "scaled":
+            w = w * (1 + 1e-6)
+        elif variant == "mixed":
+            w = w @ random_unitary(k, rng)
+        monkeypatch.setattr(CHANNEL, "hermitian_eig", lambda a, t: (evals, w))
+
+        expected = qr_reconstruction_residual(v, w, rank)
+        if expected <= tol.eps_verify * max(1, n):
+            assert choi(ch, tol).choi_rank == rank
+            assert variant in ("true", "mixed")
+            return
+        with pytest.raises(VerificationFailure) as err:
+            choi(ch, tol)
+        assert variant != "true"
+        reported = float(re.search(r"residual (\S+) exceeds", str(err.value)).group(1))
+        assert reported == pytest.approx(expected, rel=1e-2)
 
 
 class TestMinimalKraus:
@@ -431,6 +492,26 @@ class TestClassifyComplementAdjoint:
     def test_generic_channel_is_neither(self, tol):
         report = classify_complement_adjoint(random_channel(3, 3, 2, 51, tol), tol)
         assert report.kind is ComplementAdjointKind.NEITHER
+
+    @pytest.mark.parametrize("make", [
+        lambda tol: werner_holevo(4, tol),
+        lambda tol: depolarizing(3, tol),
+        lambda tol: identity_channel(3, tol),
+        lambda tol: random_projection_choi_channel(4, 4, 1, tol, ensure_eb=True),
+        lambda tol: random_projection_choi_channel(4, 4, 2, tol),
+        lambda tol: random_schur_complement_channel(4, 7, 52, tol),  # n != m
+        lambda tol: random_channel(3, 3, 2, 53, tol),
+    ])
+    def test_matches_the_complement_applied_to_the_identity(self, tol, make):
+        ch = make(tol)
+        kind, alpha, residual = classify_by_complement_apply(choi(ch, tol), tol)
+        report = classify_complement_adjoint(ch, tol)
+        assert report.kind is kind
+        if alpha is None:
+            assert report.alpha is None
+        else:
+            assert report.alpha == pytest.approx(alpha, abs=1e-13)
+        assert report.residual == pytest.approx(residual, abs=1e-13)
 
 
 class TestKrausChoiceInvariance:
