@@ -11,10 +11,11 @@ generic Hermitian elements a, b of span{L_b L_a*} decide that: a relative
 commutator |ab - ba| / (|a| |b|) above sqrt(eps_eig) refutes, with the
 domain's block pairs read from the two elements; otherwise the eigenvectors
 w_i of one element give rank-one projections in the domain resolving the
-identity, and they recombine the minimal Kraus operators into rank-one ones,
-certifying entanglement breaking at length equal to the Choi rank.  The
-certificate's only acceptance check is :func:`verify_certificate`, which
-re-checks every invariant from scratch, and a refutation is cross-checked
+identity, and they recombine the minimal Kraus operators into rank-one ones
+u_i v_i*, u_i from one power step, certifying entanglement breaking at length
+equal to the Choi rank.  The only acceptance gate is the checks of
+:func:`verify_certificate`, run on the minimal Kraus set certify already holds
+(the standalone function rebuilds it), and a refutation is cross-checked
 against the partial-transpose criterion, an independent oracle that plays no
 part in the decision itself, by a matrix-free search for a negative
 direction (:func:`npt_witness`).  Neither the domain, nor any d^2 x d^2
@@ -228,39 +229,47 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
             witness_quotient=None if witness is None else witness.quotient,
             witness_bound=None if witness is None else witness.bound)
 
-    # op_i = u_i v_i* for u_i the top left singular vector of op_i, its
-    # phase fixed so certificates are reproducible; that op_i has rank one
-    # is for verify_certificate to check
+    # op_i = u_i v_i*; that op_i has rank one is for the gate to check
     w = common_eigenbasis(elements, t)
     ops = combine_kraus(minimal.kraus, w.conj())
-    u = phase_fix(np.linalg.svd(ops, full_matrices=False)[0][:, :, 0])
+    u = _left_vectors(ops)
     v = np.einsum("imn,im->in", ops.conj(), u)
 
     cert = EBCertificate(w=w, v=v, u=u, residuals={})
-    residuals = verify_certificate(cert, channel, t)
+    residuals = _certificate_residuals(cert, channel, minimal.kraus, t)
     return dataclasses.replace(cert, residuals=residuals)
+
+
+def _left_vectors(ops: np.ndarray) -> np.ndarray:
+    """One power step op op* c from each operator's largest column c, normalized and
+    phase fixed so certificates are reproducible; zero for a zero operator."""
+    c = ops[np.arange(len(ops)), :, np.argmax(np.linalg.norm(ops, axis=1), axis=1)]
+    y = np.einsum("imn,in->im", ops, np.einsum("imn,im->in", ops.conj(), c))
+    norms = np.linalg.norm(y, axis=1, keepdims=True)
+    return phase_fix(np.divide(y, norms, out=np.zeros_like(y), where=norms > 0))
 
 
 def verify_certificate(cert: EBCertificate, channel: KrausChannel,
                        tol: ToleranceConfig | None = None) -> dict[str, float]:
-    """Re-check every certificate invariant from scratch, independently of
-    how the certificate was assembled; :func:`certify` accepts a
-    certificate only here.  Returns the measured residuals and raises
-    VerificationFailure when one is not within its bound, NaN included."""
-    t = _tol(tol)
-    n, m = channel.input_dim, channel.output_dim
-    d = cert.choi_rank
-    minimal = minimal_kraus(channel, t)
+    """Re-check every certificate invariant against the minimal Kraus set
+    rebuilt from the channel, the checks :func:`certify` accepts through.
+    Returns the residuals; raises VerificationFailure on one out of bound or NaN."""
+    return _certificate_residuals(cert, channel, minimal_kraus(channel, tol).kraus, _tol(tol))
+
+
+def _certificate_residuals(cert: EBCertificate, channel: KrausChannel,
+                           minimal: np.ndarray, t: ToleranceConfig) -> dict[str, float]:
+    """The checks of :func:`verify_certificate` against ``minimal``, the
+    channel's (d, m, n) minimal Kraus stack as :func:`choi` builds it."""
+    n, d = channel.input_dim, cert.choi_rank
     if len(minimal) != d:
-        raise VerificationFailure(
-            f"certificate claims Choi rank {d}, channel has {len(minimal)}"
-        )
+        raise VerificationFailure(f"certificate claims Choi rank {d}, channel has {len(minimal)}")
 
     w, v, u = cert.w, cert.v, cert.u
     residuals: dict[str, float] = {}
     residuals["resolution"] = frob(w.T @ w.conj() - np.eye(d))
     # the complement adjoint of a dyad: psi(w w*) = A* A for A = sum_j conj(w_j) K_j
-    combined = combine_kraus(minimal.kraus, w.conj())
+    combined = combine_kraus(minimal, w.conj())
     images = combined.conj().transpose(0, 2, 1) @ combined
     residuals["adjoint_rank_one"] = float(np.max(np.linalg.norm(
         images - _dyads(v, v), axis=(1, 2))))

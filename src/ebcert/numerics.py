@@ -203,7 +203,8 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     so its largest-modulus entry is real positive.  Zero vectors are
     returned unchanged."""
     v = np.asarray(v, dtype=complex)
-    pivots = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    flat = v.reshape(-1, v.shape[-1])
+    pivots = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)].reshape(*v.shape[:-1], 1)
     # np.hypot, unlike np.abs on an array, matches the scalar abs bit for bit
     moduli = np.hypot(pivots.real, pivots.imag)
     return v * np.divide(moduli, pivots, out=np.ones_like(pivots), where=moduli > 0)

@@ -4,8 +4,8 @@ All generators are pure and seed-deterministic.  Entrywise-product (Schur)
 channels and their complements come with the Gram data that produced them so
 tests can round-trip the pair; the projection-Choi sampler produces generic
 instances by operator Sinkhorn scaling and can plant entanglement-breaking
-ones on request, since a generic projection-Choi channel is not
-entanglement breaking.
+ones on request: a generic one with m >= 3 is not entanglement breaking (at
+m = 2 every draw tried certifies, for a reason not proved here).
 """
 
 from __future__ import annotations
@@ -197,11 +197,11 @@ def random_projection_choi_channel(n: int, m: int, seed,
     L_a and scales them alternately to sum L_a* L_a = I and
     sum L_a L_a* = I (operator Sinkhorn scaling) until the second holds to
     well below eps_verify; the complement of {L_a} is then trace preserving
-    with trace-orthonormal Kraus operators.  Generic samples are almost
-    surely *not* entanglement breaking; with ``ensure_eb`` the sampler
-    instead plants a unitarily twirled rank-one Kraus channel, which is
-    entanglement breaking by construction, so both kinds of instance are
-    available for certifier testing.
+    with trace-orthonormal Kraus operators.  Generic samples with m >= 3 are
+    almost surely *not* entanglement breaking (every m = 2 draw tried
+    certifies, for a reason not proved here); ``ensure_eb`` instead plants a
+    unitarily twirled rank-one Kraus channel, entanglement breaking by
+    construction, so both kinds of instance are available for certifier testing.
     """
     t = _tol(tol)
     if n < 1 or m < 1:

@@ -16,15 +16,20 @@ residual through a thin QR of the Choi factor, kept as the reference for
 the library's Gram-matrix route, and :func:`classify_by_complement_apply`
 classifies the complement adjoint by applying the complement to the
 identity, kept as the reference for the library's direct Gram product.
+:func:`top_left_singular_vectors` takes a certificate's output vectors from
+an SVD, the reference for the library's power step, and
+:func:`perturbed_planted` is the perturbed-sweep input both are compared on.
 """
 
 import numpy as np
 
 from ebcert import (
     ComplementAdjointKind,
+    KrausChannel,
     MatrixAlgebra,
     complement_from_kraus,
     nullspace,
+    random_projection_choi_channel,
     random_unitary,
     unvec,
     vec,
@@ -287,6 +292,24 @@ def random_density(n, rng):
 
 def random_complex_matrix(rows, cols, rng):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def top_left_singular_vectors(ops):
+    """The top left singular vector of each operator of an (r, m, n) stack,
+    rotated by a phase so its largest-modulus entry is real positive."""
+    left = np.linalg.svd(ops)[0][:, :, 0]
+    pivots = left[np.arange(len(left)), np.argmax(np.abs(left), axis=1)]
+    return left * (np.abs(pivots) / pivots)[:, None]
+
+
+def perturbed_planted(n, eps, seed, tol):
+    """A planted entanglement-breaking n x n channel plus eps times one
+    whole-stack complex Gaussian draw, re-normalized by (sum K*K)^(-1/2)."""
+    ops = random_projection_choi_channel(n, n, seed, tol, ensure_eb=True).kraus
+    rng = np.random.default_rng(100 + seed)
+    ops = ops + eps * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape))
+    evals, evecs = np.linalg.eigh(np.einsum("kji,kjl->il", ops.conj(), ops))
+    return KrausChannel(ops @ (evecs / np.sqrt(evals)) @ evecs.conj().T, tol)
 
 
 def _inverse_sqrt(gram):

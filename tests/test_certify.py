@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -52,7 +53,13 @@ from ebcert.zoo import (
     werner_holevo,
 )
 
-from oracles import block_unital_complement, direct_choi, random_complex_matrix
+from oracles import (
+    block_unital_complement,
+    direct_choi,
+    perturbed_planted,
+    random_complex_matrix,
+    top_left_singular_vectors,
+)
 
 
 def unit_columns(m, n, seed):
@@ -392,8 +399,8 @@ class TestCertify:
         cert = certify(ch, tol)
         assert cert.eb_rank == cert.choi_rank == j * len(sizes)
 
-    def test_one_choi_spectrum_per_call(self, tol, monkeypatch):
-        from ebcert import classify_complement_adjoint
+    def test_one_choi_spectrum_per_call(self, tol, tmp_path, monkeypatch):
+        from ebcert import classify_complement_adjoint, cli
 
         # presentations with k = 8 Kraus operators, so the k x k Gram
         # spectra stand apart from the d x d = 6 x 6 interaction elements
@@ -419,10 +426,17 @@ class TestCertify:
             with pytest.raises(NotEntanglementBreaking):
                 certify(generic, tol)
 
+        def cli_certify():
+            path = tmp_path / "planted.json"
+            save_channel(planted, path)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["certify", "--format", "json", str(path)]) == 0
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        # no Choi matrix is decomposed; the pipeline's Gram spectrum plus
-        # verify_certificate's own
-        assert eigh_calls(lambda: certify(planted, tol), 36, 8) == (0, 2)
+        # no Choi matrix is decomposed; the pipeline's Gram spectrum, which
+        # certificate verification reuses, through the library and the CLI
+        assert eigh_calls(lambda: certify(planted, tol), 36, 8) == (0, 1)
+        assert eigh_calls(cli_certify, 36, 8) == (0, 1)
         # the pipeline's Gram spectrum; the partial-transpose witness takes
         # its small Ritz values with eigvalsh and its Ritz vector by inverse
         # iteration, so it adds no eigh
@@ -545,6 +559,64 @@ class TestCertifyGate:
         for ch in (random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True),
                    random_schur_complement_channel(6, 6, 1, tol)):
             assert certify(ch, tol).eb_rank == 6
+
+    def test_certify_and_verify_certificate_are_one_gate(self, tol, monkeypatch):
+        # certify checks against the minimal set it built; the public gate
+        # rebuilds that set from the channel and measures the same residuals
+        for ch in (random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True),
+                   random_schur_complement_channel(4, 6, 1, tol),
+                   random_projection_choi_channel(4, 5, 2, tol, ensure_eb=True)):
+            cert = certify(ch, tol)
+            assert verify_certificate(cert, ch, tol) == cert.residuals
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert certify(random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True), tol).r == 6
+        assert calls == []
+
+    @pytest.mark.parametrize("n, eps", [(3, 3e-10), (9, 1e-10)])
+    def test_power_step_matches_the_svd_on_perturbed_inputs(self, tol, monkeypatch, n, eps):
+        # u from one power step against the top left singular vector: the
+        # same seeds certify, with the same factorization residual
+        def factorization_residuals():
+            out = []
+            for seed in range(8):
+                try:
+                    out.append(certify(perturbed_planted(n, eps, seed, tol), tol)
+                               .residuals["factorization"])
+                except VerificationFailure:
+                    out.append(None)
+            return out
+
+        power = factorization_residuals()
+        monkeypatch.setattr(importlib.import_module("ebcert.certify"), "_left_vectors",
+                            top_left_singular_vectors)
+        reference = factorization_residuals()
+        assert [p is None for p in power] == [r is None for r in reference]
+        assert any(p is not None for p in power)
+        for p, r in zip(power, reference):
+            if p is not None:
+                assert abs(p - r) <= 1e-6 * r
+
+    def test_zero_operator_gets_a_zero_vector_and_is_refused(self, tol):
+        module = importlib.import_module("ebcert.certify")
+        ch = random_projection_choi_channel(4, 5, 0, tol, ensure_eb=True)
+        cert = certify(ch, tol)
+        ops = cert.rank_one_kraus.copy()
+        ops[1] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = module._left_vectors(ops)
+        np.testing.assert_array_equal(u[1], 0)
+        np.testing.assert_allclose(u[[0, 2, 3]], cert.u[[0, 2, 3]], rtol=0, atol=1e-12)
+        with pytest.raises(VerificationFailure) as err:
+            verify_certificate(dataclasses.replace(cert, u=u), ch, tol)
+        assert "'unit_norm'" in str(err.value)
 
     @pytest.mark.parametrize("tamper, failing, holding", [
         (mix_two_rows, "factorization", "resolution"),
