@@ -6,12 +6,12 @@ A with F(AX) = F(A)F(X) and F(XA) = F(X)F(A) for all X.  For such maps it is
 the commutant of the algebra generated by the Kraus operators of
 dual(F) o F (Kribs 2003), which is how it is built here: generic Hermitian
 elements of their span give the blocks of that algebra and a basis of its
-commutant (:func:`interaction_elements`, :func:`commutant_from_elements`),
-and no d^2 x d^2 operator is formed.  Because that equality is a cited fact
-rather than one this package re-derives, every built domain is
-post-verified against the adjoint-product criterion F(A A*) = F(A) F(A*)
-and the defining bilinear conditions; a verified failure is reported, never
-accepted.  With F(X) = V*(I (x) X)V, F(X* Y) - F(X)* F(Y) = B_X* B_Y for
+commutant (:func:`interaction_elements`, :func:`_decide`), and no d^2 x d^2
+operator is formed.  Because that equality is a cited fact rather than one
+this package re-derives, every built domain is post-verified against the
+adjoint-product criterion F(A A*) = F(A) F(A*) and the defining bilinear
+conditions; a verified failure is reported, never accepted.  With
+F(X) = V*(I (x) X)V, F(X* Y) - F(X)* F(Y) = B_X* B_Y for
 B_X = (I (x) X)V - V F(X) (Choi 1974), so the criterion on a basis bounds the
 bilinear conditions between basis elements; X need only be random probes.
 
@@ -24,16 +24,16 @@ contains rank-one projections summing to the identity.  The center and span
 membership are solved in the algebra's own coefficient space (see
 :func:`center`).
 
-The certifier takes a shorter route that never forms the domain: generic
-elements of the span decide whether it is multiplicity free (the generated
-algebra is abelian) and give its block pairs (:func:`interaction_blocks`,
-:func:`common_eigenbasis`).
+One routine, :func:`_decide`, reads the interaction elements for the
+certifier and the domain build alike: whether two of them commute decides if
+the domain is multiplicity free, and its eigenvalue clusters give the blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,28 +125,28 @@ def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None) -> Mat
     """Multiplicative domain of a unital trace-preserving CP map.
 
     Built as the commutant of the algebra generated by the Kraus operators
-    P_b* P_a of dual(psi) o psi (see :func:`commutant_from_elements`), then
-    post-verified (see :func:`_verify_domain`); a failed verification raises
-    VerificationFailure.
+    P_b* P_a of dual(psi) o psi, as :func:`_decide` reads it from their
+    interaction elements, then post-verified (see :func:`_verify_domain`);
+    a failed verification raises VerificationFailure.
     """
     return _domain_blocks(psi, _tol(tol))[0]
 
 
 def _domain_blocks(psi: CPMap, t: ToleranceConfig):
-    """:func:`multiplicative_domain` together with the block pairs of the
-    domain, ordered like :meth:`AlgebraStructure.pairs`."""
+    """:func:`multiplicative_domain` with the :func:`_decide` reading of the
+    interaction elements of psi's Kraus operators it is built from."""
     if psi.input_dim != psi.output_dim:
         raise NotUnitalOrNotTP("map must be an endomorphism to be unital and trace preserving")
     if psi.tp_residual > t.eps_verify or psi.unital_residual() > t.eps_verify:
         raise NotUnitalOrNotTP(
             f"tp residual {psi.tp_residual:.3e}, unital residual {psi.unital_residual():.3e}"
         )
-    # the (d, k, d) stack K_i[a, c] = conj(P_a[c, i]) has tr(C K_i K_j*) =
-    # (sum_ab C_ab P_b* P_a)_ij, so its interaction elements span {P_b* P_a}
-    elements = interaction_elements(np.conj(psi.kraus).transpose(2, 0, 1), t)
-    alg, pairs = commutant_from_elements(elements, t)
+    # the (d, k, d) stack K_i[a, c] = conj(P_a[c, i]), for a complement
+    # adjoint the minimal Kraus stack, has tr(C K_i K_j*) = (sum_ab C_ab P_b* P_a)_ij
+    decision = _decide(interaction_elements(np.conj(psi.kraus).transpose(2, 0, 1), t), t)
+    alg = commutant_from_elements(decision, t)
     _verify_domain(psi, alg, t)
-    return alg, pairs
+    return alg, decision
 
 
 def _norms(mats: np.ndarray) -> np.ndarray:
@@ -355,7 +355,8 @@ def interaction_elements(kraus, tol: ToleranceConfig | None = None) -> np.ndarra
     psi is unital and trace preserving (Kribs 2003).
     """
     t = _tol(tol)
-    kraus = np.asarray(kraus, dtype=complex)
+    # C order, so that a transposed view of the same values gives the same bits
+    kraus = np.ascontiguousarray(kraus, dtype=complex)
     d, m, n = kraus.shape
     rng = t.rng(0x1A7E)
     count = MAX_RESAMPLE
@@ -367,32 +368,66 @@ def interaction_elements(kraus, tol: ToleranceConfig | None = None) -> np.ndarra
     return elements / _norms(elements)[:, None, None]
 
 
-def interaction_blocks(elements: np.ndarray,
-                       tol: ToleranceConfig | None = None) -> tuple[tuple[int, int], ...]:
-    """Block pairs (multiplicity, size) of the commutant of the algebra
-    generated by a stack of generic Hermitian elements, read from two of
-    them (Murota, Kanno, Kojima & Kojima 2010).
+class _Decision(NamedTuple):
+    """What :func:`_decide` reads: kappa, its bound sqrt(eps_eig), the verdict,
+    one element's eigenvectors (columns), their clusters and each block's
+    cluster indices; read from two elements, also the second in the first's
+    eigenbasis and, per pair of clusters, the norm of its block between them."""
 
-    If the algebra is a direct sum of blocks M_i (x) I_j, the commutant has
-    blocks I_i (x) M_j.  A generic element a has eigenvalue clusters of size
-    j, i of them per block; a second generic element b couples exactly the
-    clusters of one block, so each connected component of b's coupling
-    between a's clusters gives one pair (i, j).  Coupling is a block of b
-    in a's eigenbasis above eps_verify |b|.  A pair whose clusters are too
-    close, or a component that mixes cluster sizes, moves on to the next
-    pair of the stack; ordered like :meth:`AlgebraStructure.pairs`.
-    """
-    _, clusters, _, _, members = _coupled_clusters(elements, _tol(tol))
-    return _sorted_pairs((len(group), clusters[group[0]].size) for group in members)
+    elements: np.ndarray
+    kappa: float
+    bound: float
+    multiplicity_free: bool
+    evecs: np.ndarray
+    clusters: list
+    members: list
+    rotated: np.ndarray | None = None
+    coupling: np.ndarray | None = None
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Block pairs (multiplicity, size) ordered like :meth:`AlgebraStructure.pairs`."""
+        pairs = ((len(group), self.clusters[group[0]].size) for group in self.members)
+        return tuple(sorted(pairs, key=lambda p: (-p[1], -p[0])))
+
+
+def _decide(elements: np.ndarray, t: ToleranceConfig) -> _Decision:
+    """Whether generic Hermitian elements generate an abelian algebra, whose
+    commutant is then multiplicity free: the relative commutator kappa of the
+    first two decides.  Above sqrt(eps_eig) the blocks are read from two
+    elements (:func:`_coupled_clusters`); otherwise from the element, of all
+    decomposed in one call, with the most clusters at eps_eig, then the widest
+    narrowest gap between them, then the first.  Its clusters are the blocks
+    M_j, and its eigenvectors w_i give rank-one projections w_i w_i* in the
+    commutant, which cluster gaps keep from turning under rounding."""
+    a, b = elements[:2]
+    kappa = frob(a @ b - b @ a)  # the elements have unit norm, so this is relative
+    bound = math.sqrt(t.eps_eig)
+    if kappa > bound:
+        return _Decision(elements, kappa, bound, False, *_coupled_clusters(elements, t))
+    evals, evecs = hermitian_eig(elements, t)
+    gaps = evals[:, :-1] - evals[:, 1:]
+    splits = gaps > t.eps_eig
+    narrowest = np.min(np.where(splits, gaps, np.inf), axis=1, initial=np.inf)
+    # lexsort is stable and sorts by its last key first
+    best = np.lexsort((-narrowest, -np.sum(splits, axis=1)))[0]
+    cuts = [0, *np.flatnonzero(splits[best]) + 1, evals.shape[1]]
+    clusters = [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return _Decision(elements, kappa, bound, True, evecs[best], clusters,
+                     [[k] for k in range(len(clusters))])
 
 
 def _coupled_clusters(elements: np.ndarray, t: ToleranceConfig):
-    """For the first pair (a, b) of the stack whose clusters are separated
-    and whose components each hold clusters of one size (see
-    :func:`interaction_blocks`): a's eigenvectors and clusters, b in a's
-    eigenbasis, the coupling of each pair of clusters (the Frobenius norm of
-    b's block between them) and the cluster indices of each connected
-    component."""
+    """The blocks of the commutant of the algebra generated by generic
+    Hermitian elements, read from two of them (Murota, Kanno, Kojima &
+    Kojima 2010).  If the algebra is a direct sum of blocks M_i (x) I_j, the
+    commutant has blocks I_i (x) M_j.  A generic element a has eigenvalue
+    clusters of size j, i of them per block; a second generic element b
+    couples exactly the clusters of one block, so each connected component
+    of b's coupling between a's clusters gives one pair (i, j).  Coupling is
+    a block of b in a's eigenbasis above eps_verify |b|.  A pair whose
+    clusters are too close, or a component that mixes cluster sizes, moves
+    on to the next pair of the stack.  Returns the reading of a and b."""
     count = len(elements)
     for attempt in range(MAX_RESAMPLE):
         a, b = elements[attempt % count], elements[(attempt + 1) % count]
@@ -410,16 +445,11 @@ def _coupled_clusters(elements: np.ndarray, t: ToleranceConfig):
         firsts = reach[np.argmax(reach, axis=1) == np.arange(len(clusters))]
         members = [np.flatnonzero(row) for row in firsts]
         if all(len({clusters[k].size for k in group}) == 1 for group in members):
-            return evecs, clusters, rotated, coupling, members
+            return evecs, clusters, members, rotated, coupling
     raise ResampleExhausted(
         f"no pair of interaction elements with separated clusters of one size per "
         f"block after {MAX_RESAMPLE} draws"
     )
-
-
-def _sorted_pairs(pairs) -> tuple[tuple[int, int], ...]:
-    """Block pairs ordered like :meth:`AlgebraStructure.pairs`."""
-    return tuple(sorted(pairs, key=lambda p: (-p[1], -p[0])))
 
 
 def _spanning_tree(weights: np.ndarray) -> list[tuple[int, int]]:
@@ -440,21 +470,20 @@ def _spanning_tree(weights: np.ndarray) -> list[tuple[int, int]]:
     return edges
 
 
-def commutant_from_elements(elements: np.ndarray, tol: ToleranceConfig | None = None
-                            ) -> tuple[MatrixAlgebra, tuple[tuple[int, int], ...]]:
+def commutant_from_elements(decision: _Decision,
+                            tol: ToleranceConfig | None = None) -> MatrixAlgebra:
     """The commutant of the algebra generated by a stack of generic
-    Hermitian elements, with its block pairs (multiplicity, size) ordered
-    like :meth:`AlgebraStructure.pairs`.
+    Hermitian elements, from the reading :func:`_decide` made of them.
 
-    The clusters of a and their coupling by b are those of
-    :func:`interaction_blocks`.  In a component of i clusters of size j, the
-    eigenvector frames F_p of the clusters hold i copies of one
-    j-dimensional factor, and b's block F_p* b F_q is a multiple of the
-    unitary that carries copy q onto copy p.  Along a maximum spanning tree
-    of the coupling, each frame F_q is turned by the polar factor of its
-    block with its parent, so that every frame of the component holds the
-    same copy; then sum_p F_p E_st F_p* / sqrt(i), over the j x j matrix
-    units E_st, is an orthonormal basis of the component's I_i (x) M_j.
+    In a component of i clusters of size j, the eigenvector frames F_p of
+    the clusters hold i copies of one j-dimensional factor, and b's block
+    F_p* b F_q is a multiple of the unitary that carries copy q onto copy p.
+    Along a maximum spanning tree of the coupling, each frame F_q is turned
+    by the polar factor of its block with its parent, so that every frame of
+    the component holds the same copy; then sum_p F_p E_st F_p* / sqrt(i),
+    over the j x j matrix units E_st, is an orthonormal basis of the
+    component's I_i (x) M_j.  When the elements commute, every component is
+    one cluster, whose M_j has the matrix units F E_st F* as basis.
 
     The basis is accepted only if it commutes with every element of the
     stack within eps_verify, and VerificationFailure is raised otherwise.
@@ -465,20 +494,19 @@ def commutant_from_elements(elements: np.ndarray, tol: ToleranceConfig | None = 
     algebra they generate are misread and fail it.
     """
     t = _tol(tol)
-    evecs, clusters, rotated, coupling, members = _coupled_clusters(elements, t)
+    elements, _, _, _, evecs, clusters, members, rotated, coupling = decision
     turns = np.eye(len(evecs), dtype=complex)  # block diagonal, one block per cluster
-    for group in members:
+    for group in (group for group in members if len(group) > 1):
         for p, q in _spanning_tree(coupling[np.ix_(group, group)]):
             cp, cq = clusters[group[p]], clusters[group[q]]
             u, _, vh = np.linalg.svd(turns[np.ix_(cp, cp)].conj().T @ rotated[np.ix_(cp, cq)])
             turns[np.ix_(cq, cq)] = (u @ vh).conj().T
     frames = evecs @ turns
-    pairs = [(len(group), clusters[group[0]].size) for group in members]
     parts = []
-    for i, j in sorted(set(pairs)):
+    for i, j in sorted(set(decision.pairs)):
         # (components, j, d, i): column p of slice s is column s of frame F_p
-        cols = np.array([[clusters[k] for k in group]
-                         for group, pair in zip(members, pairs) if pair == (i, j)])
+        cols = np.array([[clusters[k] for k in group] for group in members
+                         if (len(group), clusters[group[0]].size) == (i, j)])
         stack = frames[:, cols].transpose(1, 3, 0, 2)
         units = stack[:, :, None] @ stack.conj().swapaxes(-1, -2)[:, None]
         parts.append(units.reshape(-1, *frames.shape) / math.sqrt(i))
@@ -492,26 +520,4 @@ def commutant_from_elements(elements: np.ndarray, tol: ToleranceConfig | None = 
             f"commutant built from the interaction elements fails to commute with them: "
             f"residual {residual:.3e} above eps_verify {t.eps_verify:.1e}"
         )
-    return MatrixAlgebra(basis=basis), _sorted_pairs(pairs)
-
-
-def common_eigenbasis(elements: np.ndarray, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Rows w_1..w_d: the phase-fixed eigenvectors, by descending eigenvalue,
-    of the element of the stack whose spectrum splits into the most
-    clusters at eps_eig and, among those, has the widest narrowest gap
-    between adjacent clusters; further ties go to the first such element.
-    All elements are decomposed in one call, and the choice is read off the
-    (s, d) array of their spectra.
-
-    When the elements commute, the rank-one projections w_i w_i* lie in the
-    commutant of their algebra.  Inside a cluster any orthonormal basis
-    does; the gap between clusters sets how far rounding turns the basis.
-    """
-    t = _tol(tol)
-    evals, evecs = hermitian_eig(elements, t)
-    gaps = evals[:, :-1] - evals[:, 1:]
-    splits = gaps > t.eps_eig
-    narrowest = np.min(np.where(splits, gaps, np.inf), axis=1, initial=np.inf)
-    # lexsort is stable and sorts by its last key first
-    best = np.lexsort((-narrowest, -np.sum(splits, axis=1)))[0]
-    return evecs[best].T
+    return MatrixAlgebra(basis=basis)

@@ -6,20 +6,21 @@ The decision pipeline: reduce the channel to its minimal Kraus set, whose
 complement adjoint psi is unital and trace preserving exactly in the
 projection class.  The multiplicative domain of psi is the commutant of the
 algebra A generated by the Kraus operators L_b L_a* of dual(psi) o psi
-(Kribs 2003), so it is multiplicity free exactly when A is abelian.  Two
-generic Hermitian elements a, b of span{L_b L_a*} decide that: a relative
-commutator |ab - ba| / (|a| |b|) above sqrt(eps_eig) refutes, with the
-domain's block pairs read from the two elements; otherwise the eigenvectors
-w_i of one element give rank-one projections in the domain resolving the
-identity, and they recombine the minimal Kraus operators into rank-one ones
-u_i v_i*, u_i from one power step, certifying entanglement breaking at length
-equal to the Choi rank.  The only acceptance gate is the checks of
-:func:`verify_certificate`, run on the minimal Kraus set certify already holds
-(the standalone function rebuilds it), and a refutation is cross-checked
-against the partial-transpose criterion, an independent oracle that plays no
-part in the decision itself, by a matrix-free search for a negative
-direction (:func:`npt_witness`).  Neither the domain, nor any d^2 x d^2
-operator, nor the nm x nm Choi matrix is formed.
+(Kribs 2003), so it is multiplicity free exactly when A is abelian.  Generic
+Hermitian elements of span{L_b L_a*} decide that, in the routine ``analyze``
+builds its domain from (:func:`ebcert.algebra._decide`): a relative
+commutator |ab - ba| / (|a| |b|) of two of them above sqrt(eps_eig) refutes,
+with the domain's block pairs; otherwise the eigenvectors w_i of one element
+give rank-one projections in the domain resolving the identity, and they
+recombine the minimal Kraus operators into rank-one ones u_i v_i*, u_i from
+one power step, certifying entanglement breaking at length equal to the Choi
+rank.  The only acceptance gate is the checks of :func:`verify_certificate`,
+run on the minimal Kraus set certify already holds (the standalone function
+rebuilds it), and a refutation is cross-checked against the partial-transpose
+criterion, an independent oracle that plays no part in the decision itself,
+by a matrix-free search for a negative direction (:func:`npt_witness`).
+Neither the domain, nor any d^2 x d^2 operator, nor the nm x nm Choi matrix
+is formed.
 
 Channels with a scaled-projection Choi matrix are refused rather than
 guessed: the equivalence between entanglement breaking and a multiplicity
@@ -31,16 +32,11 @@ class exactly.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    common_eigenbasis,
-    interaction_blocks,
-    interaction_elements,
-)
+from .algebra import _decide, interaction_elements
 from .channel import (
     ChoiClass,
     CPMap,
@@ -216,21 +212,17 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
         raise OutOfScope(report.classification.value, report.alpha)
 
     minimal = channel.with_kraus(report.kraus, t)
-    elements = interaction_elements(minimal.kraus, t)
-    a, b = elements[:2]
-    # the elements have unit norm, so this is |ab - ba| / (|a| |b|)
-    kappa = frob(a @ b - b @ a)
-    bound = math.sqrt(t.eps_eig)
-    if kappa > bound:
+    decision = _decide(interaction_elements(minimal.kraus, t), t)
+    if not decision.multiplicity_free:
         witness = npt_witness(minimal.vec_columns(), channel.input_dim, channel.output_dim, t)
         raise NotEntanglementBreaking(
-            interaction_blocks(elements, t), ppt_violated=witness is not None,
-            commutator=kappa, bound=bound,
+            decision.pairs, ppt_violated=witness is not None,
+            commutator=decision.kappa, bound=decision.bound,
             witness_quotient=None if witness is None else witness.quotient,
             witness_bound=None if witness is None else witness.bound)
 
     # op_i = u_i v_i*; that op_i has rank one is for the gate to check
-    w = common_eigenbasis(elements, t)
+    w = decision.evecs.T  # rows w_1..w_d
     ops = combine_kraus(minimal.kraus, w.conj())
     u = _left_vectors(ops)
     v = np.einsum("imn,im->in", ops.conj(), u)

@@ -243,12 +243,13 @@ def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
         }
         if cr.classification is ChoiClass.PROJECTION:
             adjoint = complement_adjoint(channel.with_kraus(cr.kraus, tol), tol)
-            dom, pairs = _domain_blocks(adjoint, tol)
+            dom, decision = _domain_blocks(adjoint, tol)
             report["algebra"] = {
                 "dimension": dom.dimension,
                 "basis": to_pairs(dom.basis),
-                "blocks": [list(p) for p in pairs],
-                "multiplicity_free": all(i == 1 for i, _ in pairs),
+                "blocks": [list(p) for p in decision.pairs],
+                "multiplicity_free": decision.multiplicity_free,
+                "commutator": _judged(decision.kappa, decision.bound),
             }
         report["timings"] = {"analyze_seconds": time.perf_counter() - t0}
         return report, EXIT_OK
@@ -285,7 +286,8 @@ def _print_analysis_text(report: dict) -> None:
                    if alg["multiplicity_free"]
                    else "a repeated tensor factor rules out rank-one Kraus decompositions")
         print(f"  multiplicative domain of the complement adjoint: dimension {alg['dimension']}, "
-              f"blocks {alg['blocks']}, multiplicity-free: {alg['multiplicity_free']}")
+              f"blocks {alg['blocks']}, multiplicity-free: {alg['multiplicity_free']}; commutator "
+              f"{alg['commutator']['value']:.3e} (tol {alg['commutator']['tolerance']:.1e})")
         print(f"    [{verdict}]")
     print(f"  elapsed: {report['timings']['analyze_seconds']:.3f}s")
 

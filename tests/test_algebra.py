@@ -15,10 +15,11 @@ from ebcert import (
     structure,
 )
 from ebcert.algebra import (
+    _decide,
     _domain_blocks,
     _verify_domain,
     commutant_from_elements,
-    interaction_blocks,
+    interaction_elements,
 )
 from ebcert.errors import NotMultiplicityFree, NotUnitalOrNotTP, VerificationFailure
 from ebcert.zoo import (
@@ -235,11 +236,11 @@ class TestCommutantFromElements:
     @pytest.mark.parametrize("build", ORACLE_FIXTURES)
     def test_domain_matches_the_fixed_point_oracle(self, tol, build):
         psi = complement_adjoint(minimal_kraus(build(tol), tol), tol)
-        dom, pairs = _domain_blocks(psi, tol)
+        dom, decision = _domain_blocks(psi, tol)
         reference = fixed_point_domain(psi, tol)
         assert dom.dimension == reference.dimension
         assert subspace_gap(reference.basis, dom.basis) <= 1e-10
-        assert pairs == structure(reference, tol).pairs()
+        assert decision.pairs == structure(reference, tol).pairs()
         assert multiplicative_domain(psi, tol).dimension == dom.dimension
 
     def test_basis_is_orthonormal_by_construction(self, tol):
@@ -279,9 +280,10 @@ class TestCommutantFromElements:
         spectra = np.linalg.eigvalsh(elements)
         np.testing.assert_allclose(spectra[:, 0], spectra[:, 1], atol=1e-12)
         np.testing.assert_allclose(spectra[:, 2], spectra[:, 3], atol=1e-12)
-        assert interaction_blocks(elements, tol) == ((2, 2),)  # the generated algebra is M_4
+        decision = _decide(elements, tol)
+        assert decision.pairs == ((2, 2),)  # the generated algebra is M_4
         with pytest.raises(VerificationFailure, match="residual .* above eps_verify"):
-            commutant_from_elements(elements, tol)
+            commutant_from_elements(decision, tol)
 
     @pytest.mark.parametrize("kraus", [
         pytest.param(lambda g: np.stack([np.eye(4), *g]) / np.sqrt(6), id="all-generators"),
@@ -292,11 +294,41 @@ class TestCommutantFromElements:
         # products P_b* P_a leave the span and generate M_4; with one the
         # span is abelian and each eigenvalue is doubly degenerate
         psi = KrausChannel(kraus(clifford_generators()), tol)
-        dom, pairs = _domain_blocks(psi, tol)
+        dom, decision = _domain_blocks(psi, tol)
         reference = fixed_point_domain(psi, tol)
         assert dom.dimension == reference.dimension
         assert subspace_gap(reference.basis, dom.basis) <= 1e-10
-        assert pairs == structure(reference, tol).pairs()
+        assert decision.pairs == structure(reference, tol).pairs()
+
+    @pytest.mark.parametrize("p, commuting", [(1e-2, False), (1e-6, True), (1e-10, True)])
+    def test_nearly_commuting_algebra_is_refused_not_misread(self, tol, p, commuting):
+        """A known limit of the one commutator rule, pinned so that a change
+        to it is seen.  psi(X) = (1 - 2p) X + p U X U* + p V X V*, for the
+        shift U and clock V on C^3, is unital and trace preserving, and its
+        domain is the scalars for every p > 0, since U and V generate M_3.
+        Its interaction elements are I / sqrt(3) plus terms of order sqrt(p),
+        so their relative commutator is of order p.  Above sqrt(eps_eig) the
+        blocks are read from two elements and the domain is found.  At or
+        below it the elements count as commuting; the diagonal algebra of the
+        chosen element's eigenvectors then misses the all-element commutator
+        check at eps_verify by about sqrt(p), so the map is refused with a
+        VerificationFailure instead of a wrong domain."""
+        shift = np.roll(np.eye(3), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+        psi = KrausChannel(np.stack([np.sqrt(1 - 2 * p) * np.eye(3),
+                                     np.sqrt(p) * shift, np.sqrt(p) * clock]), tol)
+        reference = fixed_point_domain(psi, tol)
+        assert reference.dimension == 1
+        kraus = np.conj(psi.kraus).transpose(2, 0, 1)  # the stack _domain_blocks reads
+        decision = _decide(interaction_elements(kraus, tol), tol)
+        assert decision.multiplicity_free == (decision.kappa <= np.sqrt(tol.eps_eig)) == commuting
+        if not commuting:
+            dom, decision = _domain_blocks(psi, tol)
+            assert subspace_gap(reference.basis, dom.basis) <= 1e-10
+            assert decision.pairs == ((3, 1),)
+        else:
+            with pytest.raises(VerificationFailure, match="fails to commute with them"):
+                multiplicative_domain(psi, tol)
 
 
 VERIFY_FIXTURES = [p for p in ORACLE_FIXTURES if not p.id.startswith("generic")]

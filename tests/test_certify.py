@@ -625,9 +625,14 @@ class TestCertifyGate:
     def test_verify_certificate_refuses_a_bad_witness(self, tol, monkeypatch, tamper,
                                                       failing, holding):
         module = importlib.import_module("ebcert.certify")
-        eigenbasis = module.common_eigenbasis
-        monkeypatch.setattr(module, "common_eigenbasis",
-                            lambda *args, **kwargs: tamper(eigenbasis(*args, **kwargs)))
+        decide = module._decide
+
+        def tampered(*args):
+            # w is the rows of the decision's eigenvectors
+            decision = decide(*args)
+            return decision._replace(evecs=tamper(decision.evecs.T).T)
+
+        monkeypatch.setattr(module, "_decide", tampered)
         with pytest.raises(VerificationFailure) as err:
             certify(random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True), tol)
         assert f"'{failing}'" in str(err.value)

@@ -1,12 +1,12 @@
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ebcert import (
     EBCertificate,
-    KrausChannel,
     algebra,
     channel,
     channel_to_json_dict,
@@ -16,9 +16,9 @@ from ebcert import (
     verify_certificate,
 )
 from ebcert.cli import main
-from ebcert.zoo import random_projection_choi_channel, redilate_fixture
+from ebcert.zoo import redilate_fixture
 
-from oracles import verify_domain_per_element
+from oracles import perturbed_planted, verify_domain_per_element
 
 
 def run(argv, capsys):
@@ -34,6 +34,15 @@ def gen_projection_choi(path, n, seed, capsys, planted=True):
     code, _, _ = run(argv + (["--ensure-eb"] if planted else []), capsys)
     assert code == 0
     return path
+
+
+def perturbed_files(tmp_path, n, eps, tol):
+    """The perturbed-sweep channel files of seeds 0-31 (see
+    :func:`oracles.perturbed_planted`)."""
+    paths = [tmp_path / f"p{seed}.json" for seed in range(32)]
+    for seed, path in enumerate(paths):
+        save_channel(perturbed_planted(n, eps, seed, tol), path)
+    return paths
 
 
 def write_indented(fh, obj):
@@ -122,6 +131,10 @@ class TestAnalyze:
         assert report["choi"]["classification"] == "projection"
         assert report["algebra"]["multiplicity_free"] is True
         assert report["algebra"]["dimension"] == 3
+        # the margin of the decision, against sqrt(eps_eig)
+        commutator = report["algebra"]["commutator"]
+        assert commutator["tolerance"] == pytest.approx(1e-4)
+        assert commutator["value"] <= commutator["tolerance"]
         # algebra dump carries the basis matrices alongside the block list
         assert len(report["algebra"]["basis"]) == 3
         assert len(report["algebra"]["basis"][0]) == 3  # rows of a 3x3 matrix
@@ -131,6 +144,7 @@ class TestAnalyze:
         assert code == 0
         assert "projection" in stdout
         assert "tol" in stdout
+        assert "multiplicity-free: True; commutator" in stdout
 
     def test_multiple_files_keep_input_order(self, wh_file, sc_file, capsys):
         code, stdout, _ = run(
@@ -205,15 +219,7 @@ class TestAnalyze:
         draw, re-normalized to trace preservation, analyze gives the same exit
         code and document as with the reference domain verification, which
         also applies every product of two basis elements."""
-        paths = []
-        for seed in range(32):
-            ops = random_projection_choi_channel(n, n, seed, tol, ensure_eb=True).kraus
-            rng = np.random.default_rng(100 + seed)
-            ops = ops + eps * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape))
-            evals, evecs = np.linalg.eigh(np.einsum("kji,kjl->il", ops.conj(), ops))
-            ops = ops @ (evecs / np.sqrt(evals)) @ evecs.conj().T
-            paths.append(tmp_path / f"p{seed}.json")
-            save_channel(KrausChannel(ops, tol), paths[-1])
+        paths = perturbed_files(tmp_path, n, eps, tol)
 
         def outcomes():
             out = []
@@ -227,6 +233,38 @@ class TestAnalyze:
         shipped = outcomes()
         monkeypatch.setattr(algebra, "_verify_domain", verify_domain_per_element)
         assert outcomes() == shipped
+
+    @pytest.mark.parametrize("n, eps", [(3, 3e-10), (6, 3e-10)])
+    def test_analyze_agrees_with_certify_on_perturbed_files(self, tmp_path, capsys, tol, n, eps):
+        """The two commands take multiplicity freedom from one decision:
+        where both end in a verdict, the verdicts agree, so no certified
+        file reads as having a repeated factor (analyze ends in a verdict
+        exactly when it reports a domain)."""
+        certified = 0
+        for path in perturbed_files(tmp_path, n, eps, tol):
+            code, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
+            verdict, _, _ = run(["certify", path, "--format", "json",
+                                 "--out", tmp_path / "c.json"], capsys)
+            certified += verdict == 0
+            if code == 0 and verdict in (0, 4):
+                assert json.loads(stdout)["algebra"]["multiplicity_free"] is (verdict == 0), path
+        assert certified >= 26
+
+    def test_commutator_matches_the_refusal(self, tmp_path, capsys, tol):
+        path = gen_projection_choi(tmp_path / "g.json", 6, 3, capsys, planted=False)
+        code, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(stdout)["algebra"]
+        assert doc["multiplicity_free"] is False
+        code, stdout, _ = run(["certify", path, "--format", "json"], capsys)
+        assert code == 4
+        refusal = json.loads(stdout)["refusal"]
+        assert doc["commutator"] == {"value": refusal["commutator"], "tolerance": refusal["bound"]}
+        assert doc["blocks"] == refusal["structure"]
+        assert refusal["bound"] == np.sqrt(tol.eps_eig)
+        assert doc["commutator"]["value"] > doc["commutator"]["tolerance"]
+        code, stdout, _ = run(["analyze", path], capsys)
+        assert f"commutator {refusal['commutator']:.3e} (tol {refusal['bound']:.1e})" in stdout
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -534,3 +572,11 @@ class TestJsonLayout:
         monkeypatch.setattr(channel, "write_json", write_indented)
         monkeypatch.setattr(algebra, "_verify_domain", verify_domain_per_element)
         assert documents() == current
+
+
+def test_version_has_one_source():
+    """pyproject.toml reads the package version from ebcert.__version__."""
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "ebcert.__version__"}
