@@ -27,6 +27,8 @@ membership are solved in the algebra's own coefficient space (see
 One routine, :func:`_decide`, reads the interaction elements for the
 certifier and the domain build alike: whether two of them commute decides if
 the domain is multiplicity free, and its eigenvalue clusters give the blocks.
+Both start from a channel's minimal Kraus stack, of which the complement
+adjoint is one conjugated transpose.
 """
 
 from __future__ import annotations
@@ -129,21 +131,22 @@ def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None) -> Mat
     interaction elements, then post-verified (see :func:`_verify_domain`);
     a failed verification raises VerificationFailure.
     """
-    return _domain_blocks(psi, _tol(tol))[0]
+    # psi is the complement adjoint of the stack K_i[a, c] = conj(P_a[c, i])
+    return _domain_blocks(np.conj(psi.kraus).transpose(2, 0, 1), _tol(tol))[0]
 
 
-def _domain_blocks(psi: CPMap, t: ToleranceConfig):
-    """:func:`multiplicative_domain` with the :func:`_decide` reading of the
-    interaction elements of psi's Kraus operators it is built from."""
+def _domain_blocks(kraus: np.ndarray, t: ToleranceConfig):
+    """:func:`multiplicative_domain` of the complement adjoint psi of a
+    (d, m, n) Kraus stack, P_a[c, i] = conj(K_i[a, c]), and the
+    :func:`_decide` reading of the interaction elements it is built from."""
+    psi = CPMap(np.conj(kraus).transpose(1, 2, 0), t)
     if psi.input_dim != psi.output_dim:
         raise NotUnitalOrNotTP("map must be an endomorphism to be unital and trace preserving")
     if psi.tp_residual > t.eps_verify or psi.unital_residual() > t.eps_verify:
         raise NotUnitalOrNotTP(
             f"tp residual {psi.tp_residual:.3e}, unital residual {psi.unital_residual():.3e}"
         )
-    # the (d, k, d) stack K_i[a, c] = conj(P_a[c, i]), for a complement
-    # adjoint the minimal Kraus stack, has tr(C K_i K_j*) = (sum_ab C_ab P_b* P_a)_ij
-    decision = _decide(interaction_elements(np.conj(psi.kraus).transpose(2, 0, 1), t), t)
+    decision = _decide(interaction_elements(kraus, t), t)
     alg = commutant_from_elements(decision, t)
     _verify_domain(psi, alg, t)
     return alg, decision

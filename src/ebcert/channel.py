@@ -348,30 +348,22 @@ def complement(channel: KrausChannel, tol: ToleranceConfig | None = None) -> Com
 
 
 def complement_adjoint(minimal: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
-    """Adjoint of the complement, as a CP map on d x d matrices built from a
-    minimal Kraus presentation.  It is unital whenever the source is trace
-    preserving, and trace preserving exactly when the source Choi matrix is
-    a projection."""
+    """Adjoint of the complement, X -> sum_ij X_ij K_i* K_j on d x d matrices
+    for a minimal Kraus set {K_i}: the CP map with Kraus operators
+    P_a[c, i] = conj(K_i[a, c]), the values of ``dual(complement_from_kraus(K))``.
+    It is unital whenever the source is trace preserving, and trace
+    preserving exactly when the source Choi matrix is a projection."""
     t = _tol(tol)
     if not is_minimal(minimal, t):
         raise NotMinimalKraus("complement adjoint requires a minimal Kraus set")
-    comp = complement_from_kraus(minimal.kraus, t)
-    return dual(comp, t)
+    return CPMap(np.conj(minimal.kraus).transpose(1, 2, 0), t)
 
 
 def complement_adjoint_apply(minimal: CPMap, x, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Direct evaluation of the complement adjoint:
-    X -> sum_ij X_ij K_i* K_j for a minimal Kraus set {K_i}, on one d x d
-    matrix or on each matrix of an (s, d, d) stack."""
-    t = _tol(tol)
-    if not is_minimal(minimal, t):
-        raise NotMinimalKraus("complement adjoint requires a minimal Kraus set")
-    d, m, n = minimal.kraus.shape
-    x = as_matrix_stack(x, d)
-    rows = minimal.kraus.reshape(d * m, n)
-    # rows of sum_j X_ij K_j, stacked over i like the rows of the K_i
-    mixed = (x @ minimal.kraus.reshape(d, m * n)).reshape(*x.shape[:-2], d * m, n)
-    return rows.conj().T @ mixed
+    """The complement adjoint X -> sum_ij X_ij K_i* K_j of a minimal Kraus set
+    {K_i} on one d x d matrix or on each matrix of an (s, d, d) stack,
+    evaluated by :meth:`CPMap.apply` of :func:`complement_adjoint`."""
+    return complement_adjoint(minimal, tol).apply(x)
 
 
 class ComplementAdjointKind(enum.Enum):

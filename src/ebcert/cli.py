@@ -28,7 +28,6 @@ from .channel import (
     ChoiClass,
     _classify_complement_adjoint,
     choi,
-    complement_adjoint,
     load_channel,
     save_channel,
 )
@@ -242,8 +241,7 @@ def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
             "residual": _judged(ca.residual, tol.eps_verify),
         }
         if cr.classification is ChoiClass.PROJECTION:
-            adjoint = complement_adjoint(channel.with_kraus(cr.kraus, tol), tol)
-            dom, decision = _domain_blocks(adjoint, tol)
+            dom, decision = _domain_blocks(cr.kraus, tol)
             report["algebra"] = {
                 "dimension": dom.dimension,
                 "basis": to_pairs(dom.basis),

@@ -46,8 +46,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("eps_rank", "eps_eig", "eps_verify"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

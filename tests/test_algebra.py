@@ -169,6 +169,11 @@ class TestMultiplicativeDomain:
         with pytest.raises(NotUnitalOrNotTP):
             multiplicative_domain(cp, tol)
 
+    def test_rejects_non_square_map(self, tol):
+        ch = random_channel(3, 2, 2, 6, tol)  # TP, from 3 x 3 to 2 x 2 matrices
+        with pytest.raises(NotUnitalOrNotTP, match="endomorphism"):
+            multiplicative_domain(ch, tol)
+
     def test_verification_rejects_a_span_beyond_the_domain(self, tol):
         # complete dephasing on M_2 has the diagonal matrices as its domain;
         # the off-diagonal units of full M_2 break the adjoint-product
@@ -235,8 +240,9 @@ def clifford_generators():
 class TestCommutantFromElements:
     @pytest.mark.parametrize("build", ORACLE_FIXTURES)
     def test_domain_matches_the_fixed_point_oracle(self, tol, build):
-        psi = complement_adjoint(minimal_kraus(build(tol), tol), tol)
-        dom, decision = _domain_blocks(psi, tol)
+        minimal = minimal_kraus(build(tol), tol)
+        psi = complement_adjoint(minimal, tol)
+        dom, decision = _domain_blocks(minimal.kraus, tol)
         reference = fixed_point_domain(psi, tol)
         assert dom.dimension == reference.dimension
         assert subspace_gap(reference.basis, dom.basis) <= 1e-10
@@ -294,7 +300,7 @@ class TestCommutantFromElements:
         # products P_b* P_a leave the span and generate M_4; with one the
         # span is abelian and each eigenvalue is doubly degenerate
         psi = KrausChannel(kraus(clifford_generators()), tol)
-        dom, decision = _domain_blocks(psi, tol)
+        dom, decision = _domain_blocks(np.conj(psi.kraus).transpose(2, 0, 1), tol)
         reference = fixed_point_domain(psi, tol)
         assert dom.dimension == reference.dimension
         assert subspace_gap(reference.basis, dom.basis) <= 1e-10
@@ -323,7 +329,7 @@ class TestCommutantFromElements:
         decision = _decide(interaction_elements(kraus, tol), tol)
         assert decision.multiplicity_free == (decision.kappa <= np.sqrt(tol.eps_eig)) == commuting
         if not commuting:
-            dom, decision = _domain_blocks(psi, tol)
+            dom, decision = _domain_blocks(kraus, tol)
             assert subspace_gap(reference.basis, dom.basis) <= 1e-10
             assert decision.pairs == ((3, 1),)
         else:

@@ -455,12 +455,25 @@ class TestComplementAdjoint:
 
     def test_cp_form_agrees_with_direct_evaluation(self, tol):
         ch = minimal_kraus(random_channel(3, 3, 3, 43, tol), tol)
-        adj = complement_adjoint(ch, tol)
         rng = np.random.default_rng(44)
-        x = random_complex_matrix(3, 3, rng)
-        np.testing.assert_allclose(
-            adj.apply(x), complement_adjoint_apply(ch, x, tol), atol=1e-10
-        )
+        x = np.stack([random_complex_matrix(3, 3, rng) for _ in range(2)])
+        # sum_ij X_ij K_i* K_j, entry by entry
+        direct = np.einsum("sij,iab,jac->sbc", x, ch.kraus.conj(), ch.kraus)
+        np.testing.assert_allclose(complement_adjoint_apply(ch, x, tol), direct, atol=1e-10)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda tol: random_projection_choi_channel(4, 4, 1, tol, ensure_eb=True),
+                     id="planted"),
+        pytest.param(lambda tol: random_projection_choi_channel(4, 4, 2, tol), id="generic"),
+        pytest.param(lambda tol: random_schur_complement_channel(3, 4, 48, tol),
+                     id="schur-complement"),
+        pytest.param(lambda tol: random_channel(3, 3, 3, 43, tol), id="random-channel"),
+        pytest.param(lambda tol: random_channel(3, 2, 2, 47, tol), id="random-channel-3-2"),
+    ])
+    def test_transpose_is_the_dual_of_the_complement(self, tol, build):
+        minimal = minimal_kraus(build(tol), tol)
+        assert np.array_equal(complement_adjoint(minimal, tol).kraus,
+                              dual(complement_from_kraus(minimal.kraus, tol), tol).kraus)
 
     def test_adjoint_requires_minimal_kraus(self, tol):
         padded = redilate(random_channel(2, 2, 2, 45, tol), random_isometry(4, 2, 46), tol)

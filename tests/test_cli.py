@@ -212,6 +212,32 @@ class TestAnalyze:
         assert json.loads(stdout)["algebra"]["dimension"] == 6
         assert len(calls) == 11
 
+    def test_no_complement_or_dual_map_is_built(self, tmp_path, capsys, monkeypatch):
+        """analyze forms the complement adjoint from choi's minimal Kraus
+        stack: no complement, dual or rank test runs, and the documents are
+        those of an unpatched run."""
+        paths = [gen_projection_choi(tmp_path / f"{kind}.json", 6, 2, capsys, planted)
+                 for kind, planted in (("planted", True), ("generic", False))]
+
+        def documents():
+            docs = []
+            for path in paths:
+                code, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
+                assert code == 0
+                docs.append(json.loads(stdout))
+                docs[-1].pop("timings")
+            return docs
+
+        unpatched = documents()
+
+        def built(*args, **kwargs):
+            raise AssertionError("analyze built a complement or a dual map, or tested minimality")
+
+        for module in (channel, algebra, cli):
+            for name in ("complement_adjoint", "dual", "complement_from_kraus", "is_minimal"):
+                monkeypatch.setattr(module, name, built, raising=False)
+        assert documents() == unpatched
+
     @pytest.mark.parametrize("n, eps", [(6, 3e-10), (3, 1e-9)])
     def test_perturbed_documents_match_the_reference_gate(self, tmp_path, capsys, monkeypatch,
                                                            tol, n, eps):
@@ -421,9 +447,10 @@ class TestBadOptions:
         (["--tol-eig", "-1"], None, "eps_eig"),
         (["--tol-eig", "nan"], None, "eps_eig"),
         (["--tol-verify", "0"], None, "eps_verify"),
+        (["--tol-verify", "inf"], None, "eps_verify"),
         (["--seed", "-3"], None, "seed"),
         ([], "abc", "EBCERT_SEED"),
-    ], ids=["negative-tol", "nan-tol", "zero-tol", "negative-seed", "env-seed"])
+    ], ids=["negative-tol", "nan-tol", "zero-tol", "inf-tol", "negative-seed", "env-seed"])
     def test_bad_option_is_input_error(self, tmp_path, capsys, monkeypatch, command,
                                        options, env, named):
         ch_file = tmp_path / "sc.json"
