@@ -105,4 +105,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -42,7 +42,6 @@ from .channel import (
     CPMap,
     KrausChannel,
     choi,
-    complement_from_kraus,
     is_minimal,
     minimal_kraus,
 )
@@ -50,6 +49,7 @@ from .errors import (
     NotEntanglementBreaking,
     NotMinimalKraus,
     NotOrthonormal,
+    NotTracePreserving,
     OutOfScope,
     RankFailure,
     ResolutionFailure,
@@ -199,14 +199,16 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     """Decide entanglement breaking for a projection-Choi channel and emit a
     verified certificate of minimal length.
 
-    Raises OutOfScope for scaled-projection or unclassified Choi matrices,
-    NotEntanglementBreaking (with the domain's block pairs, the commutator
-    against its bound and an independent partial-transpose witness with its
-    margin) on refutation, and VerificationFailure if any internal consistency check
-    breaks, which is always a bug or a tolerance breach rather than a
-    property of the channel.
+    Raises NotTracePreserving for a map that is not a channel, OutOfScope for
+    scaled-projection or unclassified Choi matrices, NotEntanglementBreaking
+    (with the domain's block pairs, the commutator against its bound and an
+    independent partial-transpose witness with its margin) on refutation, and
+    VerificationFailure if any internal consistency check breaks, which is
+    always a bug or a tolerance breach rather than a property of the channel.
     """
     t = _tol(tol)
+    if not channel.trace_preserving:
+        raise NotTracePreserving(channel.tp_residual)
     report = choi(channel, t)
     if report.classification is not ChoiClass.PROJECTION:
         raise OutOfScope(report.classification.value, report.alpha)
@@ -273,9 +275,8 @@ def _certificate_residuals(cert: EBCertificate, channel: KrausChannel,
         np.linalg.norm(w, axis=1) - np.linalg.norm(v, axis=1))))
     residuals["choi_match"] = factor_distance(vec(dyads).T, channel.vec_columns())
 
-    bounds = {**dict.fromkeys(residuals, t.eps_verify), "choi_match": t.eps_verify * max(1.0, n)}
     # "not <=" rather than ">", so that a NaN residual fails
-    bad = {k: val for k, val in residuals.items() if not val <= bounds[k]}
+    bad = {k: val for k, val in residuals.items() if not val <= _residual_bound(k, n, t)}
     if bad:
         raise VerificationFailure(f"certificate invariants out of tolerance: {bad}")
     if cert.r != d:
@@ -283,12 +284,19 @@ def _certificate_residuals(cert: EBCertificate, channel: KrausChannel,
     return residuals
 
 
+def _residual_bound(name: str, n: int, t: ToleranceConfig) -> float:
+    """The bound a certificate residual is judged at, for input dimension n:
+    eps_verify, and eps_verify max(1, n) for ``choi_match``."""
+    return t.eps_verify * (max(1.0, n) if name == "choi_match" else 1.0)
+
+
 @dataclass(frozen=True)
 class SchurNormalForm:
     """Presentation of a certified channel as the complement of an entrywise
     product channel: after the input rotation ``basis_change`` the complement
     multiplies entry (i, j) by the conjugate of ``correlation[i, j]``, the
-    Gram matrix of the certificate's output vectors."""
+    Gram matrix of the certificate's output vectors.  ``residual`` is the
+    form's Choi anchor, judged at the bound of ``choi_match``."""
 
     basis_change: np.ndarray
     correlation: np.ndarray
@@ -301,45 +309,34 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
     length equal to the input dimension.
 
     The input-side vectors of such a certificate are forced to be an
-    orthonormal basis (that is the only way this many rank-one operators can
-    resolve the identity); a failure of that check means the certificate is
-    corrupted.  The recovered data is verified on every matrix unit against
-    the complement of the rotated channel.
+    orthonormal basis V (that is the only way this many rank-one operators
+    can resolve the identity); a failure of that check means the certificate
+    is corrupted.  The rotated channel X -> Phi(V X V*) has the Kraus set
+    {u_i e_i*}, anchored to the caller's Kraus operators through the Choi
+    matrix as ``choi_match`` anchors the certificate.  Nothing else depends
+    on the channel: the complement of {u_i e_i*} has the diagonal Kraus
+    operators L_a = diag(u_1[a], ..., u_n[a]), so it sends the matrix unit
+    E_ij to sum_a u_i[a] conj(u_j[a]) E_ij = conj(C_ij) E_ij, C = ``correlation``,
+    by construction; checking that on every E_ij would only compare two
+    summation orders of the same inner products.
     """
     t = _tol(tol)
-    n, m = channel.input_dim, channel.output_dim
+    n = channel.input_dim
     if not (cert.r == cert.choi_rank == n):
-        raise ValueError(
-            f"normal form needs certificate length = Choi rank = input dimension, "
-            f"got r={cert.r}, choi_rank={cert.choi_rank}, n={n}"
-        )
+        raise ValueError(f"normal form needs certificate length = Choi rank = input dimension, "
+                         f"got r={cert.r}, choi_rank={cert.choi_rank}, n={n}")
     basis = cert.v.T
     ortho_residual = frob(basis.conj().T @ basis - np.eye(n))
-    if ortho_residual > t.eps_verify:
-        raise NotOrthonormal(
-            f"input-side vectors fail orthonormality by {ortho_residual:.3e}"
-        )
+    if not ortho_residual <= t.eps_verify:  # so that NaN fails
+        raise NotOrthonormal(f"input-side vectors fail orthonormality by {ortho_residual:.3e}")
     gram = cert.u.conj() @ cert.u.T
-
-    # Kraus set of the rotated channel X -> Phi(V X V*) induced by the
-    # certificate; anchor it to the real channel through the Choi matrix.
     rotated = _dyads(cert.u, np.eye(n))
-    direct = minimal_kraus(channel, t).kraus @ basis
-    anchor = factor_distance(vec(rotated).T, vec(direct).T)
-    if anchor > t.eps_verify * max(1.0, n):
+    anchor = factor_distance(vec(rotated).T, vec(channel.kraus @ basis).T)
+    if not anchor <= _residual_bound("choi_match", n, t):
         raise VerificationFailure(
             f"certificate Kraus set does not reproduce the rotated channel: {anchor:.3e}"
         )
-
-    comp = complement_from_kraus(rotated, t)
-    units = np.eye(n * n).reshape(n * n, n, n)
-    expected = gram.conj().reshape(n * n, 1, 1) * units
-    residual = float(np.max(np.linalg.norm(comp.apply(units) - expected, axis=(1, 2))))
-    if residual > t.eps_verify:
-        raise VerificationFailure(
-            f"complement of the rotated channel is not the entrywise product map: {residual:.3e}"
-        )
-    return SchurNormalForm(basis_change=basis, correlation=gram, residual=residual)
+    return SchurNormalForm(basis_change=basis, correlation=gram, residual=anchor)
 
 
 @dataclass(frozen=True)

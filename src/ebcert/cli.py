@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import _domain_blocks
-from .certify import certify, schur_normal_form
+from .certify import _residual_bound, certify, schur_normal_form
 from .channel import (
     ChoiClass,
     _classify_complement_adjoint,
@@ -368,9 +368,10 @@ def _print_certify_text(report: dict, tol: ToleranceConfig) -> None:
     print(f"  certified entanglement breaking: eb_rank = choi_rank = {cert['eb_rank']}")
     print("    [rank-one Kraus decomposition at minimal length; no shorter resolution "
           "of the identity exists]")
-    worst = max(cert["residuals"].values()) if cert["residuals"] else 0.0
-    print(f"  certificate residuals: worst {worst:.3e} (tol {tol.eps_verify:.1e}); "
-          f"written to {report['certificate_file']}")
+    residuals, n = cert["residuals"], len(cert["v"][0])  # v: one length-n row per term
+    worst = max(residuals, key=lambda k: residuals[k] / _residual_bound(k, n, tol))
+    print(f"  certificate residuals: worst {worst} {residuals[worst]:.3e} "
+          f"(tol {_residual_bound(worst, n, tol):.1e}); written to {report['certificate_file']}")
     print(f"  elapsed: {report['timings']['certify_seconds']:.3f}s")
 
 
@@ -405,11 +406,12 @@ def _cmd_normal_form(args, tol: ToleranceConfig) -> int:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    bound = _residual_bound("choi_match", channel.input_dim, tol)
     dump = {
         "file": str(args.file),
         "basis_change": to_pairs(form.basis_change),
         "correlation": to_pairs(form.correlation),
-        "residual": {"value": form.residual, "tolerance": tol.eps_verify},
+        "residual": _judged(form.residual, bound),
     }
     if args.out is not None:
         try:
@@ -423,8 +425,7 @@ def _cmd_normal_form(args, tol: ToleranceConfig) -> int:
         n = form.correlation.shape[0]
         print(f"== {args.file}")
         print(f"  after the input rotation, the complement multiplies entry (i, j) by the "
-              f"conjugated correlation entry; residual {form.residual:.3e} "
-              f"(tol {tol.eps_verify:.1e})")
+              f"conjugated correlation entry; residual {form.residual:.3e} (tol {bound:.1e})")
         print("  correlation matrix (modulus):")
         for i in range(n):
             print("    " + "  ".join(f"{abs(form.correlation[i, j]):.6f}" for j in range(n)))

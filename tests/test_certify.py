@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from ebcert.errors import (
     NotEntanglementBreaking,
     NotMinimalKraus,
     NotOrthonormal,
+    NotTracePreserving,
     OutOfScope,
     RankFailure,
     ResolutionFailure,
@@ -217,6 +219,14 @@ class TestCertify:
         with pytest.raises(OutOfScope) as err:
             certify(random_channel(3, 3, 2, 5, tol), tol)
         assert err.value.classification == "other"
+
+    def test_map_that_is_not_a_channel_is_refused_up_front(self, tol):
+        # an ill-posed input is refused with its margin, not as a failed check
+        projection = CPMap([np.diag([1.0, 0.0])], tol)
+        for call in (certify, eb_rank):
+            with pytest.raises(NotTracePreserving) as err:
+                call(projection, tol)
+            assert err.value.residual == pytest.approx(1.0)
 
     def test_refutation_carries_structure_and_ppt_confirmation(self, tol):
         ch = random_projection_choi_channel(2, 3, 1, tol)
@@ -771,6 +781,56 @@ class TestSchurNormalForm:
         bad = dataclasses.replace(cert, v=tuple(skewed))
         with pytest.raises(NotOrthonormal):
             schur_normal_form(bad, ch, tol)
+
+    def test_corrupted_output_vector_fails_the_anchor(self, tol):
+        ch = random_schur_complement_channel(3, 3, 19, tol)
+        cert = certify(ch, tol)
+        u = np.array(cert.u)
+        u[0, 0] += 1e-6
+        with pytest.raises(VerificationFailure, match="rotated channel"):
+            schur_normal_form(dataclasses.replace(cert, u=u), ch, tol)
+
+    def test_nan_input_vector_is_not_orthonormal(self, tol):
+        ch = random_schur_complement_channel(3, 3, 19, tol)
+        cert = certify(ch, tol)
+        v = np.array(cert.v)
+        v[1, 2] = np.nan
+        with pytest.raises(NotOrthonormal):
+            schur_normal_form(dataclasses.replace(cert, v=v), ch, tol)
+
+    def test_reads_the_form_off_the_certificate(self, tol, monkeypatch):
+        # no second Choi decomposition and no complement applied to matrix units
+        schur = random_schur_complement_channel(5, 6, 3, tol)
+        channels = [random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True), schur,
+                    redilate_fixture(schur, 8, 4, tol)]
+        expected = []
+        for ch in channels:
+            cert = certify(ch, tol)
+            expected.append((cert, schur_normal_form(cert, ch, tol)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the normal form recomputes what the certificate holds")
+
+        monkeypatch.setattr(CPMap, "apply", forbidden)
+        monkeypatch.setattr(importlib.import_module("ebcert.certify"), "minimal_kraus", forbidden)
+        monkeypatch.setattr(importlib.import_module("ebcert.channel"), "choi", forbidden)
+        for ch, (cert, form) in zip(channels, expected):
+            got = schur_normal_form(cert, ch, tol)
+            np.testing.assert_array_equal(got.basis_change, form.basis_change)
+            np.testing.assert_array_equal(got.correlation, form.correlation)
+
+    def test_memory_stays_at_the_size_of_the_kraus_stack(self, tol):
+        # a complement applied to all n^2 matrix units held an n^4 m intermediate,
+        # about 127 MB here; the stacks the form reads are about 0.2 MB each
+        ch = random_projection_choi_channel(24, 24, 1, tol, ensure_eb=True)
+        cert = certify(ch, tol)
+        tracemalloc.start()
+        try:
+            schur_normal_form(cert, ch, tol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEBRank:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,22 @@ class TestCertify:
         assert code == 0
         assert cert_file.exists()
 
+    def test_text_names_the_worst_residual_against_its_own_bound(self, tmp_path, capsys, tol):
+        # this input certifies with choi_match 1.46e-8, above eps_verify but within
+        # its bound eps_verify n; factorization, 9.4e-9 against eps_verify, is
+        # the residual nearest its bound
+        path = tmp_path / "p.json"
+        save_channel(perturbed_planted(3, 1e-9, 6, tol), path)
+        code, stdout, _ = run(["certify", path], capsys)
+        assert code == 0
+        line = next(s for s in stdout.splitlines() if "certificate residuals" in s)
+        name, value, bound = re.search(r"worst (\w+) (\S+) \(tol (\S+)\)", line).groups()
+        assert (name, float(bound)) == ("factorization", tol.eps_verify)
+        assert float(value) <= float(bound)
+        code, stdout, _ = run(["certify", path, "--format", "json"], capsys)
+        residuals = json.loads(stdout)["certificate"]["residuals"]
+        assert tol.eps_verify < residuals["choi_match"] <= 3 * tol.eps_verify
+
     def test_mixed_batch_returns_first_failure_in_order(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         scaled = tmp_path / "scaled.json"
@@ -410,7 +427,9 @@ class TestNormalForm:
         c = np.array([[complex(re, im) for re, im in row] for row in dump["correlation"]])
         assert np.linalg.norm(v.conj().T @ v - np.eye(3)) < 1e-8
         np.testing.assert_allclose(np.diag(c).real, 1.0, atol=1e-8)
+        # the residual is the Choi anchor, judged at the bound of choi_match
         assert dump["residual"]["value"] <= dump["residual"]["tolerance"]
+        assert dump["residual"]["tolerance"] == pytest.approx(3e-8)
 
     def test_refuses_out_of_scope(self, tmp_path, capsys):
         ch_file = tmp_path / "dep.json"
