@@ -32,6 +32,7 @@ from .certify import (
 from .channel import (
     ChoiClass,
     ChoiReport,
+    ChoiSpectrum,
     ComplementAdjointKind,
     ComplementAdjointReport,
     ComplementChannel,
@@ -40,6 +41,7 @@ from .channel import (
     channel_from_json_dict,
     channel_to_json_dict,
     choi,
+    choi_spectrum,
     classify_complement_adjoint,
     complement,
     complement_adjoint,
@@ -105,4 +107,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -42,6 +42,7 @@ from .channel import (
     CPMap,
     KrausChannel,
     choi,
+    choi_spectrum,
     is_minimal,
     minimal_kraus,
 )
@@ -359,30 +360,29 @@ def eb_rank(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBRank
     """Entanglement-breaking rank of a channel, when this package can
     determine or quote it.
 
-    Projection-Choi channels are certified (value = Choi rank) or refuted.
+    After NotTracePreserving for a map that is not a channel, the Choi
+    spectrum alone (no eigenvectors) picks the route.  Projection-Choi
+    channels are certified (value = Choi rank) or refuted by :func:`certify`.
     The completely depolarizing and transpose-plus-trace families are
     recognized by their Choi matrices and reported with their known ranks,
-    flagged "cited, unverified"; other scaled-projection channels are
-    refused as out of scope.
+    flagged "cited, unverified"; other channels are refused as out of scope.
     """
     t = _tol(tol)
-    try:
+    if not channel.trace_preserving:
+        raise NotTracePreserving(channel.tp_residual)
+    spectrum = choi_spectrum(channel, t)
+    if spectrum.classification is ChoiClass.PROJECTION:
         cert = certify(channel, t)
-    except OutOfScope as refusal:
-        family = _recognize_family(channel, t)
-        if family is not None:
-            name, value = family
-            return EBRankReport(
-                value=value, status="cited", certificate=None,
-                classification=refusal.classification,
-                note=f"{name} channel: rank {value} cited, unverified",
-            )
-        raise
-    return EBRankReport(
-        value=cert.eb_rank, status="certified", certificate=cert,
-        classification=ChoiClass.PROJECTION.value,
-        note="certified: rank-one decomposition of length equal to the Choi rank",
-    )
+        return EBRankReport(value=cert.eb_rank, status="certified", certificate=cert,
+                            classification=ChoiClass.PROJECTION.value,
+                            note="certified: rank-one decomposition of length equal to the Choi rank")
+    family = _recognize_family(channel, t)
+    if family is None:
+        raise OutOfScope(spectrum.classification.value, spectrum.alpha)
+    name, value = family
+    return EBRankReport(value=value, status="cited", certificate=None,
+                        classification=spectrum.classification.value,
+                        note=f"{name} channel: rank {value} cited, unverified")
 
 
 def _recognize_family(channel: KrausChannel, t: ToleranceConfig) -> tuple[str, int] | None:

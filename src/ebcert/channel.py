@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     InconsistentClassification,
     NotMinimalKraus,
@@ -39,6 +40,7 @@ from .errors import (
 from .numerics import (
     ToleranceConfig,
     _tol,
+    as_hermitian,
     as_matrix,
     as_matrix_stack,
     frob,
@@ -147,19 +149,16 @@ class ChoiClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ChoiReport:
+class ChoiSpectrum:
     """Choi spectral data of a Kraus list, held through the nm x k factor
-    ``V`` of the Choi matrix (columns vec(K_i)), with its rank, its spectral
-    classification and the canonical minimal Kraus set taken from the same
-    eigendecomposition of the Gram matrix ``V* V``.
+    ``V`` of the Choi matrix (columns vec(K_i)): its rank and its spectral
+    classification, read off the eigenvalues of the Gram matrix ``V* V``.
 
     classification is PROJECTION when every nonzero eigenvalue sits within
     eps_eig of 1, SCALED_PROJECTION when they sit within eps_eig of their
     common mean alpha, OTHER otherwise.  ``eigenvalues`` is the Choi
     spectrum in descending order with nm entries: the Gram spectrum padded
     with zeros when k < nm, its rounding-level tail dropped when k > nm.
-    ``kraus`` is the (choi_rank, m, n) stack of minimal Kraus operators (see
-    :func:`choi`).
     """
 
     factor: np.ndarray
@@ -167,7 +166,6 @@ class ChoiReport:
     classification: ChoiClass
     alpha: float | None
     eigenvalues: np.ndarray
-    kraus: np.ndarray
 
     @property
     def choi(self) -> np.ndarray:
@@ -175,33 +173,29 @@ class ChoiReport:
         return self.factor @ self.factor.conj().T
 
 
-def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
-    """Classify the Choi spectrum and take the minimal Kraus set from the
-    same eigendecomposition, without forming the Choi matrix.
+@dataclass(frozen=True)
+class ChoiReport(ChoiSpectrum):
+    """The Choi spectrum plus ``kraus``, the (choi_rank, m, n) stack of minimal
+    Kraus operators taken from the same eigendecomposition (see :func:`choi`)."""
 
-    J = V V* and the Gram matrix G = V* V share their nonzero eigenvalues,
-    and for G w = lambda w the column V w is an eigenvector of J of norm
-    sqrt(lambda).  So the minimal Kraus columns are V W_r, for the
-    eigenvectors W_r of G above the rank cutoff, phase-fixed: a unitary
-    re-dilation of the given list.  The set is checked by the residual of
-    the Choi matrix it rebuilds, |J - V W_r (V W_r)*| = |V P V*| for the
-    Hermitian P = I - W_r W_r*, whose square is tr(P G P G): no unitary W or
-    idempotent P is assumed.  Unlike the Gram-trace route that
-    :func:`~ebcert.numerics.factor_distance` rejects, no terms of size
-    |J|^2 cancel: P is formed first, and tr(P G P G) is itself the squared
-    norm of the small matrix G^(1/2) P G^(1/2).
+    kraus: np.ndarray
 
-    The cost is O(nm k^2 + k^3) for k Kraus operators, so a list longer
-    than nm pays O(k^3) for at most nm nonzero eigenvalues.  A thin SVD of V
-    would avoid that, but it costs about twice the eigendecomposition of G
-    when V is square, as for the completely depolarizing channel.
-    """
+
+def choi_spectrum(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiSpectrum:
+    """The Choi spectrum and its class alone, under the checks of :func:`choi`:
+    the eigenvalues of the Gram matrix V* V, no eigenvectors or Kraus set."""
     t = _tol(tol)
-    n, m = channel.input_dim, channel.output_dim
     v = channel.vec_columns()
-    g = v.conj().T @ v
-    evals, w = hermitian_eig(g, t)
+    try:
+        evals = np.linalg.eigvalsh(as_hermitian(v.conj().T @ v, t))[::-1]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    return _spectrum(channel, v, evals, t)
 
+
+def _spectrum(channel: CPMap, v, evals, t: ToleranceConfig) -> ChoiSpectrum:
+    """Check and classify the descending Gram spectrum of the Choi factor v."""
+    n, m = channel.input_dim, channel.output_dim
     rank = relative_rank(evals, t)
     nonzero = evals[:rank]
 
@@ -232,9 +226,43 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
         raise InconsistentClassification(
             f"projection Choi matrix must have rank {n}, got {rank}"
         )
+    spectrum = np.zeros(n * m)
+    spectrum[:len(evals)] = evals[:n * m]
+    return ChoiSpectrum(factor=v, choi_rank=rank, classification=classification,
+                        alpha=alpha, eigenvalues=spectrum)
+
+
+def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
+    """Classify the Choi spectrum and take the minimal Kraus set from the
+    same eigendecomposition, without forming the Choi matrix; callers that
+    read only the spectrum take :func:`choi_spectrum`.
+
+    J = V V* and the Gram matrix G = V* V share their nonzero eigenvalues,
+    and for G w = lambda w the column V w is an eigenvector of J of norm
+    sqrt(lambda).  So the minimal Kraus columns are V W_r, for the
+    eigenvectors W_r of G above the rank cutoff, phase-fixed: a unitary
+    re-dilation of the given list.  The set is checked by the residual of
+    the Choi matrix it rebuilds, |J - V W_r (V W_r)*| = |V P V*| for the
+    Hermitian P = I - W_r W_r*, whose square is tr(P G P G): no unitary W or
+    idempotent P is assumed.  Unlike the Gram-trace route that
+    :func:`~ebcert.numerics.factor_distance` rejects, no terms of size
+    |J|^2 cancel: P is formed first, and tr(P G P G) is itself the squared
+    norm of the small matrix G^(1/2) P G^(1/2).
+
+    The cost is O(nm k^2 + k^3) for k Kraus operators, so a list longer
+    than nm pays O(k^3) for at most nm nonzero eigenvalues.  A thin SVD of V
+    would avoid that, but it costs about twice the eigendecomposition of G
+    when V is square, as for the completely depolarizing channel.
+    """
+    t = _tol(tol)
+    n, m = channel.input_dim, channel.output_dim
+    v = channel.vec_columns()
+    g = v.conj().T @ v
+    evals, w = hermitian_eig(g, t)
+    spectrum = _spectrum(channel, v, evals, t)
 
     # |V P V*|^2 = tr(P G P G) = sum of (P G) times its transpose, entrywise
-    kept = w[:, :rank]
+    kept = w[:, :spectrum.choi_rank]
     pg = (np.eye(len(evals)) - kept @ kept.conj().T) @ g
     residual = np.sqrt(abs(np.sum(pg * pg.T).real))
     if not residual <= t.eps_verify * max(1.0, n):
@@ -242,10 +270,7 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
             f"minimal Kraus reconstruction residual {residual:.3e} exceeds tolerance"
         )
     kraus = unvec(phase_fix((v @ kept).T), m, n)
-    spectrum = np.zeros(n * m)
-    spectrum[:len(evals)] = evals[:n * m]
-    return ChoiReport(factor=v, choi_rank=rank, classification=classification,
-                      alpha=alpha, eigenvalues=spectrum, kraus=kraus)
+    return ChoiReport(**vars(spectrum), kraus=kraus)
 
 
 def kraus_from_choi(j, n: int, m: int, tol: ToleranceConfig | None = None) -> np.ndarray:
@@ -385,48 +410,29 @@ def classify_complement_adjoint(
     """Classify the complement adjoint by the image of the identity under the
     complement: the adjoint scales traces by alpha exactly when the
     complement sends I_n to alpha I_d, and preserves them when alpha = 1.
-
-    The complement is built from the minimal Kraus set of the Choi report,
-    and the verdict is cross-checked against that report's classification
-    (trace preserving <-> projection, trace stabilizing with the same scalar
-    <-> scaled projection); disagreement raises InconsistentClassification.
-    """
+    That image is read off the Choi spectrum alone (:func:`choi_spectrum`,
+    no eigenvectors; see :func:`_classify_complement_adjoint`)."""
     t = _tol(tol)
     if not channel.trace_preserving:
         raise NotTracePreserving(channel.tp_residual, "complement requires a channel")
-    return _classify_complement_adjoint(choi(channel, t), t)
+    return _classify_complement_adjoint(choi_spectrum(channel, t))
 
 
-def _classify_complement_adjoint(cr: ChoiReport, t: ToleranceConfig) -> ComplementAdjointReport:
-    """:func:`classify_complement_adjoint` on a channel's Choi report."""
-    d = cr.choi_rank
-    # the complement sends I_n to the Gram matrix tr(K_i K_j*) of the minimal set
-    rows = cr.kraus.reshape(d, -1)
-    gram = rows @ rows.conj().T
-    alpha = float(np.trace(gram).real) / d
-    res_identity = frob(gram - np.eye(d))
-    res_scaled = frob(gram - alpha * np.eye(d))
+def _classify_complement_adjoint(cs: ChoiSpectrum) -> ComplementAdjointReport:
+    """:func:`classify_complement_adjoint` on a channel's Choi spectrum.
 
-    if res_identity <= t.eps_verify:
-        report = ComplementAdjointReport(ComplementAdjointKind.TRACE_PRESERVING, 1.0, res_identity)
-    elif res_scaled <= t.eps_verify * max(1.0, abs(alpha)):
-        report = ComplementAdjointReport(ComplementAdjointKind.TRACE_STABILIZING, alpha, res_scaled)
-    else:
-        report = ComplementAdjointReport(ComplementAdjointKind.NEITHER, None, res_scaled)
-
-    consistent = {
-        ComplementAdjointKind.TRACE_PRESERVING: cr.classification is ChoiClass.PROJECTION,
-        ComplementAdjointKind.TRACE_STABILIZING:
-            cr.classification is ChoiClass.SCALED_PROJECTION
-            and abs(cr.alpha - report.alpha) <= 10 * t.eps_eig * max(1.0, abs(cr.alpha)),
-        ComplementAdjointKind.NEITHER: cr.classification is ChoiClass.OTHER,
-    }[report.kind]
-    if not consistent:
-        raise InconsistentClassification(
-            f"complement adjoint is {report.kind.value} (alpha={report.alpha}) but the "
-            f"Choi matrix is {cr.classification.value} (alpha={cr.alpha})"
-        )
-    return report
+    The complement of the minimal set {K_i}, vec(K_i) = V w_i up to a phase
+    for the eigenvectors w_i of G = V* V, sends I_n to [tr(K_i* K_j)] =
+    W_r* G W_r = diag(lambda_1..lambda_d), the phases cancelling.  So the kind
+    is the Choi class by construction, judged by the same rule, max_i
+    |lambda_i - alpha| <= eps_eig for alpha = 1, else for the mean eigenvalue;
+    ``residual`` is that maximum."""
+    nonzero = cs.eigenvalues[:cs.choi_rank]
+    centre = np.mean(nonzero) if cs.alpha is None else cs.alpha
+    kind = {ChoiClass.PROJECTION: ComplementAdjointKind.TRACE_PRESERVING,
+            ChoiClass.SCALED_PROJECTION: ComplementAdjointKind.TRACE_STABILIZING,
+            ChoiClass.OTHER: ComplementAdjointKind.NEITHER}[cs.classification]
+    return ComplementAdjointReport(kind, cs.alpha, float(np.max(np.abs(nonzero - centre))))
 
 
 def redilate(channel: CPMap, isometry, tol: ToleranceConfig | None = None) -> CPMap:

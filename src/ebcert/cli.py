@@ -234,11 +234,11 @@ def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
                 float(v) / channel.input_dim for v in cr.eigenvalues
             ],
         }
-        ca = _classify_complement_adjoint(cr, tol)
+        ca = _classify_complement_adjoint(cr)
         report["complement_adjoint"] = {
             "kind": ca.kind.value,
             "alpha": ca.alpha,
-            "residual": _judged(ca.residual, tol.eps_verify),
+            "residual": _judged(ca.residual, tol.eps_eig),
         }
         if cr.classification is ChoiClass.PROJECTION:
             dom, decision = _domain_blocks(cr.kraus, tol)

@@ -15,7 +15,8 @@ gives the two residuals that the gate's proof relates.
 residual through a thin QR of the Choi factor, kept as the reference for
 the library's Gram-matrix route, and :func:`classify_by_complement_apply`
 classifies the complement adjoint by applying the complement to the
-identity, kept as the reference for the library's direct Gram product.
+identity, kept as the reference for the library's reading of the Choi
+spectrum.
 :func:`top_left_singular_vectors` takes a certificate's output vectors from
 an SVD, the reference for the library's power step, and
 :func:`perturbed_planted` is the perturbed-sweep input both are compared on.
@@ -82,17 +83,21 @@ def qr_reconstruction_residual(v, w, rank):
 
 def classify_by_complement_apply(cr, tol):
     """(kind, alpha, residual) of the complement adjoint from a Choi report:
-    the complement of the report's minimal Kraus set applied to I_n, compared
-    with I_d and with alpha I_d, alpha its mean diagonal entry."""
+    the complement of the report's minimal Kraus set applied to I_n, whose
+    off-diagonal entries must vanish within eps_verify, and its diagonal
+    judged by the Choi rule: within eps_eig of 1 everywhere, else within
+    eps_eig of its mean alpha; the residual is the largest deviation."""
     n = cr.kraus.shape[2]
-    d = cr.choi_rank
-    gram = complement_from_kraus(cr.kraus, tol).apply(np.eye(n))
-    alpha = float(np.trace(gram).real) / d
-    res_identity = float(np.linalg.norm(gram - np.eye(d)))
-    res_scaled = float(np.linalg.norm(gram - alpha * np.eye(d)))
-    if res_identity <= tol.eps_verify:
+    image = complement_from_kraus(cr.kraus, tol).apply(np.eye(n))
+    diagonal = image.diagonal().real
+    off_diagonal = float(np.max(np.abs(image - np.diag(image.diagonal()))))
+    assert off_diagonal <= tol.eps_verify, off_diagonal
+    res_identity = float(np.max(np.abs(diagonal - 1.0)))
+    if res_identity <= tol.eps_eig:
         return ComplementAdjointKind.TRACE_PRESERVING, 1.0, res_identity
-    if res_scaled <= tol.eps_verify * max(1.0, abs(alpha)):
+    alpha = float(np.mean(diagonal))
+    res_scaled = float(np.max(np.abs(diagonal - alpha)))
+    if res_scaled <= tol.eps_eig:
         return ComplementAdjointKind.TRACE_STABILIZING, alpha, res_scaled
     return ComplementAdjointKind.NEITHER, None, res_scaled
 

@@ -48,6 +48,7 @@ from ebcert.zoo import (
     identity_channel,
     internal_twirl,
     permute_kraus,
+    random_channel,
     random_projection_choi_channel,
     random_schur_complement_channel,
     redilate_fixture,
@@ -215,7 +216,6 @@ class TestCertify:
         assert err.value.alpha == pytest.approx(3.0, abs=1e-10)
 
     def test_generic_channel_is_out_of_scope(self, tol):
-        from ebcert.zoo import random_channel
         with pytest.raises(OutOfScope) as err:
             certify(random_channel(3, 3, 2, 5, tol), tol)
         assert err.value.classification == "other"
@@ -419,40 +419,52 @@ class TestCertify:
                                    8, 11, tol)
         generic = redilate_fixture(random_projection_choi_channel(6, 6, 2, tol), 8, 12, tol)
         scaled = werner_holevo(5, tol)  # k = 15, nm = 25
-        sizes = []
-        eigh = np.linalg.eigh
+        sizes = {"eigh": [], "eigvalsh": []}
+        originals = {name: getattr(np.linalg, name) for name in sizes}
 
-        def counting_eigh(a, *args, **kwargs):
-            # the trailing size, so a stack of d x d matrices counts as d
-            sizes.append(np.shape(a)[-1])
-            return eigh(a, *args, **kwargs)
+        def counting(name):
+            def decompose(a, *args, **kwargs):
+                # the trailing size, so a stack of d x d matrices counts as d
+                sizes[name].append(np.shape(a)[-1])
+                return originals[name](a, *args, **kwargs)
+            return decompose
 
-        def eigh_calls(run, *dims):
-            sizes.clear()
+        def decompositions(run, nm, k):
+            """Decompositions of size nm, eigh of size k, eigvalsh of size k."""
+            for calls in sizes.values():
+                calls.clear()
             run()
-            return tuple(sizes.count(dim) for dim in dims)
+            return (sizes["eigh"].count(nm) + sizes["eigvalsh"].count(nm),
+                    sizes["eigh"].count(k), sizes["eigvalsh"].count(k))
 
         def refute():
             with pytest.raises(NotEntanglementBreaking):
                 certify(generic, tol)
 
-        def cli_certify():
+        def run_cli(*args):
             path = tmp_path / "planted.json"
             save_channel(planted, path)
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["certify", "--format", "json", str(path)]) == 0
+                assert cli.main([*args, "--format", "json", str(path)]) == 0
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for name in sizes:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         # no Choi matrix is decomposed; the pipeline's Gram spectrum, which
         # certificate verification reuses, through the library and the CLI
-        assert eigh_calls(lambda: certify(planted, tol), 36, 8) == (0, 1)
-        assert eigh_calls(cli_certify, 36, 8) == (0, 1)
+        assert decompositions(lambda: certify(planted, tol), 36, 8) == (0, 1, 0)
+        assert decompositions(lambda: run_cli("certify"), 36, 8) == (0, 1, 0)
+        assert decompositions(lambda: run_cli("analyze"), 36, 8) == (0, 1, 0)
+        cert = certify(planted, tol)
+        assert decompositions(lambda: verify_certificate(cert, planted, tol), 36, 8) == (0, 1, 0)
         # the pipeline's Gram spectrum; the partial-transpose witness takes
-        # its small Ritz values with eigvalsh and its Ritz vector by inverse
-        # iteration, so it adds no eigh
-        assert eigh_calls(refute, 36, 8) == (0, 1)
-        assert eigh_calls(lambda: classify_complement_adjoint(scaled, tol), 25, 15) == (0, 1)
-        assert eigh_calls(lambda: eb_rank(scaled, tol), 25, 15) == (0, 1)
+        # its small Ritz values with eigvalsh, here of sizes other than k,
+        # and its Ritz vector by inverse iteration, so it adds no eigh
+        assert decompositions(refute, 36, 8) == (0, 1, 0)
+        # callers that read only the spectrum take its eigenvalues, no eigh
+        assert decompositions(lambda: classify_complement_adjoint(scaled, tol), 25, 15) == (0, 0, 1)
+        assert decompositions(lambda: eb_rank(scaled, tol), 25, 15) == (0, 0, 1)
+        # a projection eb_rank reads the spectrum, then certify decomposes
+        assert decompositions(lambda: eb_rank(planted, tol), 36, 8) == (0, 1, 1)
 
     def test_only_the_certificate_check_runs_a_qr(self, tol, monkeypatch):
         from ebcert import classify_complement_adjoint
@@ -859,6 +871,35 @@ class TestEBRank:
     def test_refutation_propagates(self, tol):
         with pytest.raises(NotEntanglementBreaking):
             eb_rank(random_projection_choi_channel(2, 3, 4, tol), tol)
+
+    @pytest.mark.parametrize("make, verdict, kind, alpha", [
+        (lambda tol: werner_holevo(5, tol), (25, "cited", "scaled_projection"),
+         "trace_stabilizing", 1 / 3),
+        (lambda tol: depolarizing(3, tol), (9, "cited", "scaled_projection"),
+         "trace_stabilizing", 1 / 3),
+        (lambda tol: identity_channel(3, tol), ("out of scope", "scaled_projection", 3.0),
+         "trace_stabilizing", 3.0),
+        (lambda tol: random_channel(3, 3, 2, 51, tol), ("out of scope", "other", None),
+         "neither", None),
+    ], ids=["werner-holevo", "depolarizing", "identity", "random-channel"])
+    def test_spectrum_only_paths_take_no_eigenvectors(self, tol, monkeypatch,
+                                                      make, verdict, kind, alpha):
+        from ebcert import classify_complement_adjoint
+
+        ch = make(tol)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigenvectors were computed")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        try:
+            report = eb_rank(ch, tol)
+            assert (report.value, report.status, report.classification) == verdict
+        except OutOfScope as refusal:
+            assert ("out of scope", refusal.classification, refusal.alpha) == verdict
+        adjoint = classify_complement_adjoint(ch, tol)
+        assert adjoint.kind.value == kind
+        assert adjoint.alpha == (None if alpha is None else pytest.approx(alpha, abs=1e-12))
 
 
 class TestPartialTranspose:

@@ -13,6 +13,7 @@ from ebcert import (
     channel_from_json_dict,
     channel_to_json_dict,
     choi,
+    choi_spectrum,
     classify_complement_adjoint,
     complement,
     complement_adjoint,
@@ -46,6 +47,7 @@ from oracles import (
     apply_kraus,
     classify_by_complement_apply,
     direct_choi,
+    perturbed_planted,
     qr_reconstruction_residual,
     random_complex_matrix,
     random_density,
@@ -525,6 +527,26 @@ class TestClassifyComplementAdjoint:
         else:
             assert report.alpha == pytest.approx(alpha, abs=1e-13)
         assert report.residual == pytest.approx(residual, abs=1e-13)
+
+    def test_perturbed_projection_inputs_are_trace_preserving(self, tol):
+        """Perturbed-sweep inputs whose Choi eigenvalues all lie within
+        eps_eig of 1 get the trace-preserving kind with that largest
+        deviation as the residual, the verdict of the reference, where a
+        Frobenius norm of the deviations at eps_verify read them as neither."""
+        kinds = []
+        for seed in range(32):
+            ch = perturbed_planted(9, 1e-9, seed, tol)
+            spectrum = choi_spectrum(ch, tol)
+            report = classify_complement_adjoint(ch, tol)
+            kind, alpha, residual = classify_by_complement_apply(choi(ch, tol), tol)
+            assert (report.kind, report.alpha) == (kind, alpha)
+            assert report.residual == pytest.approx(residual, abs=1e-13)
+            if spectrum.classification is ChoiClass.PROJECTION:
+                assert report.kind is ComplementAdjointKind.TRACE_PRESERVING
+                assert report.residual == np.max(np.abs(spectrum.eigenvalues[:9] - 1.0))
+                assert report.residual <= tol.eps_eig
+            kinds.append(report.kind)
+        assert kinds.count(ComplementAdjointKind.TRACE_PRESERVING) == 28
 
 
 class TestKrausChoiceInvariance:

@@ -277,6 +277,21 @@ class TestAnalyze:
                 assert json.loads(stdout)["algebra"]["multiplicity_free"] is (verdict == 0), path
         assert certified >= 26
 
+    def test_complement_adjoint_is_judged_by_the_choi_rule(self, tmp_path, capsys, tol):
+        """Perturbed projection inputs whose Choi eigenvalues each lie within
+        eps_eig of 1 are reported trace preserving, with the largest
+        deviation against eps_eig; their analysis no longer ends in an
+        inconsistent classification (the exit code is the domain's)."""
+        for path in perturbed_files(tmp_path, 9, 1e-9, tol)[2:8]:
+            _, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
+            doc = json.loads(stdout)
+            assert doc["choi"]["classification"] == "projection"
+            adjoint = doc["complement_adjoint"]
+            assert adjoint["kind"] == "trace_preserving"
+            assert adjoint["residual"]["tolerance"] == tol.eps_eig
+            assert adjoint["residual"]["value"] <= tol.eps_eig
+            assert "complement adjoint" not in doc.get("error", "")
+
     def test_commutator_matches_the_refusal(self, tmp_path, capsys, tol):
         path = gen_projection_choi(tmp_path / "g.json", 6, 3, capsys, planted=False)
         code, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
