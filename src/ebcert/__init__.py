@@ -107,4 +107,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -39,6 +39,7 @@ import numpy as np
 from .algebra import _decide, interaction_elements
 from .channel import (
     ChoiClass,
+    ChoiSpectrum,
     CPMap,
     KrausChannel,
     choi,
@@ -363,9 +364,11 @@ def eb_rank(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBRank
     After NotTracePreserving for a map that is not a channel, the Choi
     spectrum alone (no eigenvectors) picks the route.  Projection-Choi
     channels are certified (value = Choi rank) or refuted by :func:`certify`.
-    The completely depolarizing and transpose-plus-trace families are
-    recognized by their Choi matrices and reported with their known ranks,
-    flagged "cited, unverified"; other channels are refused as out of scope.
+    Any other channel is matched against the completely depolarizing and
+    transpose-plus-trace families by :func:`_recognize_family`, from that
+    same spectrum and one pass over the Kraus stack, with no nm x nm matrix;
+    a match is reported with the family's known rank, flagged "cited,
+    unverified", and anything else is refused as out of scope.
     """
     t = _tol(tol)
     if not channel.trace_preserving:
@@ -376,7 +379,7 @@ def eb_rank(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBRank
         return EBRankReport(value=cert.eb_rank, status="certified", certificate=cert,
                             classification=ChoiClass.PROJECTION.value,
                             note="certified: rank-one decomposition of length equal to the Choi rank")
-    family = _recognize_family(channel, t)
+    family = _recognize_family(channel, spectrum, t)
     if family is None:
         raise OutOfScope(spectrum.classification.value, spectrum.alpha)
     name, value = family
@@ -385,18 +388,42 @@ def eb_rank(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBRank
                         note=f"{name} channel: rank {value} cited, unverified")
 
 
-def _recognize_family(channel: KrausChannel, t: ToleranceConfig) -> tuple[str, int] | None:
-    """Match the Choi matrix against the two families with externally known
-    entanglement-breaking ranks."""
+def _recognize_family(channel: KrausChannel, spectrum: ChoiSpectrum,
+                      t: ToleranceConfig) -> tuple[str, int] | None:
+    """Match the Choi matrix J of an n -> n channel against alpha P for the
+    two families with externally known entanglement-breaking ranks:
+    completely depolarizing (alpha = 1/n, P = I of rank D = n^2) and
+    transpose-plus-trace (alpha = 2/(n+1), P = P_sym onto the symmetric
+    subspace, D = n(n+1)/2); a family is cited when a bound on
+    |J - alpha P|_F is at most eps_verify n.
+
+    With P_R the top-D eigenprojection of J, s = |lambda - alpha 1_D| over
+    the nm eigenvalues (zeros past D) is exactly |J - alpha P_R|_F, the
+    whole distance when P = I.  For P_sym: the swap acts as F vec(K) =
+    vec(K^T), so a = (sum_i |K_i - K_i^T|_F^2)^(1/2) / 2 = |P_anti V|_F for
+    J = V V* and P_anti = I - P_sym.  J >= lambda_D P_R gives a^2 >=
+    lambda_D |P_anti P_R|_F^2, and |P_R - P_sym|_F = sqrt(2) |P_anti P_R|_F
+    for two rank-D projections, so |J - alpha P_sym|_F <= s + alpha
+    sqrt(2 / lambda_D) a.  Citing only when lambda_D > 0 and the bound
+    passes cites no channel whose own distance fails; one within about
+    1 + sqrt(2) of the bound may be refused.
+    """
     n, m = channel.input_dim, channel.output_dim
     if n != m:
         return None
-    j = channel.choi_matrix()
-    if frob(j - np.eye(n * n) / n) <= t.eps_verify * n:
-        return "completely depolarizing", n * n
-    swap = np.eye(n * n).reshape(n, n, n, n).transpose(1, 0, 2, 3).reshape(n * n, n * n)
-    if frob(j - (np.eye(n * n) + swap) / (n + 1)) <= t.eps_verify * n:
-        return "transpose-plus-trace", n * n
+    evals = spectrum.eigenvalues
+    families = (("completely depolarizing", 1 / n, n * n, False),
+                ("transpose-plus-trace", 2 / (n + 1), n * (n + 1) // 2, True))
+    for name, alpha, rank, symmetric in families:
+        lowest = evals[rank - 1]
+        if not lowest > 0:
+            continue
+        distance = frob(np.where(np.arange(n * n) < rank, evals - alpha, evals))
+        if symmetric:
+            kraus = channel.kraus
+            distance += alpha * np.sqrt(2 / lowest) * frob(kraus - kraus.transpose(0, 2, 1)) / 2
+        if distance <= t.eps_verify * n:
+            return name, n * n
     return None
 
 

@@ -118,11 +118,6 @@ class CPMap:
         """The nm x k matrix V whose columns are vec(K_i)."""
         return vec(self._kraus).T
 
-    def choi_matrix(self) -> np.ndarray:
-        """The Choi matrix V V*, built without a spectrum."""
-        v = self.vec_columns()
-        return v @ v.conj().T
-
     def __repr__(self) -> str:
         kind = "channel" if self.trace_preserving else "cp map"
         return (

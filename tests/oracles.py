@@ -20,6 +20,9 @@ spectrum.
 :func:`top_left_singular_vectors` takes a certificate's output vectors from
 an SVD, the reference for the library's power step, and
 :func:`perturbed_planted` is the perturbed-sweep input both are compared on.
+:func:`dense_family_distances` compares the direct Choi matrix entrywise
+with the two cited families, the reference for ``eb_rank``'s recognition
+from the Choi spectrum and the Kraus stack.
 """
 
 import numpy as np
@@ -56,6 +59,22 @@ def direct_choi(kraus, n, m):
             unit[a, b] = 1.0
             j[a * m:(a + 1) * m, b * m:(b + 1) * m] = apply_kraus(kraus, unit)
     return j
+
+
+def dense_family_distances(kraus, n):
+    """|J - alpha P|_F of the direct Choi matrix of an n -> n channel for the
+    two families with cited entanglement-breaking ranks, keyed by the name
+    ``eb_rank`` reports: the completely depolarizing channel, J = I / n, and
+    the transpose-plus-trace channel, J = (I + F) / (n + 1) for the swap F.
+    A family within eps_verify n of J was the dense recognition rule."""
+    j = direct_choi(kraus, n, n)
+    swap = np.zeros((n * n, n * n))
+    for a in range(n):
+        for b in range(n):
+            swap[a * n + b, b * n + a] = 1.0
+    eye = np.eye(n * n)
+    return {"completely depolarizing": float(np.linalg.norm(j - eye / n)),
+            "transpose-plus-trace": float(np.linalg.norm(j - (eye + swap) / (n + 1)))}
 
 
 def minimal_kraus_direct(kraus, n, m, cutoff=1e-10):
@@ -308,9 +327,17 @@ def top_left_singular_vectors(ops):
 
 
 def perturbed_planted(n, eps, seed, tol):
-    """A planted entanglement-breaking n x n channel plus eps times one
-    whole-stack complex Gaussian draw, re-normalized by (sum K*K)^(-1/2)."""
-    ops = random_projection_choi_channel(n, n, seed, tol, ensure_eb=True).kraus
+    """A planted entanglement-breaking n x n channel, perturbed as by
+    :func:`perturbed`."""
+    return perturbed(random_projection_choi_channel(n, n, seed, tol, ensure_eb=True),
+                     eps, seed, tol)
+
+
+def perturbed(channel, eps, seed, tol):
+    """The channel's Kraus stack plus eps times one whole-stack complex
+    Gaussian draw from default_rng(100 + seed), re-normalized by
+    (sum K*K)^(-1/2)."""
+    ops = channel.kraus
     rng = np.random.default_rng(100 + seed)
     ops = ops + eps * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape))
     evals, evecs = np.linalg.eigh(np.einsum("kji,kjl->il", ops.conj(), ops))

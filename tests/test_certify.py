@@ -11,6 +11,7 @@ import pytest
 
 from ebcert import (
     ChoiReport,
+    ChoiSpectrum,
     CPMap,
     EBCertificate,
     KrausChannel,
@@ -58,7 +59,9 @@ from ebcert.zoo import (
 
 from oracles import (
     block_unital_complement,
+    dense_family_distances,
     direct_choi,
+    perturbed,
     perturbed_planted,
     random_complex_matrix,
     top_left_singular_vectors,
@@ -520,7 +523,6 @@ class TestCertify:
             built.append(self)
             raise AssertionError("a Choi matrix was formed")
 
-        monkeypatch.setattr(CPMap, "choi_matrix", forbidden)
         monkeypatch.setattr(ChoiReport, "choi", property(forbidden))
         assert certify(planted, tol).eb_rank == 6
         # the partial-transpose cross-check of a refutation works on the factor
@@ -537,7 +539,6 @@ class TestCertify:
         def forbidden(self):
             raise AssertionError("a Choi matrix was formed")
 
-        monkeypatch.setattr(CPMap, "choi_matrix", forbidden)
         monkeypatch.setattr(ChoiReport, "choi", property(forbidden))
         if ensure_eb:
             assert certify(ch, tol).eb_rank == 32
@@ -872,6 +873,60 @@ class TestEBRank:
         with pytest.raises(NotEntanglementBreaking):
             eb_rank(random_projection_choi_channel(2, 3, 4, tol), tol)
 
+    @pytest.mark.parametrize("family, make", [("transpose-plus-trace", werner_holevo),
+                                              ("completely depolarizing", depolarizing)])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_recognition_agrees_with_the_dense_rule_on_perturbed_families(self, tol, family,
+                                                                          make, n):
+        # sound: whatever is cited lies within eps_verify n of its family; and an
+        # input within half that is cited, the bound being at most about
+        # (1 + sqrt 2) times the dense distance
+        exact = make(n, tol)
+        bound = tol.eps_verify * n
+        outcomes = set()
+        for eps in (0, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8):
+            for seed in range(8):
+                ch = perturbed(exact, eps, seed, tol)
+                distances = dense_family_distances(ch.kraus, n)
+                try:
+                    cited = eb_rank(ch, tol).note.split(" channel:")[0]
+                except OutOfScope:
+                    cited = None
+                if cited is not None:
+                    assert distances[cited] <= bound, (eps, seed, cited, distances)
+                if distances[family] <= bound / 2:
+                    assert cited == family, (eps, seed, distances)
+                outcomes.add(cited)
+        assert outcomes == {family, None}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_one_sided_twirl_of_werner_holevo_is_refused(self, tol, seed):
+        # X -> U F(X) U* keeps the Choi spectrum, but moves the range off the
+        # symmetric subspace; X -> U^T F(U X U*) conj(U) leaves the channel as it is
+        wh = werner_holevo(4, tol)
+        u = random_unitary(4, 300 + seed)
+        with pytest.raises(OutOfScope) as refusal:
+            eb_rank(external_twirl(wh, u, tol), tol)
+        assert refusal.value.classification == "scaled_projection"
+        assert refusal.value.alpha == pytest.approx(2 / 5, abs=1e-12)
+        covariant = eb_rank(external_twirl(internal_twirl(wh, u, tol), u.T, tol), tol)
+        assert (covariant.value, covariant.status) == (16, "cited")
+
+    def test_recognition_memory_stays_at_the_spectrum_route(self, tol):
+        # nm = 576, k = 300: one nm x nm complex matrix alone is 5.3 MB
+        from ebcert import classify_complement_adjoint
+
+        wh = werner_holevo(24, tol)
+        peaks = []
+        for call in (classify_complement_adjoint, eb_rank):
+            tracemalloc.start()
+            try:
+                call(wh, tol)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**19, peaks
+
     @pytest.mark.parametrize("make, verdict, kind, alpha", [
         (lambda tol: werner_holevo(5, tol), (25, "cited", "scaled_projection"),
          "trace_stabilizing", 1 / 3),
@@ -892,6 +947,7 @@ class TestEBRank:
             raise AssertionError("eigenvectors were computed")
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(ChoiSpectrum, "choi", property(forbidden))
         try:
             report = eb_rank(ch, tol)
             assert (report.value, report.status, report.classification) == verdict
@@ -943,7 +999,7 @@ class TestNPTWitness:
                 ch = random_projection_choi_channel(n, m, seed, tol, ensure_eb=ensure_eb)
                 factor = minimal_kraus(ch, tol).vec_columns()
                 witness = npt_witness(factor, n, m, tol)
-                j = ch.choi_matrix()
+                j = direct_choi(ch.kraus, n, m)
                 assert (witness is not None) == (not is_ppt(j, n, m, tol)), (seed, ensure_eb)
                 if witness is None:
                     continue
