@@ -35,7 +35,6 @@ from .channel import (
     ChoiSpectrum,
     ComplementAdjointKind,
     ComplementAdjointReport,
-    ComplementChannel,
     CPMap,
     KrausChannel,
     channel_from_json_dict,
@@ -45,11 +44,8 @@ from .channel import (
     classify_complement_adjoint,
     complement,
     complement_adjoint,
-    complement_adjoint_apply,
     complement_from_kraus,
-    dual,
     is_minimal,
-    kraus_from_choi,
     load_channel,
     minimal_kraus,
     redilate,
@@ -107,4 +103,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -142,9 +142,10 @@ def _domain_blocks(kraus: np.ndarray, t: ToleranceConfig):
     psi = CPMap(np.conj(kraus).transpose(1, 2, 0), t)
     if psi.input_dim != psi.output_dim:
         raise NotUnitalOrNotTP("map must be an endomorphism to be unital and trace preserving")
-    if psi.tp_residual > t.eps_verify or psi.unital_residual() > t.eps_verify:
+    unital_residual = psi.unital_residual()
+    if psi.tp_residual > t.eps_verify or unital_residual > t.eps_verify:
         raise NotUnitalOrNotTP(
-            f"tp residual {psi.tp_residual:.3e}, unital residual {psi.unital_residual():.3e}"
+            f"tp residual {psi.tp_residual:.3e}, unital residual {unital_residual:.3e}"
         )
     decision = _decide(interaction_elements(kraus, t), t)
     alg = commutant_from_elements(decision, t)

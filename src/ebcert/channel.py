@@ -1,6 +1,6 @@
-"""Channel representation and calculus: Kraus/Choi conversions, duals,
-complements, complement adjoints, and projection classification of Choi
-matrices.
+"""Channel representation and calculus: Choi spectra, their projection
+classification and minimal Kraus sets of a Kraus list, the complement and
+its adjoint, and the channel file format.
 
 The Choi matrix of a map ``F`` from n x n to m x m matrices is the
 nm x nm block matrix ``sum_ij kron(E_ij, F(E_ij))`` over matrix units
@@ -11,12 +11,12 @@ for a channel); dividing by n gives a density matrix.  Its nonzero spectrum
 is that of the k x k Gram matrix ``V* V`` (Choi 1975), so :func:`choi`
 works on the factor ``V`` and forms ``V V*`` only when a caller asks for it.
 
-A complement is always built from a minimal Kraus set, which this module
-fixes deterministically: the columns ``V w`` for the eigenvectors ``w`` of
-the Gram matrix above the rank cutoff, in descending eigenvalue order, each
-phase-fixed so its largest-modulus entry is real positive.  These are the
-Choi eigenvectors scaled by the square-rooted eigenvalues, a unitary
-re-dilation of the given Kraus list.  Any other minimal choice gives a
+The canonical complement and its adjoint are built from a minimal Kraus
+set, which this module fixes deterministically: the columns ``V w`` for the
+eigenvectors ``w`` of the Gram matrix above the rank cutoff, in descending
+eigenvalue order, each phase-fixed so its largest-modulus entry is real
+positive.  These are the Choi eigenvectors scaled by the square-rooted
+eigenvalues, a unitary re-dilation of the given Kraus list.  Any other minimal choice gives a
 complement that differs only by unitary conjugation on the output, so
 spectra and all classifications below are unaffected by this convention.
 """
@@ -40,7 +40,6 @@ from .errors import (
 from .numerics import (
     ToleranceConfig,
     _tol,
-    as_hermitian,
     as_matrix,
     as_matrix_stack,
     frob,
@@ -111,9 +110,6 @@ class CPMap:
     def unital_residual(self) -> float:
         return frob(self.apply(np.eye(self.input_dim)) - np.eye(self.output_dim))
 
-    def is_unital(self, tol: ToleranceConfig | None = None) -> bool:
-        return self.unital_residual() <= _tol(tol).eps_verify
-
     def vec_columns(self) -> np.ndarray:
         """The nm x k matrix V whose columns are vec(K_i)."""
         return vec(self._kraus).T
@@ -181,8 +177,11 @@ def choi_spectrum(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiSpe
     the eigenvalues of the Gram matrix V* V, no eigenvectors or Kraus set."""
     t = _tol(tol)
     v = channel.vec_columns()
+    g = v.conj().T @ v  # Hermitian by construction; finite unless it overflowed
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix entries must be finite")
     try:
-        evals = np.linalg.eigvalsh(as_hermitian(v.conj().T @ v, t))[::-1]
+        evals = np.linalg.eigvalsh(g)[::-1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return _spectrum(channel, v, evals, t)
@@ -268,25 +267,6 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     return ChoiReport(**vars(spectrum), kraus=kraus)
 
 
-def kraus_from_choi(j, n: int, m: int, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Minimal Kraus operators of the map whose Choi matrix is ``j``, as a
-    (k, m, n) stack.
-
-    Eigenpairs above the relative rank cutoff, in descending eigenvalue
-    order with phase-fixed eigenvectors, un-vectorized and scaled by the
-    square-rooted eigenvalue.  The resulting set is trace-orthogonal.
-    """
-    t = _tol(tol)
-    j = as_matrix(j)
-    if j.shape != (n * m, n * m):
-        raise DimensionMismatch(f"Choi matrix must be {n * m}x{n * m}, got {j.shape}")
-    evals, evecs = hermitian_eig(j, t)
-    keep = relative_rank(evals, t)
-    if keep == 0:
-        raise ValueError("Choi matrix is numerically zero; no Kraus form exists")
-    return unvec((evecs[:, :keep] * np.sqrt(evals[:keep])).T, m, n)
-
-
 def minimal_kraus(channel: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
     """Equivalent map with exactly Choi-rank many Kraus operators, taken
     from the Choi report (the package-wide canonical choice)."""
@@ -301,25 +281,6 @@ def is_minimal(channel: CPMap, tol: ToleranceConfig | None = None) -> bool:
     """A Kraus set is minimal exactly when its vec'd operators are linearly
     independent."""
     return numerical_rank(channel.vec_columns(), tol) == len(channel)
-
-
-def dual(channel: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
-    """Hilbert-Schmidt dual, with Kraus operators the adjoints of the
-    original ones, checked on one random trace pairing
-    tr(dual(X) Y) = tr(X F(Y)) at eps_verify."""
-    t = _tol(tol)
-    out = CPMap(channel.kraus.conj().transpose(0, 2, 1), t)
-    rng = t.rng(0xD0A1)
-    m, n = channel.output_dim, channel.input_dim
-    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    lhs = np.trace(out.apply(x) @ y)
-    rhs = np.trace(x @ channel.apply(y))
-    if abs(lhs - rhs) > t.eps_verify * max(1.0, abs(rhs)):
-        raise VerificationFailure(
-            f"dual trace pairing residual {abs(lhs - rhs):.3e} exceeds tolerance"
-        )
-    return out
 
 
 def complement_from_kraus(kraus, tol: ToleranceConfig | None = None) -> CPMap:
@@ -338,52 +299,28 @@ def complement_from_kraus(kraus, tol: ToleranceConfig | None = None) -> CPMap:
     return source.with_kraus(source.kraus.transpose(1, 0, 2), t)
 
 
-@dataclass(frozen=True)
-class ComplementChannel:
-    """Complement of a channel, built from its canonical minimal Kraus set.
-
-    source          the original channel
-    minimal_source  the minimal-Kraus presentation the complement is built from
-    channel         the complement itself, a channel into d x d matrices
-    choi_rank       d, the Choi rank of the source
-    """
-
-    source: KrausChannel
-    minimal_source: KrausChannel
-    channel: KrausChannel
-    choi_rank: int
-
-
-def complement(channel: KrausChannel, tol: ToleranceConfig | None = None) -> ComplementChannel:
-    """Canonical complement: reduce to the minimal Kraus set, then apply the
-    trace-form construction.  Complements from different minimal choices are
-    unitarily conjugate, hence share their Choi spectrum."""
+def complement(channel: KrausChannel, tol: ToleranceConfig | None = None) -> KrausChannel:
+    """Canonical complement, a channel into d x d matrices for d the Choi
+    rank: :func:`complement_from_kraus` of the minimal Kraus set.  Complements
+    from other minimal sets are unitarily conjugate to it, hence share its
+    Choi spectrum."""
     t = _tol(tol)
     if not channel.trace_preserving:
         raise NotTracePreserving(channel.tp_residual, "complement requires a channel")
-    minimal = minimal_kraus(channel, t)
-    comp = complement_from_kraus(minimal.kraus, t)
-    return ComplementChannel(source=channel, minimal_source=minimal,
-                             channel=comp, choi_rank=len(minimal))
+    return complement_from_kraus(minimal_kraus(channel, t).kraus, t)
 
 
 def complement_adjoint(minimal: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
     """Adjoint of the complement, X -> sum_ij X_ij K_i* K_j on d x d matrices
-    for a minimal Kraus set {K_i}: the CP map with Kraus operators
-    P_a[c, i] = conj(K_i[a, c]), the values of ``dual(complement_from_kraus(K))``.
+    for a minimal Kraus set {K_i}, evaluated by its :meth:`CPMap.apply`.  Its
+    Kraus operators P_a[c, i] = conj(K_i[a, c]) are the adjoints of those of
+    ``complement_from_kraus(K)``: one transpose of the conjugated stack.
     It is unital whenever the source is trace preserving, and trace
     preserving exactly when the source Choi matrix is a projection."""
     t = _tol(tol)
     if not is_minimal(minimal, t):
         raise NotMinimalKraus("complement adjoint requires a minimal Kraus set")
     return CPMap(np.conj(minimal.kraus).transpose(1, 2, 0), t)
-
-
-def complement_adjoint_apply(minimal: CPMap, x, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """The complement adjoint X -> sum_ij X_ij K_i* K_j of a minimal Kraus set
-    {K_i} on one d x d matrix or on each matrix of an (s, d, d) stack,
-    evaluated by :meth:`CPMap.apply` of :func:`complement_adjoint`."""
-    return complement_adjoint(minimal, tol).apply(x)
 
 
 class ComplementAdjointKind(enum.Enum):

@@ -34,8 +34,9 @@ class NotMinimalKraus(EBCertError):
 
 
 class InconsistentClassification(EBCertError):
-    """Choi-matrix and complement-adjoint classifications disagree; signals
-    numerical breakdown rather than a property of the channel."""
+    """Choi spectrum no channel can have: a negative eigenvalue, a trace or a
+    projection rank other than n.  Signals numerical breakdown rather than a
+    property of the channel."""
 
 
 class NotUnitalOrNotTP(EBCertError):

@@ -18,7 +18,6 @@ from .channel import (
     CPMap,
     KrausChannel,
     complement_from_kraus,
-    kraus_from_choi,
     minimal_kraus,
     redilate,
 )
@@ -149,14 +148,18 @@ def werner_holevo(d: int, tol: ToleranceConfig | None = None) -> KrausChannel:
 
     Its Choi matrix is (I + SWAP) / (d + 1): twice the projection onto the
     symmetric subspace divided by d + 1, hence a scaled projection with
-    scalar 2 / (d + 1) and rank d (d + 1) / 2.  Kraus operators come from
-    the Choi eigendecomposition."""
+    scalar 2 / (d + 1) and rank d (d + 1) / 2.  The Kraus operators are the
+    symmetric matrices E_ii sqrt(2 / (d + 1)) and (E_ij + E_ji) / sqrt(d + 1)
+    for i < j, in row-major order of (i, j): vectorized, an orthogonal basis
+    of that range, each of squared norm 2 / (d + 1)."""
     if d < 2:
         raise DimensionMismatch("transpose-plus-trace channel needs dimension at least 2")
-    t = _tol(tol)
-    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
-    j = (np.eye(d * d) + swap) / (d + 1)
-    return KrausChannel(kraus_from_choi(j, d, d, t), t)
+    rows, cols = np.triu_indices(d)
+    ops = np.zeros((len(rows), d, d))
+    index = np.arange(len(rows))
+    scale = np.sqrt(np.where(rows == cols, 2.0, 1.0) / (d + 1))
+    ops[index, rows, cols] = ops[index, cols, rows] = scale
+    return KrausChannel(ops, tol)
 
 
 def depolarizing(n: int, tol: ToleranceConfig | None = None) -> KrausChannel:

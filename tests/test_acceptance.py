@@ -166,8 +166,8 @@ def test_criterion_3_projection_iff_complement_unital():
     for ch in pool:
         rep = choi(ch, TOL)
         comp = complement(ch, TOL)
-        gram = comp.channel.apply(np.eye(ch.input_dim))
-        unital = np.linalg.norm(gram - np.eye(comp.choi_rank)) <= 1e-8
+        gram = comp.apply(np.eye(ch.input_dim))
+        unital = np.linalg.norm(gram - np.eye(comp.output_dim)) <= 1e-8
         if (rep.classification is ChoiClass.PROJECTION) != unital:
             disagreements += 1
     criterion(

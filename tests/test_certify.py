@@ -18,7 +18,6 @@ from ebcert import (
     certify,
     choi,
     complement_adjoint,
-    complement_adjoint_apply,
     eb_rank,
     is_ppt,
     minimal_kraus,
@@ -174,7 +173,7 @@ class TestCertify:
         from ebcert import complement
         from ebcert.zoo import random_correlation, schur_channel
         corr = random_correlation(5, 5, 77, tol)
-        comp = complement(schur_channel(corr, tol), tol).channel
+        comp = complement(schur_channel(corr, tol), tol)
         cert = certify(comp, tol)
         assert cert.eb_rank == cert.choi_rank == 5
 
@@ -553,8 +552,8 @@ class TestCertify:
         ch = random_projection_choi_channel(5, 4, seed, tol, ensure_eb=True)
         cert = certify(ch, tol)
         w, v = cert.w, cert.v
-        images = complement_adjoint_apply(minimal_kraus(ch, tol),
-                                          w[:, :, None] * w.conj()[:, None, :], tol)
+        images = complement_adjoint(minimal_kraus(ch, tol), tol).apply(
+            w[:, :, None] * w.conj()[:, None, :])
         expected = np.max(np.linalg.norm(images - v[:, :, None] * v.conj()[:, None, :],
                                          axis=(1, 2)))
         assert abs(cert.residuals["adjoint_rank_one"] - expected) <= 1e-13

