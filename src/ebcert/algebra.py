@@ -28,7 +28,9 @@ One routine, :func:`_decide`, reads the interaction elements for the
 certifier and the domain build alike: whether two of them commute decides if
 the domain is multiplicity free, and its eigenvalue clusters give the blocks.
 Both start from a channel's minimal Kraus stack, of which the complement
-adjoint is one conjugated transpose.
+adjoint is one conjugated transpose.  The certifier forms the elements as
+they are read, so a refutation usually forms two of the eight draws; the
+domain build forms all eight, since its commutant is checked against each.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .numerics import (
     ToleranceConfig,
     _tol,
     as_matrix,
+    eigh_descending,
     frob,
     hermitian_eig,
     nullspace,
@@ -147,8 +150,9 @@ def _domain_blocks(kraus: np.ndarray, t: ToleranceConfig):
         raise NotUnitalOrNotTP(
             f"tp residual {psi.tp_residual:.3e}, unital residual {unital_residual:.3e}"
         )
-    decision = _decide(interaction_elements(kraus, t), t)
-    alg = commutant_from_elements(decision, t)
+    elements = interaction_elements(kraus, t)
+    decision = _decide(elements.__getitem__, t)
+    alg = commutant_from_elements(decision, elements, t)
     _verify_domain(psi, alg, t)
     return alg, decision
 
@@ -242,16 +246,20 @@ class AlgebraStructure:
 
 
 def _separated(evals: np.ndarray, clusters: list[np.ndarray], t: ToleranceConfig) -> bool:
-    """Whether the cluster means lie at least 10 eps_eig apart."""
-    means = np.array([float(np.mean(evals[c])) for c in clusters])
+    """Whether the means of the consecutive runs ``clusters`` of a
+    descending spectrum lie at least 10 eps_eig apart."""
+    sizes = np.array([c.size for c in clusters])
+    means = np.add.reduceat(evals, np.cumsum(sizes) - sizes) / sizes
     return bool(np.all(means[:-1] - means[1:] >= 10 * t.eps_eig))
 
 
 def _clustered_eig(h: np.ndarray, t: ToleranceConfig):
-    """hermitian_eig plus the eigenvalue clusters at eps_eig: index arrays of
-    the runs of the descending spectrum whose consecutive gaps stay within
-    eps_eig."""
-    evals, evecs = hermitian_eig(h, t)
+    """:func:`~ebcert.numerics.hermitian_eig` of an element Hermitian by
+    construction, without its Hermitian residual check, plus the eigenvalue
+    clusters at eps_eig: index arrays of the runs of the descending spectrum
+    whose consecutive gaps stay within eps_eig."""
+    evals, evecs = eigh_descending(h)
+    evecs = phase_fix(evecs.T).T
     splits = np.flatnonzero(evals[:-1] - evals[1:] > t.eps_eig) + 1
     return evals, evecs, np.split(np.arange(evals.size), splits)
 
@@ -346,28 +354,32 @@ def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
     return vectors
 
 
-def interaction_elements(kraus, tol: ToleranceConfig | None = None) -> np.ndarray:
+def interaction_elements(kraus, tol: ToleranceConfig | None = None,
+                         draws: slice = slice(None)) -> np.ndarray:
     """Random Hermitian elements of span{L_b L_a*}, where the d x n
     operators L_a are the Kraus operators of the complement of the minimal
     (d, m, n) Kraus stack: (L_a)_ic = (K_i)_ac.
 
     Each element is a_ij = tr(C K_i K_j*) for a Hermitian Gaussian m x m
-    matrix C drawn from the seed, scaled to unit Frobenius norm; the stack
-    holds MAX_RESAMPLE of them.  The L_b L_a* are the Kraus
-    operators of dual(psi) o psi for the complement adjoint psi, so their
-    algebra A has the multiplicative domain of psi as its commutant when
-    psi is unital and trace preserving (Kribs 2003).
+    matrix C, scaled to unit Frobenius norm.  The seed gives MAX_RESAMPLE
+    draws of C in one stream, and ``draws`` picks which of them are formed,
+    all by default: a slice of the draws gives the same bits as that slice
+    of the whole stack, so a caller forms the draws it reads when it reads
+    them (see :func:`_decide`).  The L_b L_a* are the Kraus operators of
+    dual(psi) o psi for the complement adjoint psi, so their algebra A has
+    the multiplicative domain of psi as its commutant when psi is unital
+    and trace preserving (Kribs 2003).
     """
     t = _tol(tol)
     # C order, so that a transposed view of the same values gives the same bits
     kraus = np.ascontiguousarray(kraus, dtype=complex)
     d, m, n = kraus.shape
     rng = t.rng(0x1A7E)
-    count = MAX_RESAMPLE
-    g = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    shape = (MAX_RESAMPLE, m, m)
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[draws]
     coeffs = g + g.conj().transpose(0, 2, 1)
     # (C K_i) paired with K_j entrywise: O(d m^2 n + d^2 m n) per draw
-    mixed = (coeffs[:, None] @ kraus[None]).reshape(count, d, m * n)
+    mixed = (coeffs[:, None] @ kraus[None]).reshape(len(coeffs), d, m * n)
     elements = mixed @ kraus.reshape(d, m * n).conj().T
     return elements / _norms(elements)[:, None, None]
 
@@ -378,7 +390,6 @@ class _Decision(NamedTuple):
     cluster indices; read from two elements, also the second in the first's
     eigenbasis and, per pair of clusters, the norm of its block between them."""
 
-    elements: np.ndarray
     kappa: float
     bound: float
     multiplicity_free: bool
@@ -395,21 +406,29 @@ class _Decision(NamedTuple):
         return tuple(sorted(pairs, key=lambda p: (-p[1], -p[0])))
 
 
-def _decide(elements: np.ndarray, t: ToleranceConfig) -> _Decision:
+def _decide(draw, t: ToleranceConfig) -> _Decision:
     """Whether generic Hermitian elements generate an abelian algebra, whose
     commutant is then multiplicity free: the relative commutator kappa of the
-    first two decides.  Above sqrt(eps_eig) the blocks are read from two
-    elements (:func:`_coupled_clusters`); otherwise from the element, of all
-    decomposed in one call, with the most clusters at eps_eig, then the widest
-    narrowest gap between them, then the first.  Its clusters are the blocks
-    M_j, and its eigenvectors w_i give rank-one projections w_i w_i* in the
-    commutant, which cluster gaps keep from turning under rounding."""
-    a, b = elements[:2]
+    first two decides.  ``draw`` takes a slice of the MAX_RESAMPLE draws and
+    returns those elements, as :func:`interaction_elements` does; draws 0-1
+    are formed first and draws 2-7 only where they are read.  Above
+    sqrt(eps_eig) the blocks are read from two elements
+    (:func:`_coupled_clusters`), which forms draws 2-7 only when the first
+    pair is unreadable; a refutation usually forms two elements.  Otherwise
+    all eight are formed, and the blocks are read from the element, of all
+    decomposed in one call, with the most clusters at eps_eig, then the
+    widest narrowest gap between them, then the first.  Its clusters are the
+    blocks M_j, and its eigenvectors w_i give rank-one projections w_i w_i*
+    in the commutant, which cluster gaps keep from turning under rounding.
+    The elements are Hermitian by construction and go to the solver without
+    a Hermitian residual check."""
+    head = draw(slice(0, 2))
+    a, b = head
     kappa = frob(a @ b - b @ a)  # the elements have unit norm, so this is relative
     bound = math.sqrt(t.eps_eig)
     if kappa > bound:
-        return _Decision(elements, kappa, bound, False, *_coupled_clusters(elements, t))
-    evals, evecs = hermitian_eig(elements, t)
+        return _Decision(kappa, bound, False, *_coupled_clusters(head, draw, t))
+    evals, evecs = eigh_descending(np.concatenate([head, draw(slice(2, None))]))
     gaps = evals[:, :-1] - evals[:, 1:]
     splits = gaps > t.eps_eig
     narrowest = np.min(np.where(splits, gaps, np.inf), axis=1, initial=np.inf)
@@ -417,11 +436,11 @@ def _decide(elements: np.ndarray, t: ToleranceConfig) -> _Decision:
     best = np.lexsort((-narrowest, -np.sum(splits, axis=1)))[0]
     cuts = [0, *np.flatnonzero(splits[best]) + 1, evals.shape[1]]
     clusters = [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    return _Decision(elements, kappa, bound, True, evecs[best], clusters,
+    return _Decision(kappa, bound, True, phase_fix(evecs[best].T).T, clusters,
                      [[k] for k in range(len(clusters))])
 
 
-def _coupled_clusters(elements: np.ndarray, t: ToleranceConfig):
+def _coupled_clusters(head: np.ndarray, draw, t: ToleranceConfig):
     """The blocks of the commutant of the algebra generated by generic
     Hermitian elements, read from two of them (Murota, Kanno, Kojima &
     Kojima 2010).  If the algebra is a direct sum of blocks M_i (x) I_j, the
@@ -429,12 +448,16 @@ def _coupled_clusters(elements: np.ndarray, t: ToleranceConfig):
     clusters of size j, i of them per block; a second generic element b
     couples exactly the clusters of one block, so each connected component
     of b's coupling between a's clusters gives one pair (i, j).  Coupling is
-    a block of b in a's eigenbasis above eps_verify |b|.  A pair whose
-    clusters are too close, or a component that mixes cluster sizes, moves
-    on to the next pair of the stack.  Returns the reading of a and b."""
-    count = len(elements)
+    a block of b in a's eigenbasis above eps_verify |b|.  The first pair is
+    the two elements of ``head``, draws 0-1; a pair whose clusters are too
+    close, or a component that mixes cluster sizes, moves on to the next
+    pair of draws, and the first such move forms draws 2-7 by ``draw`` (see
+    :func:`_decide`).  Returns the reading of a and b."""
+    elements = head
     for attempt in range(MAX_RESAMPLE):
-        a, b = elements[attempt % count], elements[(attempt + 1) % count]
+        if attempt == 1:  # the first pair is spent
+            elements = np.concatenate([head, draw(slice(2, None))])
+        a, b = elements[attempt], elements[(attempt + 1) % len(elements)]
         evals, evecs, clusters = _clustered_eig(a, t)
         if not _separated(evals, clusters, t):
             continue
@@ -474,7 +497,7 @@ def _spanning_tree(weights: np.ndarray) -> list[tuple[int, int]]:
     return edges
 
 
-def commutant_from_elements(decision: _Decision,
+def commutant_from_elements(decision: _Decision, elements: np.ndarray,
                             tol: ToleranceConfig | None = None) -> MatrixAlgebra:
     """The commutant of the algebra generated by a stack of generic
     Hermitian elements, from the reading :func:`_decide` made of them.
@@ -498,7 +521,7 @@ def commutant_from_elements(decision: _Decision,
     algebra they generate are misread and fail it.
     """
     t = _tol(tol)
-    elements, _, _, _, evecs, clusters, members, rotated, coupling = decision
+    _, _, _, evecs, clusters, members, rotated, coupling = decision
     turns = np.eye(len(evecs), dtype=complex)  # block diagonal, one block per cluster
     for group in (group for group in members if len(group) > 1):
         for p, q in _spanning_tree(coupling[np.ix_(group, group)]):

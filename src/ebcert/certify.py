@@ -9,16 +9,19 @@ algebra A generated by the Kraus operators L_b L_a* of dual(psi) o psi
 (Kribs 2003), so it is multiplicity free exactly when A is abelian.  Generic
 Hermitian elements of span{L_b L_a*} decide that, in the routine ``analyze``
 builds its domain from (:func:`ebcert.algebra._decide`): a relative
-commutator |ab - ba| / (|a| |b|) of two of them above sqrt(eps_eig) refutes,
-with the domain's block pairs; otherwise the eigenvectors w_i of one element
-give rank-one projections in the domain resolving the identity, and they
-recombine the minimal Kraus operators into rank-one ones u_i v_i*, u_i from
-one power step, certifying entanglement breaking at length equal to the Choi
-rank.  The only acceptance gate is the checks of :func:`verify_certificate`,
-run on the minimal Kraus set certify already holds (the standalone function
-rebuilds it), and a refutation is cross-checked against the partial-transpose
-criterion, an independent oracle that plays no part in the decision itself,
-by a matrix-free search for a negative direction (:func:`npt_witness`).
+commutator |ab - ba| / (|a| |b|) of the first two draws above sqrt(eps_eig)
+refutes, with the domain's block pairs, read from those two draws unless
+their eigenvalue clusters are unreadable; only then, or when the two commute,
+are the other six draws formed.  When they commute, the eigenvectors w_i of
+one of the eight elements give rank-one projections in the domain resolving
+the identity, and they recombine the minimal Kraus operators into rank-one
+ones u_i v_i*, u_i from one power step, certifying entanglement breaking at
+length equal to the Choi rank.  The only acceptance gate is the checks of
+:func:`verify_certificate`, run on the recombined operators certify already
+holds (the standalone function rebuilds them from the channel), and a
+refutation is cross-checked against the partial-transpose criterion, an
+independent oracle that plays no part in the decision itself, by a
+matrix-free search for a negative direction (:func:`npt_witness`).
 Neither the domain, nor any d^2 x d^2 operator, nor the nm x nm Choi matrix
 is formed.
 
@@ -31,7 +34,6 @@ class exactly.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +47,6 @@ from .channel import (
     choi,
     choi_spectrum,
     is_minimal,
-    minimal_kraus,
 )
 from .errors import (
     NotEntanglementBreaking,
@@ -216,7 +217,7 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
         raise OutOfScope(report.classification.value, report.alpha)
 
     minimal = channel.with_kraus(report.kraus, t)
-    decision = _decide(interaction_elements(minimal.kraus, t), t)
+    decision = _decide(lambda draws: interaction_elements(minimal.kraus, t, draws), t)
     if not decision.multiplicity_free:
         witness = npt_witness(minimal.vec_columns(), channel.input_dim, channel.output_dim, t)
         raise NotEntanglementBreaking(
@@ -231,9 +232,7 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     u = _left_vectors(ops)
     v = np.einsum("imn,im->in", ops.conj(), u)
 
-    cert = EBCertificate(w=w, v=v, u=u, residuals={})
-    residuals = _certificate_residuals(cert, channel, minimal.kraus, t)
-    return dataclasses.replace(cert, residuals=residuals)
+    return EBCertificate(w=w, v=v, u=u, residuals=_certificate_residuals(w, v, u, ops, channel, t))
 
 
 def _left_vectors(ops: np.ndarray) -> np.ndarray:
@@ -250,28 +249,29 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
     """Re-check every certificate invariant against the minimal Kraus set
     rebuilt from the channel, the checks :func:`certify` accepts through.
     Returns the residuals; raises VerificationFailure on one out of bound or NaN."""
-    return _certificate_residuals(cert, channel, minimal_kraus(channel, tol).kraus, _tol(tol))
-
-
-def _certificate_residuals(cert: EBCertificate, channel: KrausChannel,
-                           minimal: np.ndarray, t: ToleranceConfig) -> dict[str, float]:
-    """The checks of :func:`verify_certificate` against ``minimal``, the
-    channel's (d, m, n) minimal Kraus stack as :func:`choi` builds it."""
-    n, d = channel.input_dim, cert.choi_rank
+    t = _tol(tol)
+    minimal, d = choi(channel, t).kraus, cert.choi_rank
     if len(minimal) != d:
         raise VerificationFailure(f"certificate claims Choi rank {d}, channel has {len(minimal)}")
+    combined = combine_kraus(minimal, cert.w.conj())
+    return _certificate_residuals(cert.w, cert.v, cert.u, combined, channel, t)
 
-    w, v, u = cert.w, cert.v, cert.u
+
+def _certificate_residuals(w: np.ndarray, v: np.ndarray, u: np.ndarray, combined: np.ndarray,
+                           channel: KrausChannel, t: ToleranceConfig) -> dict[str, float]:
+    """The checks of :func:`verify_certificate` on the stacks w, v, u of a
+    certificate, where ``combined`` holds the operators sum_j conj(w_ij) K_j
+    of the channel's (d, m, n) minimal Kraus stack as :func:`choi` builds it."""
+    n, (r, d) = channel.input_dim, w.shape
     residuals: dict[str, float] = {}
     residuals["resolution"] = frob(w.T @ w.conj() - np.eye(d))
     # the complement adjoint of a dyad: psi(w w*) = A* A for A = sum_j conj(w_j) K_j
-    combined = combine_kraus(minimal, w.conj())
     images = combined.conj().transpose(0, 2, 1) @ combined
     residuals["adjoint_rank_one"] = float(np.max(np.linalg.norm(
         images - _dyads(v, v), axis=(1, 2))))
     residuals["input_resolution"] = frob(v.T @ v.conj() - np.eye(n))
     residuals["unit_norm"] = float(np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)))
-    dyads = cert.rank_one_kraus
+    dyads = _dyads(u, v)
     residuals["factorization"] = float(np.max(np.linalg.norm(combined - dyads, axis=(1, 2))))
     residuals["norm_match"] = float(np.max(np.abs(
         np.linalg.norm(w, axis=1) - np.linalg.norm(v, axis=1))))
@@ -281,8 +281,8 @@ def _certificate_residuals(cert: EBCertificate, channel: KrausChannel,
     bad = {k: val for k, val in residuals.items() if not val <= _residual_bound(k, n, t)}
     if bad:
         raise VerificationFailure(f"certificate invariants out of tolerance: {bad}")
-    if cert.r != d:
-        raise VerificationFailure(f"certificate length {cert.r} differs from its Choi rank {d}")
+    if r != d:
+        raise VerificationFailure(f"certificate length {r} differs from its Choi rank {d}")
     return residuals
 
 

@@ -42,9 +42,9 @@ from .numerics import (
     _tol,
     as_matrix,
     as_matrix_stack,
+    eigh_descending,
     frob,
     from_pairs,
-    hermitian_eig,
     json_int,
     numerical_rank,
     phase_fix,
@@ -251,8 +251,8 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     t = _tol(tol)
     n, m = channel.input_dim, channel.output_dim
     v = channel.vec_columns()
-    g = v.conj().T @ v
-    evals, w = hermitian_eig(g, t)
+    g = v.conj().T @ v  # Hermitian by construction
+    evals, w = eigh_descending(g)
     spectrum = _spectrum(channel, v, evals, t)
 
     # |V P V*|^2 = tr(P G P G) = sum of (P G) times its transpose, entrywise

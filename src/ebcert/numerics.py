@@ -120,15 +120,25 @@ def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np
     real positive.  Raises NotHermitian when the input fails the Hermitian
     residual bound, ConvergenceFailure when the dense solver gives up.
     """
-    a = as_hermitian(a, tol)
+    evals, evecs = eigh_descending(as_hermitian(a, tol))
+    # phase_fix works on rows, so the eigenvectors are fixed as rows
+    return evals, phase_fix(evecs.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a matrix, or of each matrix of a stack, that is
+    Hermitian by construction, such as a Gram matrix: eigenvalues in
+    descending order and the matching eigenvector columns, with the phases
+    the dense solver leaves.  Only finiteness is checked, no Hermitian
+    residual; raises ConvergenceFailure when the solver gives up."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     try:
         evals, evecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    # eigh returns ascending eigenvalues, so reversing gives the descending
-    # order; phase_fix works on rows, so the eigenvectors are reversed as rows
-    rows = evecs.swapaxes(-1, -2)[..., ::-1, :]
-    return evals[..., ::-1], phase_fix(rows).swapaxes(-1, -2)
+    # eigh returns ascending eigenvalues, so reversing gives the descending order
+    return evals[..., ::-1], evecs[..., ::-1]
 
 
 def factor_distance(a, b) -> float:

@@ -17,6 +17,7 @@ from ebcert import (
 from ebcert.algebra import (
     _decide,
     _domain_blocks,
+    _separated,
     _verify_domain,
     commutant_from_elements,
     interaction_elements,
@@ -237,6 +238,19 @@ def clifford_generators():
                      np.kron(z, x), np.kron(z, y), np.kron(z, z)])
 
 
+class TestInteractionElements:
+    @pytest.mark.parametrize("planted", [True, False], ids=["planted", "generic"])
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_draws_are_slices_of_one_stack(self, tol, n, planted):
+        # a caller that forms draws 0-1, then 2-7, reads the bits of the whole stack
+        channel = random_projection_choi_channel(n, n, 1, tol, ensure_eb=planted)
+        kraus = minimal_kraus(channel, tol).kraus
+        whole = interaction_elements(kraus, tol)
+        parts = [interaction_elements(kraus, tol, draws) for draws in (slice(0, 2), slice(2, None))]
+        assert [len(part) for part in parts] == [2, 6]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
 class TestCommutantFromElements:
     @pytest.mark.parametrize("build", ORACLE_FIXTURES)
     def test_domain_matches_the_fixed_point_oracle(self, tol, build):
@@ -286,10 +300,10 @@ class TestCommutantFromElements:
         spectra = np.linalg.eigvalsh(elements)
         np.testing.assert_allclose(spectra[:, 0], spectra[:, 1], atol=1e-12)
         np.testing.assert_allclose(spectra[:, 2], spectra[:, 3], atol=1e-12)
-        decision = _decide(elements, tol)
+        decision = _decide(elements.__getitem__, tol)
         assert decision.pairs == ((2, 2),)  # the generated algebra is M_4
         with pytest.raises(VerificationFailure, match="residual .* above eps_verify"):
-            commutant_from_elements(decision, tol)
+            commutant_from_elements(decision, elements, tol)
 
     @pytest.mark.parametrize("kraus", [
         pytest.param(lambda g: np.stack([np.eye(4), *g]) / np.sqrt(6), id="all-generators"),
@@ -326,7 +340,7 @@ class TestCommutantFromElements:
         reference = fixed_point_domain(psi, tol)
         assert reference.dimension == 1
         kraus = np.conj(psi.kraus).transpose(2, 0, 1)  # the stack _domain_blocks reads
-        decision = _decide(interaction_elements(kraus, tol), tol)
+        decision = _decide(lambda draws: interaction_elements(kraus, tol, draws), tol)
         assert decision.multiplicity_free == (decision.kappa <= np.sqrt(tol.eps_eig)) == commuting
         if not commuting:
             dom, decision = _domain_blocks(kraus, tol)
@@ -482,6 +496,20 @@ class TestIntersectAndCenter:
 
 
 class TestStructure:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_separated_takes_the_per_cluster_means(self, tol, seed):
+        # one reduction over the runs against one mean per cluster, on
+        # spectra whose cluster gaps lie near 10 eps_eig but not on it; odd
+        # seeds also draw gaps below it
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, 6)
+        gaps = rng.choice([9.5, 10.5, 30.0] if seed % 2 else [10.5, 30.0], len(sizes))
+        centres = np.cumsum(gaps * tol.eps_eig)[::-1]
+        evals = np.repeat(centres, sizes) + rng.uniform(-1, 1, sizes.sum()) * 1e-3 * tol.eps_eig
+        clusters = np.split(np.arange(evals.size), np.cumsum(sizes)[:-1])
+        means = np.array([np.mean(evals[c]) for c in clusters])
+        assert _separated(evals, clusters, tol) == bool(np.all(-np.diff(means) >= 10 * tol.eps_eig))
+
     def test_diagonal(self, tol):
         s = structure(diagonal_algebra(3, tol), tol)
         assert s.pairs() == ((1, 1), (1, 1), (1, 1))

@@ -601,6 +601,55 @@ class TestCertifyGate:
         assert certify(random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True), tol).r == 6
         assert calls == []
 
+    def test_a_refutation_forms_two_interaction_elements(self, tol, monkeypatch):
+        # draws 0-1 decide; certify forms draws 2-7 only where it reads them,
+        # and the domain of analyze is checked against all eight
+        algebra = importlib.import_module("ebcert.algebra")
+        draw = algebra.interaction_elements
+        formed = []
+
+        def counting(*args, **kwargs):
+            elements = draw(*args, **kwargs)
+            formed.append(len(elements))
+            return elements
+
+        for module in (algebra, importlib.import_module("ebcert.certify")):
+            monkeypatch.setattr(module, "interaction_elements", counting)
+        generic = random_projection_choi_channel(6, 6, 0, tol)
+        planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
+        with pytest.raises(NotEntanglementBreaking):
+            certify(generic, tol)
+        assert formed == [2]
+        formed.clear()
+        assert certify(planted, tol).r == 6
+        assert formed == [2, 6]
+        for ch in (planted, generic):
+            formed.clear()
+            multiplicative_domain(complement_adjoint(minimal_kraus(ch, tol), tol), tol)
+            assert formed == [8]
+
+    def test_certify_runs_no_hermitian_residual_check(self, tol, monkeypatch):
+        # the Gram matrix V*V and the interaction elements are Hermitian by construction
+        channels = (random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True),
+                    random_projection_choi_channel(6, 6, 0, tol))
+        calls = []
+        numerics = importlib.import_module("ebcert.numerics")
+        check = numerics.as_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return check(*args, **kwargs)
+
+        for name in ("numerics", "channel", "algebra", "certify"):
+            monkeypatch.setattr(importlib.import_module(f"ebcert.{name}"), "as_hermitian",
+                                counting, raising=False)
+        assert certify(channels[0], tol).r == 6
+        with pytest.raises(NotEntanglementBreaking):
+            certify(channels[1], tol)
+        assert calls == []
+        numerics.hermitian_eig(np.eye(2), tol)  # the patch does count a call
+        assert calls == [(2, 2)]
+
     @pytest.mark.parametrize("n, eps", [(3, 3e-10), (9, 1e-10)])
     def test_power_step_matches_the_svd_on_perturbed_inputs(self, tol, monkeypatch, n, eps):
         # u from one power step against the top left singular vector: the
@@ -824,7 +873,7 @@ class TestSchurNormalForm:
             raise AssertionError("the normal form recomputes what the certificate holds")
 
         monkeypatch.setattr(CPMap, "apply", forbidden)
-        monkeypatch.setattr(importlib.import_module("ebcert.certify"), "minimal_kraus", forbidden)
+        monkeypatch.setattr(importlib.import_module("ebcert.certify"), "choi", forbidden)
         monkeypatch.setattr(importlib.import_module("ebcert.channel"), "choi", forbidden)
         for ch, (cert, form) in zip(channels, expected):
             got = schur_normal_form(cert, ch, tol)

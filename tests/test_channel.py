@@ -249,13 +249,13 @@ class TestChoi:
 
     def test_nan_eigenbasis_fails_verification(self, tol, monkeypatch):
         ch = werner_holevo(3, tol)
-        eig = CHANNEL.hermitian_eig
+        eig = CHANNEL.eigh_descending
 
-        def nan_eigenbasis(a, t):
-            evals, w = eig(a, t)
+        def nan_eigenbasis(a):
+            evals, w = eig(a)
             return evals, np.full_like(w, np.nan)
 
-        monkeypatch.setattr(CHANNEL, "hermitian_eig", nan_eigenbasis)
+        monkeypatch.setattr(CHANNEL, "eigh_descending", nan_eigenbasis)
         with pytest.raises(VerificationFailure, match="reconstruction residual"):
             choi(ch, tol)
 
@@ -274,8 +274,8 @@ class TestChoi:
         flat = random_complex_matrix(k, rank, rng) @ random_complex_matrix(rank, m * n, rng)
         ch = CPMap(flat.reshape(k, m, n) * np.sqrt(n) / np.linalg.norm(flat), tol)
         v = ch.vec_columns()
-        eig = CHANNEL.hermitian_eig
-        evals, w = eig(v.conj().T @ v, tol)
+        eig = CHANNEL.eigh_descending
+        evals, w = eig(v.conj().T @ v)
         if variant == "swap":
             w = w.copy()
             w[:, [rank - 1, rank]] = w[:, [rank, rank - 1]]
@@ -283,7 +283,7 @@ class TestChoi:
             w = w * (1 + 1e-6)
         elif variant == "mixed":
             w = w @ random_unitary(k, rng)
-        monkeypatch.setattr(CHANNEL, "hermitian_eig", lambda a, t: (evals, w))
+        monkeypatch.setattr(CHANNEL, "eigh_descending", lambda a: (evals, w))
 
         expected = qr_reconstruction_residual(v, w, rank)
         if expected <= tol.eps_verify * max(1, n):
