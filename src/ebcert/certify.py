@@ -137,13 +137,18 @@ class EBCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EBCertificate":
         """Rebuild a certificate, rejecting one whose length, ranks and
-        stack shapes disagree."""
-        r, eb, cr = (json_int(data[key], key) for key in ("r", "eb_rank", "choi_rank"))
+        stack shapes disagree; data that is not a certificate's mapping,
+        misses a key or holds a bad length or residual raises ValueError."""
+        try:
+            r, eb, cr = (json_int(data[key], key) for key in ("r", "eb_rank", "choi_rank"))
+            w, v, u = data["w"], data["v"], data["u"]
+            residuals = {k: float(val) for k, val in data.get("residuals", {}).items()}
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"malformed certificate data: {exc}") from exc
         if eb != r or cr != r:
             raise ValueError(f"certificate of length {r} claims eb_rank {eb} and choi_rank {cr}")
-        return cls(w=from_pairs(data["w"], (r, r)), v=from_pairs(data["v"], (r, None)),
-                   u=from_pairs(data["u"], (r, None)),
-                   residuals={k: float(val) for k, val in data.get("residuals", {}).items()})
+        return cls(w=from_pairs(w, (r, r)), v=from_pairs(v, (r, None)),
+                   u=from_pairs(u, (r, None)), residuals=residuals)
 
 
 def _dyads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,11 +253,17 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
                        tol: ToleranceConfig | None = None) -> dict[str, float]:
     """Re-check every certificate invariant against the minimal Kraus set
     rebuilt from the channel, the checks :func:`certify` accepts through.
-    Returns the residuals; raises VerificationFailure on one out of bound or NaN."""
+    Returns the residuals; raises VerificationFailure on a Choi rank or a
+    stack shape that does not fit the channel, or a residual out of bound or NaN."""
     t = _tol(tol)
     minimal, d = choi(channel, t).kraus, cert.choi_rank
     if len(minimal) != d:
         raise VerificationFailure(f"certificate claims Choi rank {d}, channel has {len(minimal)}")
+    for name, want in zip("wvu", ((d, d), (d, channel.input_dim), (d, channel.output_dim))):
+        stack = getattr(cert, name)
+        if stack.shape != want:
+            raise VerificationFailure(
+                f"certificate stack {name} has shape {stack.shape}, expected {want}")
     combined = combine_kraus(minimal, cert.w.conj())
     return _certificate_residuals(cert.w, cert.v, cert.u, combined, channel, t)
 
@@ -262,7 +273,7 @@ def _certificate_residuals(w: np.ndarray, v: np.ndarray, u: np.ndarray, combined
     """The checks of :func:`verify_certificate` on the stacks w, v, u of a
     certificate, where ``combined`` holds the operators sum_j conj(w_ij) K_j
     of the channel's (d, m, n) minimal Kraus stack as :func:`choi` builds it."""
-    n, (r, d) = channel.input_dim, w.shape
+    n, d = channel.input_dim, w.shape[1]
     residuals: dict[str, float] = {}
     residuals["resolution"] = frob(w.T @ w.conj() - np.eye(d))
     # the complement adjoint of a dyad: psi(w w*) = A* A for A = sum_j conj(w_j) K_j
@@ -281,8 +292,6 @@ def _certificate_residuals(w: np.ndarray, v: np.ndarray, u: np.ndarray, combined
     bad = {k: val for k, val in residuals.items() if not val <= _residual_bound(k, n, t)}
     if bad:
         raise VerificationFailure(f"certificate invariants out of tolerance: {bad}")
-    if r != d:
-        raise VerificationFailure(f"certificate length {r} differs from its Choi rank {d}")
     return residuals
 
 

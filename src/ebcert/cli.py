@@ -5,7 +5,9 @@ Exit codes are a stable contract: 0 success, 2 input error (an unreadable
 input or an unwritable output path), 4 refuted (not entanglement breaking),
 5 out of scope (Choi matrix not a projection), 3 numerical inconsistency.
 Several input files are processed one after another, in input order, and the
-exit code is the first nonzero one in that order.
+exit code is the first nonzero one in that order.  The per-file commands,
+analyze, certify and normal-form, share one runner that loads each file and
+maps its outcome to a report and an exit code.
 
 Every JSON document, printed or written, is one compact line, so the JSON
 format prints one document per input file, one per line (JSON Lines).
@@ -26,17 +28,14 @@ from .algebra import _domain_blocks
 from .certify import _residual_bound, certify, schur_normal_form
 from .channel import (
     ChoiClass,
+    KrausChannel,
     _classify_complement_adjoint,
     choi,
     load_channel,
     save_channel,
 )
-from .errors import (
-    EBCertError,
-    NotEntanglementBreaking,
-    OutOfScope,
-)
-from .numerics import ToleranceConfig, frob, to_pairs, write_json
+from .errors import CertificationRefusal, EBCertError, NotEntanglementBreaking, OutOfScope
+from .numerics import ToleranceConfig, frob, from_pairs, to_pairs, write_json
 from .zoo import (
     depolarizing,
     random_channel,
@@ -204,56 +203,88 @@ def _cmd_gen(args, tol: ToleranceConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# the per-file runner of analyze, certify and normal-form
 # ---------------------------------------------------------------------------
 
-def _analyze_file(path: Path, tol: ToleranceConfig) -> tuple[dict, int]:
+REFUSAL_EXITS = {OutOfScope: EXIT_OUT_OF_SCOPE, NotEntanglementBreaking: EXIT_REFUTED}
+
+
+def _run_file(path: Path, tol: ToleranceConfig, fill, timing: str | None) -> tuple[dict, int]:
+    """Load one channel file, let ``fill(channel, report, tol)`` fill its report, and
+    return it with its exit code: ``input:`` for a file that does not load, a refusal's
+    payload and REFUSAL_EXITS code, ``numerical:`` for any other EBCertError, ``output:``
+    for a failed write.  An error-free report times ``fill`` under a ``timing`` key."""
     report: dict = {"file": str(path)}
     try:
         channel = load_channel(path, tol)
     except (OSError, ValueError, EBCertError) as exc:
         report["error"] = f"input: {exc}"
         return report, EXIT_INPUT
-
+    t0, code = time.perf_counter(), EXIT_OK
     try:
-        t0 = time.perf_counter()
-        report["channel"] = {
-            "n": channel.input_dim,
-            "m": channel.output_dim,
-            "kraus_count": len(channel),
-            "tp_residual": _judged(channel.tp_residual, tol.eps_verify),
-        }
-        cr = choi(channel, tol)
-        report["choi"] = {
-            "rank": cr.choi_rank,
-            "trace": _judged(frob(cr.factor) ** 2, tol.eps_verify),
-            "classification": cr.classification.value,
-            "alpha": None if cr.alpha is None else _judged(cr.alpha, tol.eps_eig),
-            "eigenvalues": [float(v) for v in cr.eigenvalues],
-            "normalized_state_eigenvalues": [
-                float(v) / channel.input_dim for v in cr.eigenvalues
-            ],
-        }
-        ca = _classify_complement_adjoint(cr)
-        report["complement_adjoint"] = {
-            "kind": ca.kind.value,
-            "alpha": ca.alpha,
-            "residual": _judged(ca.residual, tol.eps_eig),
-        }
-        if cr.classification is ChoiClass.PROJECTION:
-            dom, decision = _domain_blocks(cr.kraus, tol)
-            report["algebra"] = {
-                "dimension": dom.dimension,
-                "basis": to_pairs(dom.basis),
-                "blocks": [list(p) for p in decision.pairs],
-                "multiplicity_free": decision.multiplicity_free,
-                "commutator": _judged(decision.kappa, decision.bound),
-            }
-        report["timings"] = {"analyze_seconds": time.perf_counter() - t0}
-        return report, EXIT_OK
+        fill(channel, report, tol)
+    except CertificationRefusal as refusal:
+        report["refusal"], code = refusal.payload(), REFUSAL_EXITS[type(refusal)]
     except EBCertError as exc:
-        report["error"] = f"numerical: {exc}"
-        return report, EXIT_NUMERICAL
+        report["error"], code = f"numerical: {exc}", EXIT_NUMERICAL
+    except OSError as exc:
+        report["error"], code = f"output: {exc}", EXIT_INPUT
+    if timing is not None and "error" not in report:
+        report["timings"] = {timing: time.perf_counter() - t0}
+    return report, code
+
+
+def _emit(results: list[tuple[dict, int]], fmt: str, print_text) -> int:
+    """Print the per-file reports in input order and return the first
+    nonzero exit code, or EXIT_OK."""
+    for report, _ in results:
+        if fmt == "json":
+            write_json(sys.stdout, report)
+        else:
+            print_text(report)
+    return next((code for _, code in results if code != EXIT_OK), EXIT_OK)
+
+
+def _write_file(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(fh, obj)
+
+
+# ---------------------------------------------------------------------------
+# analyze
+# ---------------------------------------------------------------------------
+
+def _analyze(channel: KrausChannel, report: dict, tol: ToleranceConfig) -> None:
+    report["channel"] = {
+        "n": channel.input_dim,
+        "m": channel.output_dim,
+        "kraus_count": len(channel),
+        "tp_residual": _judged(channel.tp_residual, tol.eps_verify),
+    }
+    cr = choi(channel, tol)
+    report["choi"] = {
+        "rank": cr.choi_rank,
+        "trace": _judged(frob(cr.factor) ** 2, tol.eps_verify),
+        "classification": cr.classification.value,
+        "alpha": None if cr.alpha is None else _judged(cr.alpha, tol.eps_eig),
+        "eigenvalues": [float(v) for v in cr.eigenvalues],
+        "normalized_state_eigenvalues": [float(v) / channel.input_dim for v in cr.eigenvalues],
+    }
+    ca = _classify_complement_adjoint(cr)
+    report["complement_adjoint"] = {
+        "kind": ca.kind.value,
+        "alpha": ca.alpha,
+        "residual": _judged(ca.residual, tol.eps_eig),
+    }
+    if cr.classification is ChoiClass.PROJECTION:
+        dom, decision = _domain_blocks(cr.kraus, tol)
+        report["algebra"] = {
+            "dimension": dom.dimension,
+            "basis": to_pairs(dom.basis),
+            "blocks": [list(p) for p in decision.pairs],
+            "multiplicity_free": decision.multiplicity_free,
+            "commutator": _judged(decision.kappa, decision.bound),
+        }
 
 
 def _print_analysis_text(report: dict) -> None:
@@ -290,63 +321,20 @@ def _print_analysis_text(report: dict) -> None:
     print(f"  elapsed: {report['timings']['analyze_seconds']:.3f}s")
 
 
-def _emit(results: list[tuple[dict, int]], fmt: str, print_text) -> int:
-    """Print the per-file reports in input order and return the first
-    nonzero exit code, or EXIT_OK."""
-    for report, _ in results:
-        if fmt == "json":
-            write_json(sys.stdout, report)
-        else:
-            print_text(report)
-    return next((code for _, code in results if code != EXIT_OK), EXIT_OK)
-
-
 def _cmd_analyze(args, tol: ToleranceConfig) -> int:
-    return _emit([_analyze_file(path, tol) for path in args.files], args.format,
-                 _print_analysis_text)
+    return _emit([_run_file(path, tol, _analyze, "analyze_seconds") for path in args.files],
+                 args.format, _print_analysis_text)
 
 
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
 
-def _write_file(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_json(fh, obj)
-
-
-def _certify_file(path: Path, tol: ToleranceConfig, out: Path | None) -> tuple[dict, int]:
-    report: dict = {"file": str(path)}
-    try:
-        channel = load_channel(path, tol)
-    except (OSError, ValueError, EBCertError) as exc:
-        report["error"] = f"input: {exc}"
-        return report, EXIT_INPUT
-    t0 = time.perf_counter()
-    try:
-        cert = certify(channel, tol)
-    except OutOfScope as refusal:
-        report["refusal"] = refusal.payload()
-        report["timings"] = {"certify_seconds": time.perf_counter() - t0}
-        return report, EXIT_OUT_OF_SCOPE
-    except NotEntanglementBreaking as refusal:
-        report["refusal"] = refusal.payload()
-        report["timings"] = {"certify_seconds": time.perf_counter() - t0}
-        return report, EXIT_REFUTED
-    except EBCertError as exc:
-        report["error"] = f"numerical: {exc}"
-        return report, EXIT_NUMERICAL
-    cert_path = out if out is not None else path.with_suffix(".cert.json")
-    cert_dict = cert.to_json_dict()
-    try:
-        _write_file(cert_path, cert_dict)
-    except OSError as exc:
-        report["error"] = f"output: {exc}"
-        return report, EXIT_INPUT
+def _certify(channel: KrausChannel, report: dict, tol: ToleranceConfig, cert_path: Path) -> None:
+    cert_dict = certify(channel, tol).to_json_dict()
+    _write_file(cert_path, cert_dict)
     report["certificate"] = cert_dict
     report["certificate_file"] = str(cert_path)
-    report["timings"] = {"certify_seconds": time.perf_counter() - t0}
-    return report, EXIT_OK
 
 
 def _print_certify_text(report: dict, tol: ToleranceConfig) -> None:
@@ -379,57 +367,45 @@ def _cmd_certify(args, tol: ToleranceConfig) -> int:
     if args.out is not None and len(args.files) != 1:
         print("error: --out requires exactly one input file", file=sys.stderr)
         return EXIT_INPUT
-    return _emit([_certify_file(path, tol, args.out) for path in args.files], args.format,
-                  lambda report: _print_certify_text(report, tol))
+    results = [_run_file(path, tol, functools.partial(
+                   _certify, cert_path=args.out or path.with_suffix(".cert.json")),
+                   "certify_seconds") for path in args.files]
+    return _emit(results, args.format, lambda report: _print_certify_text(report, tol))
 
 
 # ---------------------------------------------------------------------------
 # normal-form
 # ---------------------------------------------------------------------------
 
-def _cmd_normal_form(args, tol: ToleranceConfig) -> int:
-    try:
-        channel = load_channel(args.file, tol)
-    except (OSError, ValueError, EBCertError) as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        cert = certify(channel, tol)
-        form = schur_normal_form(cert, channel, tol)
-    except OutOfScope as refusal:
-        print(f"refused (out_of_scope): {refusal}", file=sys.stderr)
-        return EXIT_OUT_OF_SCOPE
-    except NotEntanglementBreaking as refusal:
-        print(f"refused (not_entanglement_breaking): {refusal}", file=sys.stderr)
-        return EXIT_REFUTED
-    except EBCertError as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+def _normal_form(channel: KrausChannel, report: dict, tol: ToleranceConfig,
+                 out: Path | None) -> None:
+    form = schur_normal_form(certify(channel, tol), channel, tol)
+    report["basis_change"] = to_pairs(form.basis_change)
+    report["correlation"] = to_pairs(form.correlation)
+    report["residual"] = _judged(form.residual,
+                                 _residual_bound("choi_match", channel.input_dim, tol))
+    if out is not None:
+        _write_file(out, report)
 
-    bound = _residual_bound("choi_match", channel.input_dim, tol)
-    dump = {
-        "file": str(args.file),
-        "basis_change": to_pairs(form.basis_change),
-        "correlation": to_pairs(form.correlation),
-        "residual": _judged(form.residual, bound),
-    }
-    if args.out is not None:
-        try:
-            _write_file(args.out, dump)
-        except OSError as exc:
-            print(f"error: output: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    if args.format == "json":
+
+def _cmd_normal_form(args, tol: ToleranceConfig) -> int:
+    dump, code = _run_file(args.file, tol, functools.partial(_normal_form, out=args.out), None)
+    if "error" in dump:
+        print(f"error: {dump['error']}", file=sys.stderr)
+    elif "refusal" in dump:
+        print(f"refused ({dump['refusal']['reason']}): {dump['refusal']['message']}",
+              file=sys.stderr)
+    elif args.format == "json":
         write_json(sys.stdout, dump)
     else:
-        n = form.correlation.shape[0]
-        print(f"== {args.file}")
+        value, bound = dump["residual"]["value"], dump["residual"]["tolerance"]
+        print(f"== {dump['file']}")
         print(f"  after the input rotation, the complement multiplies entry (i, j) by the "
-              f"conjugated correlation entry; residual {form.residual:.3e} (tol {bound:.1e})")
+              f"conjugated correlation entry; residual {value:.3e} (tol {bound:.1e})")
         print("  correlation matrix (modulus):")
-        for i in range(n):
-            print("    " + "  ".join(f"{abs(form.correlation[i, j]):.6f}" for j in range(n)))
-    return EXIT_OK
+        for row in np.abs(from_pairs(dump["correlation"], (None, None))):
+            print("    " + "  ".join(f"{x:.6f}" for x in row))
+    return code
 
 
 def main(argv=None) -> int:

@@ -41,21 +41,15 @@ from .numerics import (
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Positive semidefinite matrix with unit diagonal, optionally carrying
-    the unit vectors whose Gram matrix it is (as columns)."""
+    """Positive semidefinite matrix with unit diagonal."""
 
     matrix: np.ndarray
-    vectors: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @classmethod
     def from_vectors(cls, vectors, tol: ToleranceConfig | None = None) -> "CorrelationMatrix":
+        """The Gram matrix of unit vectors given as columns."""
         cols = _unit_columns(vectors, tol)
-        gram = cols.conj().T @ cols
-        return cls(matrix=gram, vectors=cols)
+        return cls(matrix=cols.conj().T @ cols)
 
     def validate(self, tol: ToleranceConfig | None = None) -> None:
         t = _tol(tol)

@@ -783,6 +783,25 @@ class TestVerifyCertificate:
         with pytest.raises(DimensionMismatch):
             EBCertificate.from_json_dict({**data, "w": [row[:2] for row in data["w"]]})
 
+    @pytest.mark.parametrize("stack, expected", [("v", (4, 4)), ("u", (4, 3))])
+    def test_a_stack_of_the_wrong_width_fails_verification(self, tol, stack, expected):
+        """A certificate read from JSON whose v or u rows are padded to width 5
+        is refused with both shapes named, not by a broadcasting error."""
+        ch = random_projection_choi_channel(4, 3, 1, tol, ensure_eb=True)
+        data = certify(ch, tol).to_json_dict()
+        data[stack] = [row + [[0.0, 0.0]] * (5 - len(row)) for row in data[stack]]
+        cert = EBCertificate.from_json_dict(data)
+        with pytest.raises(VerificationFailure) as err:
+            verify_certificate(cert, ch, tol)
+        assert f"{stack} has shape (4, 5), expected {expected}" in str(err.value)
+
+    def test_json_rejects_malformed_data(self, tol):
+        data = certify(random_schur_complement_channel(3, 2, 12, tol), tol).to_json_dict()
+        missing = [{k: val for k, val in data.items() if k != key} for key in ("r", "w", "u")]
+        for bad in (*missing, [data], "certificate", None, {**data, "residuals": [1.0]}):
+            with pytest.raises(ValueError, match="malformed certificate data"):
+                EBCertificate.from_json_dict(bad)
+
 
 class TestSchurNormalForm:
     def test_roundtrip_recovers_gram_moduli(self, tol):

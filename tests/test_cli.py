@@ -8,6 +8,7 @@ import pytest
 
 from ebcert import (
     EBCertificate,
+    VerificationFailure,
     algebra,
     channel,
     channel_to_json_dict,
@@ -551,6 +552,69 @@ class TestOutputErrors:
         assert code == 2
         assert stderr.startswith("error: output: ")
         assert stdout == ""
+
+
+REPORT = ["file"]
+ANALYSIS = REPORT + ["channel", "choi", "complement_adjoint"]
+
+
+class TestOutcomes:
+    """Each outcome of the per-file commands, pinned: exit code, the stream
+    it goes to and, in JSON, the report's top-level keys in order (for
+    normal-form's stderr lines, the line's prefix)."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, capsys):
+        files = {
+            "planted": gen_projection_choi(tmp_path / "planted.json", 4, 1, capsys),
+            "generic": gen_projection_choi(tmp_path / "generic.json", 4, 2, capsys, planted=False),
+            "scaled": tmp_path / "wh.json",
+            "malformed": tmp_path / "bad.json",
+        }
+        run(["gen", "werner-holevo", "--d", "3", "--out", files["scaled"]], capsys)
+        files["malformed"].write_text("{nonsense")
+        return files
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command, outcome, code, expected", [
+        ("analyze", "planted", 0, ANALYSIS + ["algebra", "timings"]),
+        ("analyze", "generic", 0, ANALYSIS + ["algebra", "timings"]),
+        ("analyze", "scaled", 0, ANALYSIS + ["timings"]),
+        ("analyze", "malformed", 2, REPORT + ["error"]),
+        ("analyze", "numerical", 3, ANALYSIS + ["error"]),
+        ("certify", "planted", 0, REPORT + ["certificate", "certificate_file", "timings"]),
+        ("certify", "malformed", 2, REPORT + ["error"]),
+        ("certify", "unwritable", 2, REPORT + ["error"]),
+        ("certify", "numerical", 3, REPORT + ["error"]),
+        ("certify", "generic", 4, REPORT + ["refusal", "timings"]),
+        ("certify", "scaled", 5, REPORT + ["refusal", "timings"]),
+        ("normal-form", "planted", 0, REPORT + ["basis_change", "correlation", "residual"]),
+        ("normal-form", "malformed", 2, "error: input: "),
+        ("normal-form", "unwritable", 2, "error: output: "),
+        ("normal-form", "numerical", 3, "error: numerical: "),
+        ("normal-form", "generic", 4, "refused (not_entanglement_breaking): "),
+        ("normal-form", "scaled", 5, "refused (out_of_scope): "),
+    ])
+    def test_exit_code_stream_and_keys(self, inputs, tmp_path, capsys, monkeypatch, fmt,
+                                       command, outcome, code, expected):
+        argv = [command, inputs.get(outcome, inputs["planted"]), "--format", fmt]
+        if outcome == "unwritable":
+            argv += ["--out", tmp_path / "missing" / "out.json"]
+        if outcome == "numerical":
+            def broken(*args, **kwargs):
+                raise VerificationFailure("forced")
+
+            monkeypatch.setattr(cli, "certify", broken)
+            monkeypatch.setattr(cli, "_domain_blocks", broken)
+        got, stdout, stderr = run(argv, capsys)
+        assert got == code
+        if isinstance(expected, str):  # normal-form's one line on stderr
+            assert stdout == "" and stderr.startswith(expected) and stderr.count("\n") == 1
+            return
+        assert stderr == "" and stdout
+        if fmt == "json":
+            assert list(json.loads(stdout)) == expected
+            assert stdout.count("\n") == 1
 
 
 class TestJsonLayout:
