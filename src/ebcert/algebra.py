@@ -177,31 +177,68 @@ def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> float:
     |B_Z|^2 = tr D(Z, Z) <= sqrt(d) |D(Z, Z)|, criterion residuals e bound
     every basis-by-basis residual by d^(1/4) e = eps_verify, the bound of
     two unit elements.  Those residuals are second order in an element's
-    distance from the domain; the probes see the first order."""
+    distance from the domain; the probes see the first order.
+
+    Every matrix psi is evaluated on goes into one stack, applied through
+    the row blocks of psi's transfer matrix (:func:`_transfer_apply`).  As
+    psi maps adjoints to adjoints, psi(A*) is psi(A)* and the residual of
+    psi(X A) is that of psi(A* X*) against psi(A)* psi(X)*."""
     d = psi.input_dim
     draws = t.rng(0xA15E).standard_normal((_DOMAIN_PROBES, 2, d, d))
     probes = draws[:, 0] + 1j * draws[:, 1]
     probes /= np.maximum(_norms(probes), 1.0)[:, None, None]
     basis = alg.basis
+    r, p = len(basis), len(probes)
     adjoints = basis.conj().transpose(0, 2, 1)
-    images, adjoint_images = psi.apply(basis), psi.apply(adjoints)
+    probe_adjoints = probes.conj().transpose(0, 2, 1)
+    images = _transfer_apply(psi.kraus, np.concatenate([
+        basis, basis @ adjoints, adjoints @ basis, probes,
+        *_products(basis, probes), *_products(adjoints, probe_adjoints)]))
+    basis_images, squares, probe_images, pairs = np.split(images, [r, 3 * r, 3 * r + p])
+    adjoint_images = basis_images.conj().transpose(0, 2, 1)
     res = float(np.max(np.maximum(
-        _norms(psi.apply(basis @ adjoints) - images @ adjoint_images),
-        _norms(psi.apply(adjoints @ basis) - adjoint_images @ images))))
+        _norms(squares[:r] - basis_images @ adjoint_images),
+        _norms(squares[r:] - adjoint_images @ basis_images))))
     if res > t.eps_verify * d ** -0.25:
         raise VerificationFailure(
             f"adjoint-product criterion fails on a basis element, residual {res:.3e}"
         )
-    # one probe at a time: a stack of all probes would triple apply's
-    # r x d x k x d intermediate
-    res = np.array([np.maximum(_norms(psi.apply(basis @ x) - images @ image),
-                               _norms(psi.apply(x @ basis) - image @ images))
-                    for x, image in zip(probes, psi.apply(probes))])
+    pairs = pairs.reshape(2, p, r, d, d)
+    res = np.maximum(
+        _norms(pairs[0] - _products(basis_images, probe_images)),
+        _norms(pairs[1] - _products(adjoint_images, probe_images.conj().transpose(0, 2, 1))))
     if np.any(res > t.eps_verify * np.maximum(1.0, _norms(probes)[:, None] * _norms(basis))):
         raise VerificationFailure(
             f"bilinear multiplicativity fails, residual {float(np.max(res)):.3e}"
         )
     return float(np.max(res))
+
+
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every product L_j R_q of an (r, d, d) and an (s, d, d) stack, as an
+    (s, r, d, d) stack, from one product of the rows of all L with the
+    columns of all R side by side."""
+    r, d, _ = left.shape
+    cols = right.transpose(1, 0, 2).reshape(d, -1)
+    return (left.reshape(r * d, d) @ cols).reshape(r, d, len(right), d).transpose(2, 0, 1, 3)
+
+
+def _transfer_apply(kraus: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The map of a (k, m, n) Kraus stack on each matrix of an (s, n, n)
+    stack: the (s, m, m) images, through its m^2 x n^2 transfer matrix T on
+    row-major vecs (the image of X, flattened, is T times X flattened).
+    Row block a of T, the m rows of output row a, is
+    T[(a, b), (c, e)] = sum_i K_i[a, c] conj(K_i[b, e]), from one product,
+    and meets the whole stack in one more; so one pass over T serves the
+    stack, one block of T is held at a time, and no s x n x k x m
+    intermediate of :meth:`~ebcert.channel.CPMap.apply` is formed."""
+    k, m, n = kraus.shape
+    flat, conj = stack.reshape(len(stack), n * n), kraus.conj().reshape(k, m * n)
+    images = np.empty((len(stack), m, m), dtype=complex)
+    for a in range(m):
+        rows = (kraus[:, a].T @ conj).reshape(n, m, n).transpose(1, 0, 2).reshape(m, n * n)
+        images[:, a] = flat @ rows.T
+    return images
 
 
 def center(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> np.ndarray:
@@ -260,8 +297,8 @@ def _clustered_eig(h: np.ndarray, t: ToleranceConfig):
     whose consecutive gaps stay within eps_eig."""
     evals, evecs = eigh_descending(h)
     evecs = phase_fix(evecs.T).T
-    splits = np.flatnonzero(evals[:-1] - evals[1:] > t.eps_eig) + 1
-    return evals, evecs, np.split(np.arange(evals.size), splits)
+    cuts = [0, *np.flatnonzero(evals[:-1] - evals[1:] > t.eps_eig) + 1, evals.size]
+    return evals, evecs, [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> AlgebraStructure:
@@ -354,34 +391,45 @@ def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
     return vectors
 
 
-def interaction_elements(kraus, tol: ToleranceConfig | None = None,
-                         draws: slice = slice(None)) -> np.ndarray:
+def interaction_elements(kraus, tol: ToleranceConfig | None = None, draws: slice = slice(None),
+                         coeffs: np.ndarray | None = None) -> np.ndarray:
     """Random Hermitian elements of span{L_b L_a*}, where the d x n
     operators L_a are the Kraus operators of the complement of the minimal
     (d, m, n) Kraus stack: (L_a)_ic = (K_i)_ac.
 
     Each element is a_ij = tr(C K_i K_j*) for a Hermitian Gaussian m x m
     matrix C, scaled to unit Frobenius norm.  The seed gives MAX_RESAMPLE
-    draws of C in one stream, and ``draws`` picks which of them are formed,
-    all by default: a slice of the draws gives the same bits as that slice
-    of the whole stack, so a caller forms the draws it reads when it reads
-    them (see :func:`_decide`).  The L_b L_a* are the Kraus operators of
-    dual(psi) o psi for the complement adjoint psi, so their algebra A has
-    the multiplicative domain of psi as its commutant when psi is unital
-    and trace preserving (Kribs 2003).
+    draws of C in one stream (:func:`_coefficients`), and ``draws`` picks
+    which of them are formed, all by default: a slice of the draws gives
+    the same bits as that slice of the whole stack, so a caller forms the
+    draws it reads when it reads them (see :func:`_decide`), passing the
+    stack it drew once as ``coeffs``.  The L_b L_a* are the Kraus operators
+    of dual(psi) o psi for the complement adjoint psi, so their algebra A
+    has the multiplicative domain of psi as its commutant when psi is
+    unital and trace preserving (Kribs 2003).
     """
     t = _tol(tol)
     # C order, so that a transposed view of the same values gives the same bits
     kraus = np.ascontiguousarray(kraus, dtype=complex)
     d, m, n = kraus.shape
+    if coeffs is None:
+        coeffs = _coefficients(m, t)
+    # conj(C K_j)[a, c] = (C^T conj(K_j))[a, c] for every j, laid out as
+    # ((a, c), j), from one product per draw; then a_ij is
+    # sum_(a, c) K_i[a, c] conj(C K_j)[a, c], one more: O(d m^2 n + d^2 m n)
+    mixed = coeffs[draws].transpose(0, 2, 1) @ kraus.conj().transpose(1, 2, 0).reshape(m, n * d)
+    elements = kraus.reshape(d, m * n) @ mixed.reshape(-1, m * n, d)
+    return elements / _norms(elements)[:, None, None]
+
+
+def _coefficients(m: int, t: ToleranceConfig) -> np.ndarray:
+    """The MAX_RESAMPLE Hermitian m x m coefficient matrices of
+    :func:`interaction_elements`, G + G* for complex Gaussian G, all from
+    one stream of the seed."""
     rng = t.rng(0x1A7E)
     shape = (MAX_RESAMPLE, m, m)
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[draws]
-    coeffs = g + g.conj().transpose(0, 2, 1)
-    # (C K_i) paired with K_j entrywise: O(d m^2 n + d^2 m n) per draw
-    mixed = (coeffs[:, None] @ kraus[None]).reshape(len(coeffs), d, m * n)
-    elements = mixed @ kraus.reshape(d, m * n).conj().T
-    return elements / _norms(elements)[:, None, None]
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return g + g.conj().transpose(0, 2, 1)
 
 
 class _Decision(NamedTuple):
@@ -415,9 +463,10 @@ def _decide(draw, t: ToleranceConfig) -> _Decision:
     sqrt(eps_eig) the blocks are read from two elements
     (:func:`_coupled_clusters`), which forms draws 2-7 only when the first
     pair is unreadable; a refutation usually forms two elements.  Otherwise
-    all eight are formed, and the blocks are read from the element, of all
-    decomposed in one call, with the most clusters at eps_eig, then the
-    widest narrowest gap between them, then the first.  Its clusters are the
+    all eight are formed, and the blocks are read from the element with the
+    most clusters at eps_eig, then the widest narrowest gap between them,
+    then the first: the eigenvalues of all eight come from one call, and
+    only that element's eigenvectors are computed.  Its clusters are the
     blocks M_j, and its eigenvectors w_i give rank-one projections w_i w_i*
     in the commutant, which cluster gaps keep from turning under rounding.
     The elements are Hermitian by construction and go to the solver without
@@ -428,16 +477,15 @@ def _decide(draw, t: ToleranceConfig) -> _Decision:
     bound = math.sqrt(t.eps_eig)
     if kappa > bound:
         return _Decision(kappa, bound, False, *_coupled_clusters(head, draw, t))
-    evals, evecs = eigh_descending(np.concatenate([head, draw(slice(2, None))]))
+    elements = np.concatenate([head, draw(slice(2, None))])
+    evals = eigh_descending(elements, vectors=False)
     gaps = evals[:, :-1] - evals[:, 1:]
     splits = gaps > t.eps_eig
     narrowest = np.min(np.where(splits, gaps, np.inf), axis=1, initial=np.inf)
     # lexsort is stable and sorts by its last key first
     best = np.lexsort((-narrowest, -np.sum(splits, axis=1)))[0]
-    cuts = [0, *np.flatnonzero(splits[best]) + 1, evals.shape[1]]
-    clusters = [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    return _Decision(kappa, bound, True, phase_fix(evecs[best].T).T, clusters,
-                     [[k] for k in range(len(clusters))])
+    _, evecs, clusters = _clustered_eig(elements[best], t)
+    return _Decision(kappa, bound, True, evecs, clusters, [[k] for k in range(len(clusters))])
 
 
 def _coupled_clusters(head: np.ndarray, draw, t: ToleranceConfig):
@@ -538,10 +586,9 @@ def commutant_from_elements(decision: _Decision, elements: np.ndarray,
         units = stack[:, :, None] @ stack.conj().swapaxes(-1, -2)[:, None]
         parts.append(units.reshape(-1, *frames.shape) / math.sqrt(i))
     basis = np.concatenate(parts)
-    # all r x s commutators at once: for s elements and a map with k Kraus
-    # operators, the r x s x d x d products are s / k of the r x d x k x d
-    # intermediate of one apply on the basis
-    residual = float(np.max(_norms(basis[:, None] @ elements - elements @ basis[:, None])))
+    # all r x s commutators at once, each side from one product
+    residual = float(np.max(_norms(_products(basis, elements)
+                                   - _products(elements, basis).swapaxes(0, 1))))
     if residual > t.eps_verify:
         raise VerificationFailure(
             f"commutant built from the interaction elements fails to commute with them: "

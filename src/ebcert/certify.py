@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _decide, interaction_elements
+from .algebra import _coefficients, _decide, interaction_elements
 from .channel import (
     ChoiClass,
     ChoiSpectrum,
@@ -222,7 +222,8 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
         raise OutOfScope(report.classification.value, report.alpha)
 
     minimal = channel.with_kraus(report.kraus, t)
-    decision = _decide(lambda draws: interaction_elements(minimal.kraus, t, draws), t)
+    coeffs = _coefficients(channel.output_dim, t)
+    decision = _decide(lambda draws: interaction_elements(minimal.kraus, t, draws, coeffs), t)
     if not decision.multiplicity_free:
         witness = npt_witness(minimal.vec_columns(), channel.input_dim, channel.output_dim, t)
         raise NotEntanglementBreaking(

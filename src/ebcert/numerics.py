@@ -125,15 +125,18 @@ def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np
     return evals, phase_fix(evecs.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_descending(a: np.ndarray, vectors: bool = True):
     """Eigendecomposition of a matrix, or of each matrix of a stack, that is
     Hermitian by construction, such as a Gram matrix: eigenvalues in
     descending order and the matching eigenvector columns, with the phases
-    the dense solver leaves.  Only finiteness is checked, no Hermitian
-    residual; raises ConvergenceFailure when the solver gives up."""
+    the dense solver leaves; with ``vectors`` False, the eigenvalues alone.
+    Only finiteness is checked, no Hermitian residual; raises
+    ConvergenceFailure when the solver gives up."""
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     try:
+        if not vectors:
+            return np.linalg.eigvalsh(a)[..., ::-1]
         evals, evecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ebcert.algebra import (
     _decide,
     _domain_blocks,
     _separated,
+    _transfer_apply,
     _verify_domain,
     commutant_from_elements,
     interaction_elements,
@@ -41,6 +44,7 @@ from oracles import (
     span_projector,
     schwarz_defects,
     subspace_gap,
+    transfer_matrix,
     verify_domain_per_element,
 )
 
@@ -250,6 +254,46 @@ class TestInteractionElements:
         assert [len(part) for part in parts] == [2, 6]
         assert np.array_equal(np.concatenate(parts), whole)
 
+    def test_commuting_branch_decomposes_one_element(self, tol, monkeypatch):
+        # the eigenvalues of all eight elements from one call, then the
+        # eigenvectors of the one element the blocks are read from
+        kraus = minimal_kraus(random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True),
+                              tol).kraus
+        shapes = {"eigh": [], "eigvalsh": []}
+        originals = {name: getattr(np.linalg, name) for name in shapes}
+
+        def counting(name):
+            def decompose(a, *args, **kwargs):
+                shapes[name].append(np.shape(a))
+                return originals[name](a, *args, **kwargs)
+            return decompose
+
+        for name in shapes:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        decision = _decide(lambda draws: interaction_elements(kraus, tol, draws), tol)
+        assert decision.multiplicity_free
+        assert shapes == {"eigh": [(6, 6)], "eigvalsh": [(8, 6, 6)]}
+
+
+class TestTransferApply:
+    """The gate's evaluation of psi through the row blocks of its transfer
+    matrix, on maps with n != m and a Kraus count other than n, where a
+    wrong vec convention or a swapped index would show."""
+
+    @pytest.mark.parametrize("k, m, n", [(3, 4, 2), (5, 2, 3), (1, 3, 3), (2, 5, 4)])
+    def test_matches_the_oracle_and_apply(self, tol, k, m, n):
+        rng = np.random.default_rng(100 * k + 10 * m + n)
+        kraus = random_complex_matrix(k * m, n, rng).reshape(k, m, n) / np.sqrt(k * n)
+        stack = random_complex_matrix(4 * n, n, rng).reshape(4, n, n)
+        images = _transfer_apply(kraus, stack)
+        assert images.shape == (4, m, m)
+        np.testing.assert_allclose(images, CPMap(kraus, tol).apply(stack), rtol=0, atol=1e-13)
+        # the images of the matrix units are the columns of T, which on
+        # row-major vecs is the conjugate of the column-stacking oracle
+        units = np.eye(n * n).reshape(n * n, n, n)
+        np.testing.assert_allclose(_transfer_apply(kraus, units).reshape(n * n, m * m).T,
+                                   transfer_matrix(kraus).conj(), rtol=0, atol=1e-13)
+
 
 class TestCommutantFromElements:
     @pytest.mark.parametrize("build", ORACLE_FIXTURES)
@@ -438,6 +482,31 @@ class TestVerifyDomain:
         psi, dom = self.domain(build, tol)
         criterion, pairs = schwarz_defects(psi, moved_off(dom, offset).basis)
         assert pairs <= psi.input_dim ** 0.25 * criterion
+
+
+class TestVerifyDomainCost:
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_peak_memory_stays_below_the_transfer_matrix(self, tol, n):
+        # the gate holds no whole copy of psi's transfer matrix T and no
+        # r x d x k x d intermediate of CPMap.apply, each the size of T here
+        # (r = d = k = n): its tracemalloc peak stays within 1.5 times the
+        # bytes of T, and from n = 32 below them
+        psi = complement_adjoint(minimal_kraus(
+            random_projection_choi_channel(n, n, 1, tol, ensure_eb=True), tol), tol)
+        dom = multiplicative_domain(psi, tol)
+        k, m, d = psi.kraus.shape
+        transfer_bytes = m * m * d * d * 16
+        assert dom.dimension * d * k * d * 16 == transfer_bytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _verify_domain(psi, dom, tol)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * transfer_bytes
+        if n >= 32:
+            assert peak < transfer_bytes
 
 
 class TestCommutant:

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from ebcert import (
+    ChoiClass,
     ChoiReport,
     ChoiSpectrum,
     CPMap,
     EBCertificate,
     KrausChannel,
+    ToleranceConfig,
     certify,
     choi,
     complement_adjoint,
@@ -31,12 +33,14 @@ from ebcert import (
     verify_certificate,
     verify_eb_witness,
 )
+from ebcert.algebra import _domain_blocks
 from ebcert.errors import (
     DimensionMismatch,
     NotEntanglementBreaking,
     NotMinimalKraus,
     NotOrthonormal,
     NotTracePreserving,
+    NotUnitalOrNotTP,
     OutOfScope,
     RankFailure,
     ResolutionFailure,
@@ -603,26 +607,35 @@ class TestCertifyGate:
 
     def test_a_refutation_forms_two_interaction_elements(self, tol, monkeypatch):
         # draws 0-1 decide; certify forms draws 2-7 only where it reads them,
-        # and the domain of analyze is checked against all eight
+        # from the one stack of coefficients it drew, and the domain of
+        # analyze is checked against all eight
         algebra = importlib.import_module("ebcert.algebra")
-        draw = algebra.interaction_elements
-        formed = []
+        draw, seeded = algebra.interaction_elements, ToleranceConfig.rng
+        formed, streams = [], []
 
         def counting(*args, **kwargs):
             elements = draw(*args, **kwargs)
             formed.append(len(elements))
             return elements
 
+        def counting_streams(self, *salt):
+            streams.append(salt)
+            return seeded(self, *salt)
+
         for module in (algebra, importlib.import_module("ebcert.certify")):
             monkeypatch.setattr(module, "interaction_elements", counting)
+        monkeypatch.setattr(ToleranceConfig, "rng", counting_streams)
         generic = random_projection_choi_channel(6, 6, 0, tol)
         planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
         with pytest.raises(NotEntanglementBreaking):
             certify(generic, tol)
         assert formed == [2]
+        assert streams.count((0x1A7E,)) == 1
         formed.clear()
+        streams.clear()
         assert certify(planted, tol).r == 6
         assert formed == [2, 6]
+        assert streams.count((0x1A7E,)) == 1
         for ch in (planted, generic):
             formed.clear()
             multiplicative_domain(complement_adjoint(minimal_kraus(ch, tol), tol), tol)
@@ -673,6 +686,31 @@ class TestCertifyGate:
         for p, r in zip(power, reference):
             if p is not None:
                 assert abs(p - r) <= 1e-6 * r
+
+    @pytest.mark.parametrize("n, eps, certified, domain_failures", [
+        (3, 1e-9, 15, 11), (6, 3e-10, 12, 6), (4, 1e-9, 9, 14), (9, 1e-10, 14, 3)])
+    def test_perturbed_sweep_subset_does_not_regress(self, tol, n, eps, certified,
+                                                     domain_failures):
+        # seeds 0-15 of four sweep rows, against the counts of 0.13.0: no
+        # fewer certified by certify, and no more domain builds of analyze
+        # ending in exit 3, VerificationFailure or NotUnitalOrNotTP
+        channels = [perturbed_planted(n, eps, seed, tol) for seed in range(16)]
+        outcomes = []
+        for ch in channels:
+            try:
+                certify(ch, tol)
+                outcomes.append(True)
+            except (VerificationFailure, NotEntanglementBreaking, OutOfScope):
+                outcomes.append(False)
+        failures = 0
+        for report in (choi(ch, tol) for ch in channels):
+            if report.classification is ChoiClass.PROJECTION:
+                try:
+                    _domain_blocks(report.kraus, tol)
+                except (VerificationFailure, NotUnitalOrNotTP):
+                    failures += 1
+        assert sum(outcomes) >= certified
+        assert failures <= domain_failures
 
     def test_zero_operator_gets_a_zero_vector_and_is_refused(self, tol):
         module = importlib.import_module("ebcert.certify")

@@ -189,16 +189,27 @@ class TestAnalyze:
         assert eigh_calls(padded, 12, 5) == (0, 1)
 
     def test_domain_verification_applies(self, tmp_path, capsys, monkeypatch):
-        # r = 6: five applies for the images, the adjoint-product criterion
-        # and the probe images, then one per side for each of the three
-        # probes; no product of two basis elements is applied
+        # r = 6: the gate calls no CPMap.apply; it makes one pass over the row
+        # blocks of psi's transfer matrix, and measures a residual for each of
+        # the three probes against each basis element, on either side; no
+        # product of two basis elements is evaluated
         path = gen_projection_choi(tmp_path / "p.json", 6, 1, capsys)
         apply, verify = channel.CPMap.apply, algebra._verify_domain
-        calls, inside = [], []
+        transfer, norms = algebra._transfer_apply, algebra._norms
+        calls, passes, normed, inside = [], [], [], []
 
         def counting_apply(self, x):
             calls.extend(inside)
             return apply(self, x)
+
+        def counting_transfer(kraus, stack):
+            passes.extend(inside)
+            return transfer(kraus, stack)
+
+        def recording_norms(mats):
+            if inside:
+                normed.append(np.shape(mats)[:-2])
+            return norms(mats)
 
         def tracked_verify(*args):
             inside.append(1)
@@ -208,11 +219,15 @@ class TestAnalyze:
                 inside.pop()
 
         monkeypatch.setattr(channel.CPMap, "apply", counting_apply)
+        monkeypatch.setattr(algebra, "_transfer_apply", counting_transfer)
+        monkeypatch.setattr(algebra, "_norms", recording_norms)
         monkeypatch.setattr(algebra, "_verify_domain", tracked_verify)
         code, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
         assert code == 0
         assert json.loads(stdout)["algebra"]["dimension"] == 6
-        assert len(calls) == 11
+        assert len(calls) == 0
+        assert len(passes) == 1
+        assert normed.count((3, 6)) == 2
 
     def test_no_complement_or_dual_map_is_built(self, tmp_path, capsys, monkeypatch):
         """analyze forms the complement adjoint from choi's minimal Kraus
