@@ -6,7 +6,7 @@ A with F(AX) = F(A)F(X) and F(XA) = F(X)F(A) for all X.  For such maps it is
 the commutant of the algebra generated by the Kraus operators of
 dual(F) o F (Kribs 2003), which is how it is built here: generic Hermitian
 elements of their span give the blocks of that algebra and a basis of its
-commutant (:func:`interaction_elements`, :func:`_decide`), and no d^2 x d^2
+commutant (:func:`interaction_draws`, :func:`_decide`), and no d^2 x d^2
 operator is formed.  Because that equality is a cited fact rather than one
 this package re-derives, every built domain is post-verified against the
 adjoint-product criterion F(A A*) = F(A) F(A*) and the defining bilinear
@@ -150,7 +150,7 @@ def _domain_blocks(kraus: np.ndarray, t: ToleranceConfig):
         raise NotUnitalOrNotTP(
             f"tp residual {psi.tp_residual:.3e}, unital residual {unital_residual:.3e}"
         )
-    elements = interaction_elements(kraus, t)
+    elements = interaction_draws(kraus, t)(slice(None))
     decision = _decide(elements.__getitem__, t)
     alg = commutant_from_elements(decision, elements, t)
     _verify_domain(psi, alg, t)
@@ -391,45 +391,38 @@ def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
     return vectors
 
 
-def interaction_elements(kraus, tol: ToleranceConfig | None = None, draws: slice = slice(None),
-                         coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Random Hermitian elements of span{L_b L_a*}, where the d x n
-    operators L_a are the Kraus operators of the complement of the minimal
-    (d, m, n) Kraus stack: (L_a)_ic = (K_i)_ac.
+def interaction_draws(kraus, tol: ToleranceConfig | None = None):
+    """The function forming any slice of the MAX_RESAMPLE random Hermitian
+    elements of span{L_b L_a*}, where the d x n operators L_a are the Kraus
+    operators of the complement of the minimal (d, m, n) Kraus stack:
+    (L_a)_ic = (K_i)_ac.
 
-    Each element is a_ij = tr(C K_i K_j*) for a Hermitian Gaussian m x m
-    matrix C, scaled to unit Frobenius norm.  The seed gives MAX_RESAMPLE
-    draws of C in one stream (:func:`_coefficients`), and ``draws`` picks
-    which of them are formed, all by default: a slice of the draws gives
-    the same bits as that slice of the whole stack, so a caller forms the
-    draws it reads when it reads them (see :func:`_decide`), passing the
-    stack it drew once as ``coeffs``.  The L_b L_a* are the Kraus operators
-    of dual(psi) o psi for the complement adjoint psi, so their algebra A
-    has the multiplicative domain of psi as its commutant when psi is
-    unital and trace preserving (Kribs 2003).
+    Each element is a_ij = tr(C K_i K_j*) for a Hermitian m x m matrix
+    C = G + G*, G complex Gaussian, scaled to unit Frobenius norm.  All C,
+    from one stream of the seed, and the stack's two product layouts are
+    built once per decision; a slice of the draws gives the same bits as
+    that slice of the whole stack, so a caller forms the draws it reads when
+    it reads them (see :func:`_decide`).  The L_b L_a* are the Kraus
+    operators of dual(psi) o psi for the complement adjoint psi, so their
+    algebra has the multiplicative domain of psi as its commutant when psi
+    is unital and trace preserving (Kribs 2003).
     """
     t = _tol(tol)
     # C order, so that a transposed view of the same values gives the same bits
     kraus = np.ascontiguousarray(kraus, dtype=complex)
     d, m, n = kraus.shape
-    if coeffs is None:
-        coeffs = _coefficients(m, t)
+    parts = t.rng(0x1A7E).standard_normal((2, MAX_RESAMPLE, m, m))
+    g = parts[0] + 1j * parts[1]
+    transposed = (g + g.conj().transpose(0, 2, 1)).transpose(0, 2, 1)
     # conj(C K_j)[a, c] = (C^T conj(K_j))[a, c] for every j, laid out as
     # ((a, c), j), from one product per draw; then a_ij is
     # sum_(a, c) K_i[a, c] conj(C K_j)[a, c], one more: O(d m^2 n + d^2 m n)
-    mixed = coeffs[draws].transpose(0, 2, 1) @ kraus.conj().transpose(1, 2, 0).reshape(m, n * d)
-    elements = kraus.reshape(d, m * n) @ mixed.reshape(-1, m * n, d)
-    return elements / _norms(elements)[:, None, None]
+    columns, rows = kraus.conj().transpose(1, 2, 0).reshape(m, n * d), kraus.reshape(d, m * n)
 
-
-def _coefficients(m: int, t: ToleranceConfig) -> np.ndarray:
-    """The MAX_RESAMPLE Hermitian m x m coefficient matrices of
-    :func:`interaction_elements`, G + G* for complex Gaussian G, all from
-    one stream of the seed."""
-    rng = t.rng(0x1A7E)
-    shape = (MAX_RESAMPLE, m, m)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return g + g.conj().transpose(0, 2, 1)
+    def draw(draws: slice) -> np.ndarray:
+        elements = rows @ (transposed[draws] @ columns).reshape(-1, m * n, d)
+        return elements / _norms(elements)[:, None, None]
+    return draw
 
 
 class _Decision(NamedTuple):
@@ -458,7 +451,7 @@ def _decide(draw, t: ToleranceConfig) -> _Decision:
     """Whether generic Hermitian elements generate an abelian algebra, whose
     commutant is then multiplicity free: the relative commutator kappa of the
     first two decides.  ``draw`` takes a slice of the MAX_RESAMPLE draws and
-    returns those elements, as :func:`interaction_elements` does; draws 0-1
+    returns those elements, as :func:`interaction_draws` does; draws 0-1
     are formed first and draws 2-7 only where they are read.  Above
     sqrt(eps_eig) the blocks are read from two elements
     (:func:`_coupled_clusters`), which forms draws 2-7 only when the first

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _coefficients, _decide, interaction_elements
+from .algebra import _decide, interaction_draws
 from .channel import (
     ChoiClass,
     ChoiSpectrum,
@@ -63,6 +63,7 @@ from .numerics import (
     _tol,
     as_hermitian,
     as_matrix,
+    eigh_descending,
     factor_distance,
     frob,
     from_pairs,
@@ -213,6 +214,15 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     independent partial-transpose witness with its margin) on refutation, and
     VerificationFailure if any internal consistency check breaks, which is
     always a bug or a tolerance breach rather than a property of the channel.
+
+    The minimal set V W_r and the factor V are read as :func:`choi` built
+    them, and the set's trace preservation is not checked again: its
+    sum K_i* K_i is the transposed output partial trace of V W_r (V W_r)*,
+    and |Tr_out X|_F <= tr X for X >= 0, so its residual is the input's up
+    to the Choi weight dropped below the rank cutoff, none for a minimal
+    input.  The emitted {u_i v_i*} is bounded on its own, its sum K* K being
+    sum |u_i|^2 v_i v_i* (``input_resolution``, ``unit_norm``), and
+    ``choi_match`` ties it to the input.
     """
     t = _tol(tol)
     if not channel.trace_preserving:
@@ -221,11 +231,9 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     if report.classification is not ChoiClass.PROJECTION:
         raise OutOfScope(report.classification.value, report.alpha)
 
-    minimal = channel.with_kraus(report.kraus, t)
-    coeffs = _coefficients(channel.output_dim, t)
-    decision = _decide(lambda draws: interaction_elements(minimal.kraus, t, draws, coeffs), t)
+    decision = _decide(interaction_draws(report.kraus, t), t)
     if not decision.multiplicity_free:
-        witness = npt_witness(minimal.vec_columns(), channel.input_dim, channel.output_dim, t)
+        witness = npt_witness(vec(report.kraus).T, channel.input_dim, channel.output_dim, t)
         raise NotEntanglementBreaking(
             decision.pairs, ppt_violated=witness is not None,
             commutator=decision.kappa, bound=decision.bound,
@@ -234,11 +242,12 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
 
     # op_i = u_i v_i*; that op_i has rank one is for the gate to check
     w = decision.evecs.T  # rows w_1..w_d
-    ops = combine_kraus(minimal.kraus, w.conj())
+    ops = combine_kraus(report.kraus, w.conj())
     u = _left_vectors(ops)
     v = np.einsum("imn,im->in", ops.conj(), u)
 
-    return EBCertificate(w=w, v=v, u=u, residuals=_certificate_residuals(w, v, u, ops, channel, t))
+    return EBCertificate(w=w, v=v, u=u,
+                         residuals=_certificate_residuals(w, v, u, ops, report.factor, t))
 
 
 def _left_vectors(ops: np.ndarray) -> np.ndarray:
@@ -257,24 +266,26 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
     Returns the residuals; raises VerificationFailure on a Choi rank or a
     stack shape that does not fit the channel, or a residual out of bound or NaN."""
     t = _tol(tol)
-    minimal, d = choi(channel, t).kraus, cert.choi_rank
-    if len(minimal) != d:
-        raise VerificationFailure(f"certificate claims Choi rank {d}, channel has {len(minimal)}")
+    report = choi(channel, t)
+    d, rank = cert.choi_rank, report.choi_rank
+    if rank != d:
+        raise VerificationFailure(f"certificate claims Choi rank {d}, channel has {rank}")
     for name, want in zip("wvu", ((d, d), (d, channel.input_dim), (d, channel.output_dim))):
         stack = getattr(cert, name)
         if stack.shape != want:
             raise VerificationFailure(
                 f"certificate stack {name} has shape {stack.shape}, expected {want}")
-    combined = combine_kraus(minimal, cert.w.conj())
-    return _certificate_residuals(cert.w, cert.v, cert.u, combined, channel, t)
+    combined = combine_kraus(report.kraus, cert.w.conj())
+    return _certificate_residuals(cert.w, cert.v, cert.u, combined, report.factor, t)
 
 
 def _certificate_residuals(w: np.ndarray, v: np.ndarray, u: np.ndarray, combined: np.ndarray,
-                           channel: KrausChannel, t: ToleranceConfig) -> dict[str, float]:
+                           factor: np.ndarray, t: ToleranceConfig) -> dict[str, float]:
     """The checks of :func:`verify_certificate` on the stacks w, v, u of a
     certificate, where ``combined`` holds the operators sum_j conj(w_ij) K_j
-    of the channel's (d, m, n) minimal Kraus stack as :func:`choi` builds it."""
-    n, d = channel.input_dim, w.shape[1]
+    of the channel's (d, m, n) minimal Kraus stack and ``factor`` the
+    channel's own columns vec(K_i), both as :func:`choi` builds them."""
+    n, d = v.shape[1], w.shape[1]
     residuals: dict[str, float] = {}
     residuals["resolution"] = frob(w.T @ w.conj() - np.eye(d))
     # the complement adjoint of a dyad: psi(w w*) = A* A for A = sum_j conj(w_j) K_j
@@ -287,7 +298,7 @@ def _certificate_residuals(w: np.ndarray, v: np.ndarray, u: np.ndarray, combined
     residuals["factorization"] = float(np.max(np.linalg.norm(combined - dyads, axis=(1, 2))))
     residuals["norm_match"] = float(np.max(np.abs(
         np.linalg.norm(w, axis=1) - np.linalg.norm(v, axis=1))))
-    residuals["choi_match"] = factor_distance(vec(dyads).T, channel.vec_columns())
+    residuals["choi_match"] = factor_distance(vec(dyads).T, factor)
 
     # "not <=" rather than ">", so that a NaN residual fails
     bad = {k: val for k, val in residuals.items() if not val <= _residual_bound(k, n, t)}
@@ -512,10 +523,9 @@ def npt_witness(factor, n: int, m: int,
         tri[j, j] = np.vdot(basis[j], w).real
         for _ in range(2):  # reorthogonalize against every earlier row, twice
             w -= (basis[:j + 1].conj() @ w) @ basis[:j + 1]
-        lowest = tri[:j + 1, :j + 1]
-        theta = np.linalg.eigvalsh(lowest)[0]
-        if theta < -bound:
-            x = _lowest_ritz_coefficients(lowest, theta, rng) @ basis[:j + 1]
+        evals, evecs = eigh_descending(tri[:j + 1, :j + 1])
+        if evals[-1] < -bound:
+            x = evecs[:, -1] @ basis[:j + 1]
             x /= np.linalg.norm(x)
             quotient = float(np.vdot(x, apply(x)).real)
             if quotient < -bound:
@@ -526,16 +536,3 @@ def npt_witness(factor, n: int, m: int,
         tri[j, j + 1] = tri[j + 1, j] = beta
         basis[j + 1] = w / beta
     return None
-
-
-def _lowest_ritz_coefficients(tri: np.ndarray, theta: float, rng) -> np.ndarray:
-    """Unit eigenvector of a small symmetric matrix for its eigenvalue
-    theta, by two steps of inverse iteration from a random start, shifted
-    just below theta so the solve stays regular."""
-    size = len(tri)
-    shift = theta - size * np.finfo(float).eps * max(1.0, float(np.max(np.abs(tri))))
-    s = rng.standard_normal(size)
-    for _ in range(2):
-        s = np.linalg.solve(tri - shift * np.eye(size), s)
-        s /= np.linalg.norm(s)
-    return s

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     InconsistentClassification,
     NotMinimalKraus,
@@ -175,16 +174,9 @@ class ChoiReport(ChoiSpectrum):
 def choi_spectrum(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiSpectrum:
     """The Choi spectrum and its class alone, under the checks of :func:`choi`:
     the eigenvalues of the Gram matrix V* V, no eigenvectors or Kraus set."""
-    t = _tol(tol)
     v = channel.vec_columns()
-    g = v.conj().T @ v  # Hermitian by construction; finite unless it overflowed
-    if not np.all(np.isfinite(g)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        evals = np.linalg.eigvalsh(g)[::-1]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return _spectrum(channel, v, evals, t)
+    # the Gram matrix V* V is Hermitian by construction
+    return _spectrum(channel, v, eigh_descending(v.conj().T @ v, vectors=False), _tol(tol))
 
 
 def _spectrum(channel: CPMap, v, evals, t: ToleranceConfig) -> ChoiSpectrum:

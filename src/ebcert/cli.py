@@ -81,13 +81,10 @@ def _tolerances(args) -> ToleranceConfig:
             seed = int(env)
         except ValueError:
             raise ValueError(f"EBCERT_SEED must be an integer, got {env!r}") from None
-    base = ToleranceConfig()
-    return ToleranceConfig(
-        eps_rank=args.tol_rank if args.tol_rank is not None else base.eps_rank,
-        eps_eig=args.tol_eig if args.tol_eig is not None else base.eps_eig,
-        eps_verify=args.tol_verify if args.tol_verify is not None else base.eps_verify,
-        seed=seed,
-    )
+    fields = {"tol_rank": "eps_rank", "tol_eig": "eps_eig", "tol_verify": "eps_verify"}
+    given = {field: getattr(args, flag) for flag, field in fields.items()
+             if getattr(args, flag) is not None}
+    return ToleranceConfig(seed=seed, **given)
 
 
 def _judged(value: float, tolerance: float) -> dict:

@@ -23,7 +23,7 @@ from ebcert.algebra import (
     _transfer_apply,
     _verify_domain,
     commutant_from_elements,
-    interaction_elements,
+    interaction_draws,
 )
 from ebcert.errors import NotMultiplicityFree, NotUnitalOrNotTP, VerificationFailure
 from ebcert.zoo import (
@@ -248,9 +248,9 @@ class TestInteractionElements:
     def test_draws_are_slices_of_one_stack(self, tol, n, planted):
         # a caller that forms draws 0-1, then 2-7, reads the bits of the whole stack
         channel = random_projection_choi_channel(n, n, 1, tol, ensure_eb=planted)
-        kraus = minimal_kraus(channel, tol).kraus
-        whole = interaction_elements(kraus, tol)
-        parts = [interaction_elements(kraus, tol, draws) for draws in (slice(0, 2), slice(2, None))]
+        draw = interaction_draws(minimal_kraus(channel, tol).kraus, tol)
+        whole = draw(slice(None))
+        parts = [draw(draws) for draws in (slice(0, 2), slice(2, None))]
         assert [len(part) for part in parts] == [2, 6]
         assert np.array_equal(np.concatenate(parts), whole)
 
@@ -270,7 +270,7 @@ class TestInteractionElements:
 
         for name in shapes:
             monkeypatch.setattr(np.linalg, name, counting(name))
-        decision = _decide(lambda draws: interaction_elements(kraus, tol, draws), tol)
+        decision = _decide(interaction_draws(kraus, tol), tol)
         assert decision.multiplicity_free
         assert shapes == {"eigh": [(6, 6)], "eigvalsh": [(8, 6, 6)]}
 
@@ -384,7 +384,7 @@ class TestCommutantFromElements:
         reference = fixed_point_domain(psi, tol)
         assert reference.dimension == 1
         kraus = np.conj(psi.kraus).transpose(2, 0, 1)  # the stack _domain_blocks reads
-        decision = _decide(lambda draws: interaction_elements(kraus, tol, draws), tol)
+        decision = _decide(interaction_draws(kraus, tol), tol)
         assert decision.multiplicity_free == (decision.kappa <= np.sqrt(tol.eps_eig)) == commuting
         if not commuting:
             dom, decision = _domain_blocks(kraus, tol)

@@ -35,6 +35,7 @@ from ebcert import (
 )
 from ebcert.algebra import _domain_blocks
 from ebcert.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NotEntanglementBreaking,
     NotMinimalKraus,
@@ -610,20 +611,24 @@ class TestCertifyGate:
         # from the one stack of coefficients it drew, and the domain of
         # analyze is checked against all eight
         algebra = importlib.import_module("ebcert.algebra")
-        draw, seeded = algebra.interaction_elements, ToleranceConfig.rng
+        former, seeded = algebra.interaction_draws, ToleranceConfig.rng
         formed, streams = [], []
 
         def counting(*args, **kwargs):
-            elements = draw(*args, **kwargs)
-            formed.append(len(elements))
-            return elements
+            draw = former(*args, **kwargs)
+
+            def forming(draws):
+                elements = draw(draws)
+                formed.append(len(elements))
+                return elements
+            return forming
 
         def counting_streams(self, *salt):
             streams.append(salt)
             return seeded(self, *salt)
 
         for module in (algebra, importlib.import_module("ebcert.certify")):
-            monkeypatch.setattr(module, "interaction_elements", counting)
+            monkeypatch.setattr(module, "interaction_draws", counting)
         monkeypatch.setattr(ToleranceConfig, "rng", counting_streams)
         generic = random_projection_choi_channel(6, 6, 0, tol)
         planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
@@ -640,6 +645,52 @@ class TestCertifyGate:
             formed.clear()
             multiplicative_domain(complement_adjoint(minimal_kraus(ch, tol), tol), tol)
             assert formed == [8]
+
+    def test_reads_the_choi_factor_and_minimal_stack_as_choi_built_them(self, tol, monkeypatch):
+        # one vec_columns, the one choi takes, and no map wrapped around the
+        # minimal stack: not on a certificate, a refutation or the gate
+        planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
+        generic = random_projection_choi_channel(6, 6, 0, tol)
+        cert = certify(planted, tol)
+        columns, construct = CPMap.vec_columns, CPMap.__init__
+        calls = {"vec_columns": 0, "CPMap": 0}
+
+        def counting_columns(self):
+            calls["vec_columns"] += 1
+            return columns(self)
+
+        def counting_construct(self, *args, **kwargs):
+            calls["CPMap"] += 1
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(CPMap, "vec_columns", counting_columns)
+        monkeypatch.setattr(CPMap, "__init__", counting_construct)
+
+        def refute():
+            with pytest.raises(NotEntanglementBreaking):
+                certify(generic, tol)
+
+        for run in (lambda: certify(planted, tol), refute,
+                    lambda: verify_certificate(cert, planted, tol)):
+            calls.update(vec_columns=0, CPMap=0)
+            run()
+            assert calls == {"vec_columns": 1, "CPMap": 0}
+
+    @pytest.mark.parametrize("planted, ratio", [(True, 11.5), (False, 8.0)],
+                             ids=["planted", "generic"])
+    def test_peak_memory_is_a_few_kraus_stacks(self, tol, planted, ratio):
+        # at n = m = 32 the tracemalloc peak of certify, in units of the
+        # input's Kraus stack: 0.13.1 read 12.6 (planted) and 8.8 (generic)
+        ch = random_projection_choi_channel(32, 32, 1, tol, ensure_eb=planted)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with contextlib.suppress(NotEntanglementBreaking):
+                certify(ch, tol)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * ch.kraus.nbytes
 
     def test_certify_runs_no_hermitian_residual_check(self, tol, monkeypatch):
         # the Gram matrix V*V and the interaction elements are Hermitian by construction
@@ -1140,3 +1191,14 @@ class TestNPTWitness:
     def test_rejects_a_factor_of_the_wrong_height(self, tol):
         with pytest.raises(ValueError):
             npt_witness(np.ones((5, 2)), 2, 3, tol)
+
+    def test_a_solver_failure_is_a_convergence_failure(self, tol, monkeypatch):
+        # the Ritz pair comes from eigh_descending, so a failing solver ends
+        # in the package's error (CLI exit 3), not numpy's LinAlgError
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        factor = random_projection_choi_channel(3, 3, 2, tol).vec_columns()
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            npt_witness(factor, 3, 3, tol)
