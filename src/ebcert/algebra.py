@@ -56,6 +56,7 @@ from .numerics import (
     as_matrix,
     eigh_descending,
     frob,
+    frob_each,
     hermitian_eig,
     nullspace,
     numerical_rank,
@@ -157,10 +158,6 @@ def _domain_blocks(kraus: np.ndarray, t: ToleranceConfig):
     return alg, decision
 
 
-def _norms(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(mats, axis=(-2, -1))
-
-
 def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> float:
     """Check the adjoint-product criterion psi(A A*) = psi(A) psi(A*), and
     its mirror, on every basis element A at eps_verify d^(-1/4); then the
@@ -186,7 +183,7 @@ def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> float:
     d = psi.input_dim
     draws = t.rng(0xA15E).standard_normal((_DOMAIN_PROBES, 2, d, d))
     probes = draws[:, 0] + 1j * draws[:, 1]
-    probes /= np.maximum(_norms(probes), 1.0)[:, None, None]
+    probes /= np.maximum(frob_each(probes), 1.0)[:, None, None]
     basis = alg.basis
     r, p = len(basis), len(probes)
     adjoints = basis.conj().transpose(0, 2, 1)
@@ -197,17 +194,17 @@ def _verify_domain(psi: CPMap, alg: MatrixAlgebra, t: ToleranceConfig) -> float:
     basis_images, squares, probe_images, pairs = np.split(images, [r, 3 * r, 3 * r + p])
     adjoint_images = basis_images.conj().transpose(0, 2, 1)
     res = float(np.max(np.maximum(
-        _norms(squares[:r] - basis_images @ adjoint_images),
-        _norms(squares[r:] - adjoint_images @ basis_images))))
+        frob_each(squares[:r] - basis_images @ adjoint_images),
+        frob_each(squares[r:] - adjoint_images @ basis_images))))
     if res > t.eps_verify * d ** -0.25:
         raise VerificationFailure(
             f"adjoint-product criterion fails on a basis element, residual {res:.3e}"
         )
     pairs = pairs.reshape(2, p, r, d, d)
     res = np.maximum(
-        _norms(pairs[0] - _products(basis_images, probe_images)),
-        _norms(pairs[1] - _products(adjoint_images, probe_images.conj().transpose(0, 2, 1))))
-    if np.any(res > t.eps_verify * np.maximum(1.0, _norms(probes)[:, None] * _norms(basis))):
+        frob_each(pairs[0] - _products(basis_images, probe_images)),
+        frob_each(pairs[1] - _products(adjoint_images, probe_images.conj().transpose(0, 2, 1))))
+    if np.any(res > t.eps_verify * np.maximum(1.0, frob_each(probes)[:, None] * frob_each(basis))):
         raise VerificationFailure(
             f"bilinear multiplicativity fails, residual {float(np.max(res)):.3e}"
         )
@@ -421,7 +418,7 @@ def interaction_draws(kraus, tol: ToleranceConfig | None = None):
 
     def draw(draws: slice) -> np.ndarray:
         elements = rows @ (transposed[draws] @ columns).reshape(-1, m * n, d)
-        return elements / _norms(elements)[:, None, None]
+        return elements / frob_each(elements)[:, None, None]
     return draw
 
 
@@ -580,7 +577,7 @@ def commutant_from_elements(decision: _Decision, elements: np.ndarray,
         parts.append(units.reshape(-1, *frames.shape) / math.sqrt(i))
     basis = np.concatenate(parts)
     # all r x s commutators at once, each side from one product
-    residual = float(np.max(_norms(_products(basis, elements)
+    residual = float(np.max(frob_each(_products(basis, elements)
                                    - _products(elements, basis).swapaxes(0, 1))))
     if residual > t.eps_verify:
         raise VerificationFailure(

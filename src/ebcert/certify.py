@@ -41,6 +41,7 @@ import numpy as np
 from .algebra import _decide, interaction_draws
 from .channel import (
     ChoiClass,
+    ChoiReport,
     ChoiSpectrum,
     CPMap,
     KrausChannel,
@@ -66,6 +67,7 @@ from .numerics import (
     eigh_descending,
     factor_distance,
     frob,
+    frob_each,
     from_pairs,
     json_int,
     phase_fix,
@@ -166,7 +168,7 @@ def combine_kraus(kraus, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=complex)
     if weights.shape[-1] != len(kraus):
         raise ValueError("one weight per Kraus operator is required")
-    return np.tensordot(weights, kraus, axes=1)
+    return (weights @ kraus.reshape(len(kraus), -1)).reshape(*weights.shape[:-1], *kraus.shape[1:])
 
 
 def verify_eb_witness(minimal: CPMap, w, tol: ToleranceConfig | None = None) -> np.ndarray:
@@ -222,7 +224,8 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     to the Choi weight dropped below the rank cutoff, none for a minimal
     input.  The emitted {u_i v_i*} is bounded on its own, its sum K* K being
     sum |u_i|^2 v_i v_i* (``input_resolution``, ``unit_norm``), and
-    ``choi_match`` ties it to the input.
+    ``choi_match`` ties it to the input through ``choi``'s reconstruction
+    residual (see :func:`_certificate_residuals`).
     """
     t = _tol(tol)
     if not channel.trace_preserving:
@@ -233,7 +236,7 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
 
     decision = _decide(interaction_draws(report.kraus, t), t)
     if not decision.multiplicity_free:
-        witness = npt_witness(vec(report.kraus).T, channel.input_dim, channel.output_dim, t)
+        witness = npt_witness(report.factor, channel.input_dim, channel.output_dim, t)
         raise NotEntanglementBreaking(
             decision.pairs, ppt_violated=witness is not None,
             commutator=decision.kappa, bound=decision.bound,
@@ -244,17 +247,22 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     w = decision.evecs.T  # rows w_1..w_d
     ops = combine_kraus(report.kraus, w.conj())
     u = _left_vectors(ops)
-    v = np.einsum("imn,im->in", ops.conj(), u)
+    v = _adjoint_images(ops, u)
 
-    return EBCertificate(w=w, v=v, u=u,
-                         residuals=_certificate_residuals(w, v, u, ops, report.factor, t))
+    return EBCertificate(w=w, v=v, u=u, residuals=_certificate_residuals(w, v, u, ops, report, t))
+
+
+def _adjoint_images(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The vectors op_i* y_i, for a stack of operators and one row y_i each,
+    as conj(y_i* op_i): no conjugated copy of the stack."""
+    return (y.conj()[:, None, :] @ ops)[:, 0, :].conj()
 
 
 def _left_vectors(ops: np.ndarray) -> np.ndarray:
     """One power step op op* c from each operator's largest column c, normalized and
     phase fixed so certificates are reproducible; zero for a zero operator."""
     c = ops[np.arange(len(ops)), :, np.argmax(np.linalg.norm(ops, axis=1), axis=1)]
-    y = np.einsum("imn,in->im", ops, np.einsum("imn,im->in", ops.conj(), c))
+    y = (ops @ _adjoint_images(ops, c)[:, :, None])[:, :, 0]
     norms = np.linalg.norm(y, axis=1, keepdims=True)
     return phase_fix(np.divide(y, norms, out=np.zeros_like(y), where=norms > 0))
 
@@ -263,48 +271,99 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
                        tol: ToleranceConfig | None = None) -> dict[str, float]:
     """Re-check every certificate invariant against the minimal Kraus set
     rebuilt from the channel, the checks :func:`certify` accepts through.
-    Returns the residuals; raises VerificationFailure on a Choi rank or a
-    stack shape that does not fit the channel, or a residual out of bound or NaN."""
+    Returns the residuals; raises VerificationFailure on a Choi rank, a Choi
+    class other than projection (the certifier's contract, and the class in
+    which ``choi_match`` is measured) or a stack shape that does not fit the
+    channel, or on a residual out of bound or NaN."""
     t = _tol(tol)
     report = choi(channel, t)
     d, rank = cert.choi_rank, report.choi_rank
     if rank != d:
         raise VerificationFailure(f"certificate claims Choi rank {d}, channel has {rank}")
+    if report.classification is not ChoiClass.PROJECTION:
+        raise VerificationFailure(f"certificates are checked for projection Choi matrices, "
+                                  f"the channel's is {report.classification.value}")
     for name, want in zip("wvu", ((d, d), (d, channel.input_dim), (d, channel.output_dim))):
         stack = getattr(cert, name)
         if stack.shape != want:
             raise VerificationFailure(
                 f"certificate stack {name} has shape {stack.shape}, expected {want}")
     combined = combine_kraus(report.kraus, cert.w.conj())
-    return _certificate_residuals(cert.w, cert.v, cert.u, combined, report.factor, t)
+    return _certificate_residuals(cert.w, cert.v, cert.u, combined, report, t)
 
 
 def _certificate_residuals(w: np.ndarray, v: np.ndarray, u: np.ndarray, combined: np.ndarray,
-                           factor: np.ndarray, t: ToleranceConfig) -> dict[str, float]:
+                           report: ChoiReport, t: ToleranceConfig) -> dict[str, float]:
     """The checks of :func:`verify_certificate` on the stacks w, v, u of a
     certificate, where ``combined`` holds the operators sum_j conj(w_ij) K_j
-    of the channel's (d, m, n) minimal Kraus stack and ``factor`` the
-    channel's own columns vec(K_i), both as :func:`choi` builds them."""
+    of the minimal Kraus stack of ``report``, the :func:`choi` report of a
+    projection-Choi channel.
+
+    ``choi_match`` is |D D* - M M*| + rho, for D the dyads u_i v_i* and M the
+    minimal stack as factors of Choi matrices (:func:`_minimal_distance`), and
+    rho = |V V* - M M*| the reconstruction residual ``choi`` checked.  By the
+    triangle inequality it bounds |D D* - V V*|, the distance to the Choi
+    matrix of the caller's own operators V, so the gate is anchored to them
+    and is never weaker than that distance."""
     n, d = v.shape[1], w.shape[1]
     residuals: dict[str, float] = {}
     residuals["resolution"] = frob(w.T @ w.conj() - np.eye(d))
     # the complement adjoint of a dyad: psi(w w*) = A* A for A = sum_j conj(w_j) K_j
     images = combined.conj().transpose(0, 2, 1) @ combined
-    residuals["adjoint_rank_one"] = float(np.max(np.linalg.norm(
-        images - _dyads(v, v), axis=(1, 2))))
+    residuals["adjoint_rank_one"] = float(np.max(frob_each(images - _dyads(v, v))))
     residuals["input_resolution"] = frob(v.T @ v.conj() - np.eye(n))
     residuals["unit_norm"] = float(np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)))
     dyads = _dyads(u, v)
-    residuals["factorization"] = float(np.max(np.linalg.norm(combined - dyads, axis=(1, 2))))
+    residuals["factorization"] = float(np.max(frob_each(combined - dyads)))
     residuals["norm_match"] = float(np.max(np.abs(
         np.linalg.norm(w, axis=1) - np.linalg.norm(v, axis=1))))
-    residuals["choi_match"] = factor_distance(vec(dyads).T, factor)
+    residuals["choi_match"] = _minimal_distance(dyads, report) + report.residual
 
     # "not <=" rather than ">", so that a NaN residual fails
     bad = {k: val for k, val in residuals.items() if not val <= _residual_bound(k, n, t)}
     if bad:
         raise VerificationFailure(f"certificate invariants out of tolerance: {bad}")
     return residuals
+
+
+def _minimal_distance(dyads: np.ndarray, report: ChoiReport) -> float:
+    """The Frobenius distance |A A* - B B*| between the Choi matrices of the
+    (r, m, n) stack ``dyads`` and of the report's minimal (d, m, n) stack,
+    measured in the eigenbasis :func:`choi` computed: no QR.
+
+    Lay each stack out as the columns of a factor, A (nm x r) and B (nm x d),
+    flattening every operator the same way; a common permutation of the nm
+    rows moves neither product's distance.  B* B is Lambda = diag(lambda_i),
+    the Choi eigenvalues above the rank cutoff, so Q = B Lambda^(-1/2) has
+    orthonormal columns and B B* = Q Lambda Q*.  With X = Q* A (d x r) and
+    P = A - Q X, whose columns are orthogonal to those of Q,
+
+        A A* - B B* = Q (X X* - Lambda) Q* + Q X P* + P X* Q* + P P*,
+
+    four terms in the mutually orthogonal blocks Q.Q*, Q.P*, P.Q* and P.P*
+    of the Frobenius inner product.  Their squared norms are |X X* - Lambda|^2,
+    tr(X P* P X*) = tr(P* P X* X) twice, and tr(P P* P P*) = |P* P|^2, so
+
+        |A A* - B B*|^2 = |X X* - Lambda|^2 + 2 tr(P* P X* X) + |P* P|^2.
+
+    P is formed explicitly, so no terms of size |A|^2 cancel, and the
+    operands are three products against d columns.  The identity assumes
+    Q* Q = I: the computed Q* Q is Lambda^(-1/2) W_r* G W_r Lambda^(-1/2) for
+    the eigenvectors W_r of the Gram matrix G = V* V, and LAPACK's
+    eigenvectors are orthonormal and diagonalize G up to O(eps) |G|, which
+    Lambda^(-1/2) keeps O(eps) in the projection class, where every lambda_i
+    lies within eps_eig of 1.  The code holds each factor transposed, one
+    operator per row: ``x`` is X^T and ``p`` is P^T."""
+    kraus = report.kraus.reshape(len(report.kraus), -1)
+    rows = dyads.reshape(len(dyads), -1)
+    lam = report.eigenvalues[:len(kraus)]
+    scale = 1 / np.sqrt(lam)
+    x = (rows @ kraus.conj().T) * scale
+    p = rows - (x * scale) @ kraus
+    defect, gram_p, gram_x = x.conj().T @ x - np.diag(lam), p @ p.conj().T, x @ x.conj().T
+    # tr(P* P X* X) = tr(p p* x x*) for the Hermitian p p* and x x*
+    square = (np.vdot(defect, defect) + 2 * np.vdot(gram_x, gram_p) + np.vdot(gram_p, gram_p)).real
+    return float(np.sqrt(max(square, 0.0)))
 
 
 def _residual_bound(name: str, n: int, t: ToleranceConfig) -> float:

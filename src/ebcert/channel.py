@@ -49,7 +49,6 @@ from .numerics import (
     phase_fix,
     relative_rank,
     to_pairs,
-    unvec,
     vec,
     write_json,
 )
@@ -165,10 +164,13 @@ class ChoiSpectrum:
 
 @dataclass(frozen=True)
 class ChoiReport(ChoiSpectrum):
-    """The Choi spectrum plus ``kraus``, the (choi_rank, m, n) stack of minimal
-    Kraus operators taken from the same eigendecomposition (see :func:`choi`)."""
+    """The Choi spectrum plus ``kraus``, the C-ordered (choi_rank, m, n) stack
+    of minimal Kraus operators taken from the same eigendecomposition, and
+    ``residual``, the Frobenius distance |V V* - M M*| between the Choi
+    matrices of the given list and of that minimal set M (see :func:`choi`)."""
 
     kraus: np.ndarray
+    residual: float
 
 
 def choi_spectrum(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiSpectrum:
@@ -227,7 +229,10 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     and for G w = lambda w the column V w is an eigenvector of J of norm
     sqrt(lambda).  So the minimal Kraus columns are V W_r, for the
     eigenvectors W_r of G above the rank cutoff, phase-fixed: a unitary
-    re-dilation of the given list.  The set is checked by the residual of
+    re-dilation of the given list.  The operators are formed as the rows of
+    W_r^T K, for K the given stack with each operator flattened row-major,
+    so the stack is C-ordered without a vec round trip.  The set is checked,
+    and the check's value kept as the report's ``residual``, by the residual of
     the Choi matrix it rebuilds, |J - V W_r (V W_r)*| = |V P V*| for the
     Hermitian P = I - W_r W_r*, whose square is tr(P G P G): no unitary W or
     idempotent P is assumed.  Unlike the Gram-trace route that
@@ -255,8 +260,8 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
         raise VerificationFailure(
             f"minimal Kraus reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    kraus = unvec(phase_fix((v @ kept).T), m, n)
-    return ChoiReport(**vars(spectrum), kraus=kraus)
+    kraus = phase_fix(kept.T @ channel.kraus.reshape(len(channel), m * n)).reshape(-1, m, n)
+    return ChoiReport(**vars(spectrum), kraus=kraus, residual=float(residual))
 
 
 def minimal_kraus(channel: CPMap, tol: ToleranceConfig | None = None) -> CPMap:

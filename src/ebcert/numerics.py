@@ -92,6 +92,11 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def frob_each(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
 def as_hermitian(a, tol: ToleranceConfig | None = None) -> np.ndarray:
     """Coerce one square complex matrix, or an (s, d, d) stack of them, each
     within the Hermitian residual bound eps_verify (1 + |a|); raises
@@ -132,7 +137,7 @@ def eigh_descending(a: np.ndarray, vectors: bool = True):
     the dense solver leaves; with ``vectors`` False, the eigenvalues alone.
     Only finiteness is checked, no Hermitian residual; raises
     ConvergenceFailure when the solver gives up."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     try:
         if not vectors:
@@ -149,7 +154,10 @@ def factor_distance(a, b) -> float:
     with one row count, without forming either product.  With a thin QR
     [A B] = Q [R1 R2] the distance is |R1 R1* - R2 R2*|.  The shorter route
     through Gram traces, |A* A|^2 + |B* B|^2 - 2 |A* B|^2, cancels to
-    rounding noise near eps_verify and is not used."""
+    rounding noise near eps_verify and is not used.  The normal form's Choi
+    anchor uses it, and the tests take it as the reference for a
+    certificate's ``choi_match``, which the certifier measures in the
+    eigenbasis of the Choi spectrum instead."""
     a, b = as_matrix(a), as_matrix(b)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"factors have {a.shape[0]} and {b.shape[0]} rows")
@@ -267,8 +275,10 @@ def to_pairs(a) -> list:
 def write_json(fh, obj) -> None:
     """Write one JSON document as a single compact line.  ``json.dumps``
     without ``indent`` is the one call that reaches the C encoder;
-    ``json.dump`` and any ``indent`` run the pure-Python one."""
-    fh.write(json.dumps(obj) + "\n")
+    ``json.dump`` and any ``indent`` run the pure-Python one.  The documents
+    are trees the package builds itself, never self-referencing, so the
+    circular-reference check is skipped; the bytes are those of the default."""
+    fh.write(json.dumps(obj, check_circular=False) + "\n")
 
 
 def json_int(value, name: str) -> int:

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ from ebcert import (
     verify_certificate,
 )
 from ebcert.cli import main
+from ebcert.numerics import write_json
 from ebcert.zoo import redilate_fixture
 
 from oracles import perturbed_planted, verify_domain_per_element
@@ -195,7 +197,7 @@ class TestAnalyze:
         # product of two basis elements is evaluated
         path = gen_projection_choi(tmp_path / "p.json", 6, 1, capsys)
         apply, verify = channel.CPMap.apply, algebra._verify_domain
-        transfer, norms = algebra._transfer_apply, algebra._norms
+        transfer, norms = algebra._transfer_apply, algebra.frob_each
         calls, passes, normed, inside = [], [], [], []
 
         def counting_apply(self, x):
@@ -220,7 +222,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(channel.CPMap, "apply", counting_apply)
         monkeypatch.setattr(algebra, "_transfer_apply", counting_transfer)
-        monkeypatch.setattr(algebra, "_norms", recording_norms)
+        monkeypatch.setattr(algebra, "frob_each", recording_norms)
         monkeypatch.setattr(algebra, "_verify_domain", tracked_verify)
         code, stdout, _ = run(["analyze", path, "--format", "json"], capsys)
         assert code == 0
@@ -648,6 +650,28 @@ class TestJsonLayout:
             code, stdout, _ = run(argv, capsys)
             assert code == 0, argv
             json.loads(stdout)
+
+    def test_bytes_are_those_of_the_default_encoder(self, tmp_path, capsys, monkeypatch):
+        # write_json skips the circular-reference check; every document the
+        # CLI writes is still byte for byte the default json.dumps
+        documents = []
+
+        def checked(fh, obj):
+            buffer = io.StringIO()
+            write_json(buffer, obj)
+            assert buffer.getvalue() == json.dumps(obj) + "\n"
+            documents.append(obj)
+            fh.write(buffer.getvalue())
+
+        monkeypatch.setattr(cli, "write_json", checked)
+        path = gen_projection_choi(tmp_path / "p.json", 4, 1, capsys)
+        for argv in (["analyze", path, "--format", "json"],
+                     ["certify", path, "--format", "json", "--out", tmp_path / "c.json"],
+                     ["normal-form", path, "--format", "json", "--out", tmp_path / "nf.json"]):
+            code, _, _ = run(argv, capsys)
+            assert code == 0, argv
+        # three reports, the certificate file and the normal-form dump
+        assert len(documents) == 5
 
     @pytest.mark.parametrize("command", ["analyze", "certify"])
     def test_json_format_prints_one_line_per_file(self, tmp_path, capsys, command):
