@@ -217,9 +217,9 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     VerificationFailure if any internal consistency check breaks, which is
     always a bug or a tolerance breach rather than a property of the channel.
 
-    The minimal set V W_r and the factor V are read as :func:`choi` built
-    them, and the set's trace preservation is not checked again: its
-    sum K_i* K_i is the transposed output partial trace of V W_r (V W_r)*,
+    The minimal set M is read as :func:`choi` built it, and its trace
+    preservation is not checked again: its sum K_i* K_i is the transposed
+    output partial trace of its Choi matrix M M*,
     and |Tr_out X|_F <= tr X for X >= 0, so its residual is the input's up
     to the Choi weight dropped below the rank cutoff, none for a minimal
     input.  The emitted {u_i v_i*} is bounded on its own, its sum K* K being
@@ -236,7 +236,7 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
 
     decision = _decide(interaction_draws(report.kraus, t), t)
     if not decision.multiplicity_free:
-        witness = npt_witness(report.factor, channel.input_dim, channel.output_dim, t)
+        witness = npt_witness(channel.kraus, t)
         raise NotEntanglementBreaking(
             decision.pairs, ppt_violated=witness is not None,
             commutator=decision.kappa, bound=decision.bound,
@@ -301,10 +301,10 @@ def _certificate_residuals(w: np.ndarray, v: np.ndarray, u: np.ndarray, combined
 
     ``choi_match`` is |D D* - M M*| + rho, for D the dyads u_i v_i* and M the
     minimal stack as factors of Choi matrices (:func:`_minimal_distance`), and
-    rho = |V V* - M M*| the reconstruction residual ``choi`` checked.  By the
-    triangle inequality it bounds |D D* - V V*|, the distance to the Choi
-    matrix of the caller's own operators V, so the gate is anchored to them
-    and is never weaker than that distance."""
+    rho = |J - M M*| the reconstruction residual ``choi`` checked, for J the
+    Choi matrix of the caller's own operators.  By the triangle inequality
+    it bounds |D D* - J|, so the gate is anchored to those operators and is
+    never weaker than that distance."""
     n, d = v.shape[1], w.shape[1]
     residuals: dict[str, float] = {}
     residuals["resolution"] = frob(w.T @ w.conj() - np.eye(d))
@@ -349,8 +349,8 @@ def _minimal_distance(dyads: np.ndarray, report: ChoiReport) -> float:
     P is formed explicitly, so no terms of size |A|^2 cancel, and the
     operands are three products against d columns.  The identity assumes
     Q* Q = I: the computed Q* Q is Lambda^(-1/2) W_r* G W_r Lambda^(-1/2) for
-    the eigenvectors W_r of the Gram matrix G = V* V, and LAPACK's
-    eigenvectors are orthonormal and diagonalize G up to O(eps) |G|, which
+    the eigenvectors W_r of the Gram matrix G of the given operators, and
+    LAPACK's eigenvectors are orthonormal and diagonalize G up to O(eps) |G|, which
     Lambda^(-1/2) keeps O(eps) in the projection class, where every lambda_i
     lies within eps_eig of 1.  The code holds each factor transposed, one
     operator per row: ``x`` is X^T and ``p`` is P^T."""
@@ -413,7 +413,9 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
         raise NotOrthonormal(f"input-side vectors fail orthonormality by {ortho_residual:.3e}")
     gram = cert.u.conj() @ cert.u.T
     rotated = _dyads(cert.u, np.eye(n))
-    anchor = factor_distance(vec(rotated).T, vec(channel.kraus @ basis).T)
+    # operators flattened row-major: factor_distance ignores a common row order
+    moved = channel.kraus @ basis
+    anchor = factor_distance(rotated.reshape(n, -1).T, moved.reshape(len(moved), -1).T)
     if not anchor <= _residual_bound("choi_match", n, t):
         raise VerificationFailure(
             f"certificate Kraus set does not reproduce the rotated channel: {anchor:.3e}"
@@ -481,12 +483,12 @@ def _recognize_family(channel: KrausChannel, spectrum: ChoiSpectrum,
     the nm eigenvalues (zeros past D) is exactly |J - alpha P_R|_F, the
     whole distance when P = I.  For P_sym: the swap acts as F vec(K) =
     vec(K^T), so a = (sum_i |K_i - K_i^T|_F^2)^(1/2) / 2 = |P_anti V|_F for
-    J = V V* and P_anti = I - P_sym.  J >= lambda_D P_R gives a^2 >=
-    lambda_D |P_anti P_R|_F^2, and |P_R - P_sym|_F = sqrt(2) |P_anti P_R|_F
-    for two rank-D projections, so |J - alpha P_sym|_F <= s + alpha
-    sqrt(2 / lambda_D) a.  Citing only when lambda_D > 0 and the bound
-    passes cites no channel whose own distance fails; one within about
-    1 + sqrt(2) of the bound may be refused.
+    J = V V*, V with columns vec(K_i), and P_anti = I - P_sym.
+    J >= lambda_D P_R gives a^2 >= lambda_D |P_anti P_R|_F^2, and
+    |P_R - P_sym|_F = sqrt(2) |P_anti P_R|_F for two rank-D projections, so
+    |J - alpha P_sym|_F <= s + alpha sqrt(2 / lambda_D) a.  Citing only when
+    lambda_D > 0 and the bound passes cites no channel whose own distance
+    fails; one within about 1 + sqrt(2) of the bound may be refused.
     """
     n, m = channel.input_dim, channel.output_dim
     if n != m:
@@ -542,10 +544,10 @@ class NPTWitness:
     bound: float
 
 
-def npt_witness(factor, n: int, m: int,
-                tol: ToleranceConfig | None = None) -> NPTWitness | None:
-    """Search for a negative direction of the partial transpose of J = V V*,
-    given the nm x k factor V with columns vec(K_i), without forming J.
+def npt_witness(kraus, tol: ToleranceConfig | None = None) -> NPTWitness | None:
+    """Search for a negative direction of the partial transpose of the Choi
+    matrix J = sum_i vec(K_i) vec(K_i)* of a (k, m, n) Kraus stack, without
+    forming J.
 
     Runs Lanczos with full reorthogonalization on x -> J^T_A x, which for
     x = vec(Y) is vec(sum_i K_i (K_i* Y)^T), two matrix products, from a
@@ -557,11 +559,10 @@ def npt_witness(factor, n: int, m: int,
     witness within the budget, not a proof that J is PPT.
     """
     t = _tol(tol)
-    v = as_matrix(factor)
-    if v.shape[0] != n * m:
-        raise ValueError(f"factor must have {n * m} rows, got {v.shape[0]}")
-    k = v.shape[1]
-    kraus = unvec(v.T, m, n)
+    kraus = np.asarray(kraus, dtype=complex)
+    if kraus.ndim != 3 or not np.all(np.isfinite(kraus)):
+        raise ValueError(f"expected a finite (k, m, n) Kraus stack, got shape {kraus.shape}")
+    k, m, n = kraus.shape
     adjoints = kraus.conj().transpose(0, 2, 1).reshape(k * n, m)  # the K_i* stacked
     side_by_side = kraus.transpose(1, 0, 2).reshape(m, k * n)  # [K_1 ... K_k]
 
@@ -569,7 +570,7 @@ def npt_witness(factor, n: int, m: int,
         products = (adjoints @ unvec(x, m, n)).reshape(k, n, n)
         return vec(side_by_side @ products.transpose(0, 2, 1).reshape(k * n, n))
 
-    scale = max(1.0, frob(v) ** 2)
+    scale = max(1.0, frob(kraus) ** 2)
     bound = t.eps_verify * scale
     rng = t.rng(0x9E7A)
     steps = min(NPT_STEPS, n * m)

@@ -4,21 +4,22 @@ its adjoint, and the channel file format.
 
 The Choi matrix of a map ``F`` from n x n to m x m matrices is the
 nm x nm block matrix ``sum_ij kron(E_ij, F(E_ij))`` over matrix units
-``E_ij`` of the input space.  With the column-stacking ``vec`` of
-:mod:`ebcert.numerics` this equals ``V V*`` for the nm x k matrix ``V``
-with columns ``vec(K_i)``.  The Choi matrix is kept unnormalized (trace n
-for a channel); dividing by n gives a density matrix.  Its nonzero spectrum
-is that of the k x k Gram matrix ``V* V`` (Choi 1975), so :func:`choi`
-works on the factor ``V`` and forms ``V V*`` only when a caller asks for it.
+``E_ij`` of the input space, ``sum_i vec(K_i) vec(K_i)*`` with the
+column-stacking ``vec`` of :mod:`ebcert.numerics`, which defines J and
+nothing else.  J is kept unnormalized (trace n for a channel).  Its nonzero
+spectrum is that of the k x k Hilbert-Schmidt Gram matrix
+``G_ij = tr(K_i* K_j)`` of the Kraus operators (Choi 1975), which needs no
+vectorization, so :func:`choi` works on the (k, m, n) stack and J is formed
+only when a caller asks for it (:attr:`ChoiReport.choi`).
 
 The canonical complement and its adjoint are built from a minimal Kraus
-set, which this module fixes deterministically: the columns ``V w`` for the
-eigenvectors ``w`` of the Gram matrix above the rank cutoff, in descending
-eigenvalue order, each phase-fixed so its largest-modulus entry is real
-positive.  These are the Choi eigenvectors scaled by the square-rooted
-eigenvalues, a unitary re-dilation of the given Kraus list.  Any other minimal choice gives a
-complement that differs only by unitary conjugation on the output, so
-spectra and all classifications below are unaffected by this convention.
+set, which this module fixes deterministically: the operators
+``sum_j w_j K_j`` for the eigenvectors ``w`` of G above the rank cutoff, in
+descending eigenvalue order, each phase-fixed so its largest-modulus entry
+is real positive: a unitary re-dilation of the given Kraus list whose vecs
+are the Choi eigenvectors scaled by the square-rooted eigenvalues.  Any
+other minimal choice gives a complement that differs only by unitary
+conjugation on the output, so spectra and classifications are unaffected.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ class CPMap:
     def unital_residual(self) -> float:
         return frob(self.apply(np.eye(self.input_dim)) - np.eye(self.output_dim))
 
-    def vec_columns(self) -> np.ndarray:
-        """The nm x k matrix V whose columns are vec(K_i)."""
-        return vec(self._kraus).T
-
     def __repr__(self) -> str:
         kind = "channel" if self.trace_preserving else "cp map"
         return (
@@ -139,9 +136,9 @@ class ChoiClass(enum.Enum):
 
 @dataclass(frozen=True)
 class ChoiSpectrum:
-    """Choi spectral data of a Kraus list, held through the nm x k factor
-    ``V`` of the Choi matrix (columns vec(K_i)): its rank and its spectral
-    classification, read off the eigenvalues of the Gram matrix ``V* V``.
+    """Choi spectral data of a Kraus list: its rank and its spectral
+    classification, read off the eigenvalues of the Hilbert-Schmidt Gram
+    matrix ``G_ij = tr(K_i* K_j)``.
 
     classification is PROJECTION when every nonzero eigenvalue sits within
     eps_eig of 1, SCALED_PROJECTION when they sit within eps_eig of their
@@ -150,39 +147,40 @@ class ChoiSpectrum:
     with zeros when k < nm, its rounding-level tail dropped when k > nm.
     """
 
-    factor: np.ndarray
     choi_rank: int
     classification: ChoiClass
     alpha: float | None
     eigenvalues: np.ndarray
-
-    @property
-    def choi(self) -> np.ndarray:
-        """The nm x nm Choi matrix V V*, formed on each access."""
-        return self.factor @ self.factor.conj().T
 
 
 @dataclass(frozen=True)
 class ChoiReport(ChoiSpectrum):
     """The Choi spectrum plus ``kraus``, the C-ordered (choi_rank, m, n) stack
     of minimal Kraus operators taken from the same eigendecomposition, and
-    ``residual``, the Frobenius distance |V V* - M M*| between the Choi
+    ``residual``, the Frobenius distance |J - M M*| between the Choi
     matrices of the given list and of that minimal set M (see :func:`choi`)."""
 
     kraus: np.ndarray
     residual: float
 
+    @property
+    def choi(self) -> np.ndarray:
+        """The nm x nm Choi matrix M M* of the minimal stack, formed on each
+        access: within ``residual`` of the given list's J in Frobenius norm."""
+        columns = vec(self.kraus).T
+        return columns @ columns.conj().T
+
 
 def choi_spectrum(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiSpectrum:
     """The Choi spectrum and its class alone, under the checks of :func:`choi`:
-    the eigenvalues of the Gram matrix V* V, no eigenvectors or Kraus set."""
-    v = channel.vec_columns()
-    # the Gram matrix V* V is Hermitian by construction
-    return _spectrum(channel, v, eigh_descending(v.conj().T @ v, vectors=False), _tol(tol))
+    the eigenvalues of the Gram matrix, no eigenvectors or Kraus set."""
+    rows = channel.kraus.reshape(len(channel), -1)
+    # the Gram matrix is Hermitian by construction
+    return _spectrum(channel, eigh_descending(rows.conj() @ rows.T, vectors=False), _tol(tol))
 
 
-def _spectrum(channel: CPMap, v, evals, t: ToleranceConfig) -> ChoiSpectrum:
-    """Check and classify the descending Gram spectrum of the Choi factor v."""
+def _spectrum(channel: CPMap, evals, t: ToleranceConfig) -> ChoiSpectrum:
+    """Check and classify the descending Gram spectrum of a Kraus list."""
     n, m = channel.input_dim, channel.output_dim
     rank = relative_rank(evals, t)
     nonzero = evals[:rank]
@@ -192,7 +190,7 @@ def _spectrum(channel: CPMap, v, evals, t: ToleranceConfig) -> ChoiSpectrum:
             f"Choi matrix has a negative eigenvalue {evals[-1]:.3e}"
         )
     if channel.trace_preserving:
-        trace = frob(v) ** 2
+        trace = frob(channel.kraus) ** 2
         if abs(trace - n) > t.eps_verify * max(1.0, n):
             raise InconsistentClassification(
                 f"Choi trace {trace:.12g} differs from input dimension {n}"
@@ -216,7 +214,7 @@ def _spectrum(channel: CPMap, v, evals, t: ToleranceConfig) -> ChoiSpectrum:
         )
     spectrum = np.zeros(n * m)
     spectrum[:len(evals)] = evals[:n * m]
-    return ChoiSpectrum(factor=v, choi_rank=rank, classification=classification,
+    return ChoiSpectrum(choi_rank=rank, classification=classification,
                         alpha=alpha, eigenvalues=spectrum)
 
 
@@ -225,15 +223,15 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     same eigendecomposition, without forming the Choi matrix; callers that
     read only the spectrum take :func:`choi_spectrum`.
 
-    J = V V* and the Gram matrix G = V* V share their nonzero eigenvalues,
-    and for G w = lambda w the column V w is an eigenvector of J of norm
-    sqrt(lambda).  So the minimal Kraus columns are V W_r, for the
-    eigenvectors W_r of G above the rank cutoff, phase-fixed: a unitary
-    re-dilation of the given list.  The operators are formed as the rows of
-    W_r^T K, for K the given stack with each operator flattened row-major,
-    so the stack is C-ordered without a vec round trip.  The set is checked,
-    and the check's value kept as the report's ``residual``, by the residual of
-    the Choi matrix it rebuilds, |J - V W_r (V W_r)*| = |V P V*| for the
+    J = V V* and G = V* V share their nonzero eigenvalues, for V the
+    nm x k matrix with columns vec(K_i); G is formed as conj(R) R^T, for R
+    the given stack with each operator flattened row-major, and V never is.
+    For G w = lambda w the operator sum_j w_j K_j, whose vec is V w, is an
+    eigenvector of J of norm sqrt(lambda).  So the minimal set is the rows of
+    W_r^T R for the eigenvectors W_r of G above the rank cutoff, phase-fixed:
+    a unitary re-dilation of the given list, C-ordered.  The set is checked,
+    and the check's value kept as the report's ``residual``, by the residual
+    of the Choi matrix it rebuilds, |J - V W_r (V W_r)*| = |V P V*| for the
     Hermitian P = I - W_r W_r*, whose square is tr(P G P G): no unitary W or
     idempotent P is assumed.  Unlike the Gram-trace route that
     :func:`~ebcert.numerics.factor_distance` rejects, no terms of size
@@ -241,16 +239,16 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     norm of the small matrix G^(1/2) P G^(1/2).
 
     The cost is O(nm k^2 + k^3) for k Kraus operators, so a list longer
-    than nm pays O(k^3) for at most nm nonzero eigenvalues.  A thin SVD of V
+    than nm pays O(k^3) for at most nm nonzero eigenvalues.  A thin SVD of R
     would avoid that, but it costs about twice the eigendecomposition of G
-    when V is square, as for the completely depolarizing channel.
+    when R is square, as for the completely depolarizing channel.
     """
     t = _tol(tol)
     n, m = channel.input_dim, channel.output_dim
-    v = channel.vec_columns()
-    g = v.conj().T @ v  # Hermitian by construction
+    rows = channel.kraus.reshape(len(channel), m * n)
+    g = rows.conj() @ rows.T  # Hermitian by construction
     evals, w = eigh_descending(g)
-    spectrum = _spectrum(channel, v, evals, t)
+    spectrum = _spectrum(channel, evals, t)
 
     # |V P V*|^2 = tr(P G P G) = sum of (P G) times its transpose, entrywise
     kept = w[:, :spectrum.choi_rank]
@@ -260,7 +258,7 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
         raise VerificationFailure(
             f"minimal Kraus reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    kraus = phase_fix(kept.T @ channel.kraus.reshape(len(channel), m * n)).reshape(-1, m, n)
+    kraus = phase_fix(kept.T @ rows).reshape(-1, m, n)
     return ChoiReport(**vars(spectrum), kraus=kraus, residual=float(residual))
 
 
@@ -275,9 +273,9 @@ def minimal_kraus(channel: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
 
 
 def is_minimal(channel: CPMap, tol: ToleranceConfig | None = None) -> bool:
-    """A Kraus set is minimal exactly when its vec'd operators are linearly
+    """A Kraus set is minimal exactly when its operators are linearly
     independent."""
-    return numerical_rank(channel.vec_columns(), tol) == len(channel)
+    return numerical_rank(channel.kraus.reshape(len(channel), -1), tol) == len(channel)
 
 
 def complement_from_kraus(kraus, tol: ToleranceConfig | None = None) -> CPMap:
@@ -350,9 +348,9 @@ def classify_complement_adjoint(
 def _classify_complement_adjoint(cs: ChoiSpectrum) -> ComplementAdjointReport:
     """:func:`classify_complement_adjoint` on a channel's Choi spectrum.
 
-    The complement of the minimal set {K_i}, vec(K_i) = V w_i up to a phase
-    for the eigenvectors w_i of G = V* V, sends I_n to [tr(K_i* K_j)] =
-    W_r* G W_r = diag(lambda_1..lambda_d), the phases cancelling.  So the kind
+    The complement of the minimal set K_i = sum_j w_i[j] L_j (up to a phase,
+    w_i the eigenvectors of the Gram matrix G of the given L_j) sends I_n to
+    [tr(K_i* K_j)] = W_r* G W_r = diag(lambda_1..lambda_d).  So the kind
     is the Choi class by construction, judged by the same rule, max_i
     |lambda_i - alpha| <= eps_eig for alpha = 1, else for the mean eigenvalue;
     ``residual`` is that maximum."""

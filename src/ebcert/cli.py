@@ -2,7 +2,8 @@
 channels stored as JSON files.
 
 Exit codes are a stable contract: 0 success, 2 input error (an unreadable
-input or an unwritable output path), 4 refuted (not entanglement breaking),
+input, an unwritable output path, or output paths that would overwrite an
+input or each other), 4 refuted (not entanglement breaking),
 5 out of scope (Choi matrix not a projection), 3 numerical inconsistency.
 Several input files are processed one after another, in input order, and the
 exit code is the first nonzero one in that order.  The per-file commands,
@@ -242,6 +243,23 @@ def _emit(results: list[tuple[dict, int]], fmt: str, print_text) -> int:
     return next((code for _, code in results if code != EXIT_OK), EXIT_OK)
 
 
+def _overwrite_error(writes: list[tuple[Path, Path]]) -> str | None:
+    """The error for (input, output) path pairs of which an output resolves
+    to an input, or two distinct inputs share one output; None if neither.
+    Each path is resolved once: a resolution costs a file-system lookup per
+    path component."""
+    resolved = [(path, path.resolve(), out, out.resolve()) for path, out in writes]
+    inputs = {source: path for path, source, _, _ in resolved}
+    writers: dict[Path, tuple[Path, Path]] = {}
+    for path, source, out, target in resolved:
+        if target in inputs:
+            return f"output {out} of {path} would overwrite input {inputs[target]}"
+        first, first_source = writers.setdefault(target, (path, source))
+        if first_source != source:
+            return f"inputs {first} and {path} would both write {out}"
+    return None
+
+
 def _write_file(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write_json(fh, obj)
@@ -261,7 +279,7 @@ def _analyze(channel: KrausChannel, report: dict, tol: ToleranceConfig) -> None:
     cr = choi(channel, tol)
     report["choi"] = {
         "rank": cr.choi_rank,
-        "trace": _judged(frob(cr.factor) ** 2, tol.eps_verify),
+        "trace": _judged(frob(channel.kraus) ** 2, tol.eps_verify),
         "classification": cr.classification.value,
         "alpha": None if cr.alpha is None else _judged(cr.alpha, tol.eps_eig),
         "eigenvalues": [float(v) for v in cr.eigenvalues],
@@ -364,9 +382,12 @@ def _cmd_certify(args, tol: ToleranceConfig) -> int:
     if args.out is not None and len(args.files) != 1:
         print("error: --out requires exactly one input file", file=sys.stderr)
         return EXIT_INPUT
-    results = [_run_file(path, tol, functools.partial(
-                   _certify, cert_path=args.out or path.with_suffix(".cert.json")),
-                   "certify_seconds") for path in args.files]
+    writes = [(path, args.out or path.with_suffix(".cert.json")) for path in args.files]
+    if clash := _overwrite_error(writes):
+        print(f"error: {clash}", file=sys.stderr)
+        return EXIT_INPUT
+    results = [_run_file(path, tol, functools.partial(_certify, cert_path=out), "certify_seconds")
+               for path, out in writes]
     return _emit(results, args.format, lambda report: _print_certify_text(report, tol))
 
 
@@ -386,6 +407,9 @@ def _normal_form(channel: KrausChannel, report: dict, tol: ToleranceConfig,
 
 
 def _cmd_normal_form(args, tol: ToleranceConfig) -> int:
+    if args.out is not None and (clash := _overwrite_error([(args.file, args.out)])):
+        print(f"error: {clash}", file=sys.stderr)
+        return EXIT_INPUT
     dump, code = _run_file(args.file, tol, functools.partial(_normal_form, out=args.out), None)
     if "error" in dump:
         print(f"error: {dump['error']}", file=sys.stderr)

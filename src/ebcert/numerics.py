@@ -8,10 +8,10 @@ Vectorization convention
 ``vec`` stacks matrix **columns**: ``vec([[a, b], [c, d]]) = (a, c, b, d)``.
 Under this convention ``vec(A X B) = kron(B.T, A) @ vec(X)``, and the block
 matrix built from ``vec`` outer products agrees entry-for-entry with the
-Kronecker layout used everywhere else in the package.  The row-stacking
-convention is never used.  ``vec`` and ``unvec`` also map an (s, rows, cols)
-stack of matrices to the (s, rows cols) stack of their vec's and back, so
-this module is the only place that spells the convention out.
+Kronecker layout used everywhere else in the package; inner products of
+operators read a stack flattened as stored.  ``vec`` and ``unvec`` also map
+an (s, rows, cols) stack of matrices to the (s, rows cols) stack of their
+vec's and back, so this module is the only place that spells it out.
 
 Complex arrays are written to JSON as nested lists of ``[re, im]`` pairs
 (:func:`to_pairs`, :func:`from_pairs`), integer fields are read with

@@ -1,6 +1,7 @@
 """The benchmark's traced run wraps program names from outside ``src/`` and
-its replays call program stages by name.  Removing one of them from the
-program would only break that traced run; these tests make it break here.
+its replays call program stages by name and read their results' attributes.
+Removing or renaming one of them in the program would only break that traced
+run; these tests make it break here.
 """
 
 import ast
@@ -8,10 +9,13 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCH))
 
 import bench_trace  # noqa: E402
+import bench_workloads  # noqa: E402
 
 MODULES = ("algebra", "certify", "channel", "cli", "zoo")
 
@@ -39,3 +43,21 @@ def test_workload_calls_resolve():
     missing = [f"ebcert.{module}.{name}" for module, name in sorted(calls)
                if not callable(getattr(import_module(f"ebcert.{module}"), name, None))]
     assert not missing
+
+
+@pytest.mark.parametrize("name", sorted(bench_workloads.WORKLOADS))
+def test_workload_replays_run(name, tmp_path):
+    # one item of each workload through the set-up, op, check and traced
+    # replay that a traced run makes, with the tracer's wrappers installed
+    workload = bench_workloads.WORKLOADS[name]
+    tracer = bench_trace.Tracer()
+    tracer.install()
+    try:
+        item = workload.setup(0, tmp_path, tracer)[0]
+        output = workload.op(item)
+        workload.check(item, output)
+        values = workload.replay(item, output, tracer)
+    finally:
+        tracer.uninstall()
+    assert "algebra.domain_dim" in values
+    assert tracer.spans

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -12,7 +13,6 @@ import pytest
 from ebcert import (
     ChoiClass,
     ChoiReport,
-    ChoiSpectrum,
     CPMap,
     EBCertificate,
     KrausChannel,
@@ -48,7 +48,7 @@ from ebcert.errors import (
     ResolutionFailure,
     VerificationFailure,
 )
-from ebcert.numerics import factor_distance, vec
+from ebcert.numerics import factor_distance, unvec, vec
 from ebcert.zoo import (
     depolarizing,
     external_twirl,
@@ -277,6 +277,28 @@ class TestCertify:
         ch = random_schur_complement_channel(3, 4, 7, tol)
         padded = redilate_fixture(ch, 5, 8, tol)
         assert certify(padded, tol).eb_rank == 3
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_emitted_channel_does_not_depend_on_the_presentation(self, tol, n):
+        # certificates of one channel in other presentations may differ in w
+        # and v, as a degenerate Gram eigenspace has no canonical basis, but
+        # each rank-one channel lies within its choi_match of the channel, so
+        # two of them lie within the sum of their choi_match of each other
+        for seed in range(2):
+            ch = random_projection_choi_channel(n, n, seed, tol, ensure_eb=True)
+            scaled = ch.kraus * (1 + 1e-15)
+            presentations = [
+                ch,
+                permute_kraus(ch, np.random.default_rng(seed).permutation(len(ch)), tol),
+                redilate_fixture(ch, 3 * n, seed, tol),
+                KrausChannel(scaled * np.sqrt(n) / np.linalg.norm(scaled), tol),
+            ]
+            certs = [certify(p, tol) for p in presentations]
+            assert [c.eb_rank for c in certs] == [n] * 4
+            for a, b in itertools.combinations(certs, 2):
+                factors = (c.rank_one_kraus.reshape(c.r, -1).T for c in (a, b))
+                bound = a.residuals["choi_match"] + b.residuals["choi_match"]
+                assert factor_distance(*factors) <= bound, (seed, bound)
 
     def test_refutation_stable_across_seeds(self, tol):
         from ebcert import ToleranceConfig
@@ -657,24 +679,28 @@ class TestCertifyGate:
             multiplicative_domain(complement_adjoint(minimal_kraus(ch, tol), tol), tol)
             assert formed == [8]
 
-    def test_reads_the_choi_factor_and_minimal_stack_as_choi_built_them(self, tol, monkeypatch):
-        # one vec_columns, the one choi takes, and no map wrapped around the
-        # minimal stack: not on a certificate, a refutation or the gate
+    def test_reads_the_kraus_stack_as_given_and_as_choi_built_it(self, tol, monkeypatch):
+        # no vec of a Kraus stack into a second layout, and no map wrapped
+        # around the minimal stack: not on a certificate, a refutation or the gate
         planted = random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True)
         generic = random_projection_choi_channel(6, 6, 0, tol)
         cert = certify(planted, tol)
-        columns, construct = CPMap.vec_columns, CPMap.__init__
-        calls = {"vec_columns": 0, "CPMap": 0}
+        real_vec, construct = vec, CPMap.__init__
+        calls = {"vec of a stack": 0, "CPMap": 0}
 
-        def counting_columns(self):
-            calls["vec_columns"] += 1
-            return columns(self)
+        def watched_vec(a):
+            calls["vec of a stack"] += np.ndim(a) == 3
+            return real_vec(a)
 
         def counting_construct(self, *args, **kwargs):
             calls["CPMap"] += 1
             construct(self, *args, **kwargs)
 
-        monkeypatch.setattr(CPMap, "vec_columns", counting_columns)
+        # every module that holds numerics.vec under its own name
+        for name in ("algebra", "certify", "channel", "cli", "numerics", "zoo"):
+            module = importlib.import_module(f"ebcert.{name}")
+            if vars(module).get("vec") is real_vec:
+                monkeypatch.setattr(module, "vec", watched_vec)
         monkeypatch.setattr(CPMap, "__init__", counting_construct)
 
         def refute():
@@ -683,16 +709,19 @@ class TestCertifyGate:
 
         for run in (lambda: certify(planted, tol), refute,
                     lambda: verify_certificate(cert, planted, tol)):
-            calls.update(vec_columns=0, CPMap=0)
+            calls.update({"vec of a stack": 0, "CPMap": 0})
             run()
-            assert calls == {"vec_columns": 1, "CPMap": 0}
+            assert calls == {"vec of a stack": 0, "CPMap": 0}
+        # the watch is live: the Choi matrix itself is the one vec of a stack
+        assert choi(planted, tol).choi.shape == (36, 36)
+        assert calls["vec of a stack"] == 1
 
-    @pytest.mark.parametrize("planted, ratio", [(True, 10.0), (False, 8.0)],
+    @pytest.mark.parametrize("planted, ratio", [(True, 9.0), (False, 8.0)],
                              ids=["planted", "generic"])
     def test_peak_memory_is_a_few_kraus_stacks(self, tol, planted, ratio):
         # at n = m = 32 the tracemalloc peak of certify, in units of the
         # input's Kraus stack: 0.13.1 read 12.6 (planted) and 8.8 (generic),
-        # 0.14.0 10.5 and 7.5, 0.15.0 9.5 and 6.5
+        # 0.14.0 10.5 and 7.5, 0.15.0 9.5 and 6.5, 0.16.0 8.5 and 6.5
         ch = random_projection_choi_channel(32, 32, 1, tol, ensure_eb=planted)
         tracemalloc.start()
         try:
@@ -704,8 +733,22 @@ class TestCertifyGate:
             tracemalloc.stop()
         assert peak <= ratio * ch.kraus.nbytes
 
+    def test_choi_report_retains_one_kraus_stack(self, tol):
+        # the minimal stack plus the spectrum, in units of the input's Kraus
+        # stack; 0.15.0 also kept a column-major copy of the input and read 2.02
+        ch = random_projection_choi_channel(32, 32, 1, tol, ensure_eb=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = choi(ch, tol)
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert report.choi_rank == 32
+        assert retained <= 1.1 * ch.kraus.nbytes
+
     def test_certify_runs_no_hermitian_residual_check(self, tol, monkeypatch):
-        # the Gram matrix V*V and the interaction elements are Hermitian by construction
+        # the Gram matrix and the interaction elements are Hermitian by construction
         channels = (random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True),
                     random_projection_choi_channel(6, 6, 0, tol))
         calls = []
@@ -1170,7 +1213,7 @@ class TestEBRank:
             raise AssertionError("eigenvectors were computed")
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        monkeypatch.setattr(ChoiSpectrum, "choi", property(forbidden))
+        monkeypatch.setattr(ChoiReport, "choi", property(forbidden))
         try:
             report = eb_rank(ch, tol)
             assert (report.value, report.status, report.classification) == verdict
@@ -1220,8 +1263,7 @@ class TestNPTWitness:
         for seed in range(40):
             for ensure_eb in (False, True):
                 ch = random_projection_choi_channel(n, m, seed, tol, ensure_eb=ensure_eb)
-                factor = minimal_kraus(ch, tol).vec_columns()
-                witness = npt_witness(factor, n, m, tol)
+                witness = npt_witness(minimal_kraus(ch, tol).kraus, tol)
                 j = direct_choi(ch.kraus, n, m)
                 assert (witness is not None) == (not is_ppt(j, n, m, tol)), (seed, ensure_eb)
                 if witness is None:
@@ -1234,9 +1276,8 @@ class TestNPTWitness:
                 assert witness.bound == pytest.approx(tol.eps_verify * n)
 
     def test_maximally_entangled_state_has_a_witness(self, tol):
-        phi = np.zeros((4, 1), dtype=complex)
-        phi[0] = phi[3] = 1 / np.sqrt(2)
-        witness = npt_witness(phi, 2, 2, tol)
+        # J = |phi><phi| for the one operator I / sqrt(2), vec(I) / sqrt(2) = phi
+        witness = npt_witness(np.eye(2)[None] / np.sqrt(2), tol)
         assert witness is not None
         # the partial transpose of |phi><phi| is half the swap, lowest eigenvalue -1/2
         assert witness.quotient == pytest.approx(-0.5, abs=1e-12)
@@ -1247,17 +1288,22 @@ class TestNPTWitness:
         b = random_complex_matrix(3, 1, rng)
         factor = np.kron(a, b)
         assert is_ppt(factor @ factor.conj().T, 2, 3, tol)
-        assert npt_witness(factor / np.linalg.norm(factor), 2, 3, tol) is None
+        # the one 3 x 2 operator whose vec is the product vector
+        assert npt_witness(unvec(factor.T, 3, 2) / np.linalg.norm(factor), tol) is None
 
     def test_is_seeded(self, tol):
-        factor = random_projection_choi_channel(3, 3, 2, tol).vec_columns()
-        first, again = npt_witness(factor, 3, 3, tol), npt_witness(factor, 3, 3, tol)
+        kraus = random_projection_choi_channel(3, 3, 2, tol).kraus
+        first, again = npt_witness(kraus, tol), npt_witness(kraus, tol)
         np.testing.assert_array_equal(first.vector, again.vector)
         assert first.quotient == again.quotient
 
-    def test_rejects_a_factor_of_the_wrong_height(self, tol):
-        with pytest.raises(ValueError):
-            npt_witness(np.ones((5, 2)), 2, 3, tol)
+    def test_rejects_a_stack_that_is_not_3d_or_not_finite(self, tol):
+        with pytest.raises(ValueError, match="shape"):
+            npt_witness(np.ones((6, 2)), tol)
+        kraus = random_projection_choi_channel(2, 3, 0, tol).kraus.copy()
+        kraus[0, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            npt_witness(kraus, tol)
 
     def test_a_solver_failure_is_a_convergence_failure(self, tol, monkeypatch):
         # the Ritz pair comes from eigh_descending, so a failing solver ends
@@ -1265,7 +1311,7 @@ class TestNPTWitness:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        factor = random_projection_choi_channel(3, 3, 2, tol).vec_columns()
+        kraus = random_projection_choi_channel(3, 3, 2, tol).kraus
         monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(ConvergenceFailure, match="did not converge"):
-            npt_witness(factor, 3, 3, tol)
+            npt_witness(kraus, tol)

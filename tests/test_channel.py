@@ -27,7 +27,7 @@ from ebcert import (
     save_channel,
 )
 from ebcert.errors import DimensionMismatch, NotMinimalKraus, NotTracePreserving, VerificationFailure
-from ebcert.numerics import random_isometry
+from ebcert.numerics import random_isometry, vec
 from ebcert.zoo import (
     depolarizing,
     identity_channel,
@@ -241,7 +241,7 @@ class TestChoi:
     def test_minimal_set_is_a_redilation_of_the_input(self, tol):
         ch = redilate_fixture(random_channel(3, 2, 3, 8, tol), 5, 9, tol)
         rep = choi(ch, tol)
-        assert factor_distance(CPMap(rep.kraus, tol).vec_columns(), ch.vec_columns()) <= 1e-13
+        assert factor_distance(vec(rep.kraus).T, vec(ch.kraus).T) <= 1e-13
         flat = rep.kraus.reshape(rep.choi_rank, -1)
         pivots = flat[np.arange(rep.choi_rank), np.argmax(np.abs(flat), axis=1)]
         np.testing.assert_allclose(pivots.imag, 0.0, atol=1e-15)
@@ -273,7 +273,7 @@ class TestChoi:
         rng = np.random.default_rng([n, m, k, rank])
         flat = random_complex_matrix(k, rank, rng) @ random_complex_matrix(rank, m * n, rng)
         ch = CPMap(flat.reshape(k, m, n) * np.sqrt(n) / np.linalg.norm(flat), tol)
-        v = ch.vec_columns()
+        v = vec(ch.kraus).T
         eig = CHANNEL.eigh_descending
         evals, w = eig(v.conj().T @ v)
         if variant == "swap":

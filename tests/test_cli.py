@@ -571,6 +571,47 @@ class TestOutputErrors:
         assert stdout == ""
 
 
+class TestOverwrites:
+    """Output paths that would overwrite an input, or each other, are an
+    input error found before any file is processed."""
+
+    def test_certify_refuses_two_inputs_with_one_certificate_path(self, tmp_path, capsys):
+        # a.json and a.txt both default to a.cert.json
+        first = gen_projection_choi(tmp_path / "a.json", 3, 1, capsys)
+        second = gen_projection_choi(tmp_path / "a.txt", 4, 2, capsys)
+        code, stdout, stderr = run(["certify", first, second], capsys)
+        assert code == 2
+        assert stderr.startswith("error: ") and str(first) in stderr and str(second) in stderr
+        assert stdout == ""
+        assert not (tmp_path / "a.cert.json").exists()
+        # one input named twice writes its one certificate
+        code, _, _ = run(["certify", first, tmp_path / "." / "a.json"], capsys)
+        assert code == 0
+
+    def test_certify_refuses_a_certificate_path_that_is_an_input(self, tmp_path, capsys):
+        path = gen_projection_choi(tmp_path / "a.json", 3, 1, capsys)
+        other = gen_projection_choi(tmp_path / "a.cert.json", 3, 2, capsys)
+        contents = path.read_text(), other.read_text()
+        # --out names the input itself; a.json's default path is the input a.cert.json
+        for argv, named in ((["certify", path, "--out", path], path),
+                            (["certify", path, other], other)):
+            code, stdout, stderr = run(argv, capsys)
+            assert code == 2
+            assert stderr.startswith("error: ") and str(path) in stderr and str(named) in stderr
+            assert stdout == ""
+        assert (path.read_text(), other.read_text()) == contents
+
+    def test_normal_form_refuses_an_out_path_that_is_its_input(self, tmp_path, capsys):
+        path = gen_projection_choi(tmp_path / "p.json", 3, 1, capsys)
+        contents = path.read_text()
+        code, stdout, stderr = run(["normal-form", path, "--out", tmp_path / "." / "p.json"],
+                                   capsys)
+        assert code == 2
+        assert stderr.startswith("error: ") and str(path) in stderr
+        assert stdout == ""
+        assert path.read_text() == contents
+
+
 REPORT = ["file"]
 ANALYSIS = REPORT + ["channel", "choi", "complement_adjoint"]
 

@@ -215,7 +215,7 @@ class TestFactorDistance:
         ch = random_projection_choi_channel(5, 4, 3, tol, ensure_eb=True)
         wide = redilate_fixture(ch, 9, 4, tol)
         other = redilate_fixture(ch, 7, 5, tol)
-        assert factor_distance(wide.vec_columns(), other.vec_columns()) <= 1e-13
+        assert factor_distance(vec(wide.kraus).T, vec(other.kraus).T) <= 1e-13
 
     def test_rejects_unequal_row_counts(self):
         with pytest.raises(DimensionMismatch):
