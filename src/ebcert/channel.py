@@ -10,7 +10,12 @@ nothing else.  J is kept unnormalized (trace n for a channel).  Its nonzero
 spectrum is that of the k x k Hilbert-Schmidt Gram matrix
 ``G_ij = tr(K_i* K_j)`` of the Kraus operators (Choi 1975), which needs no
 vectorization, so :func:`choi` works on the (k, m, n) stack and J is formed
-only when a caller asks for it (:attr:`ChoiReport.choi`).
+only when a caller asks for it (:attr:`ChoiReport.choi`).  Where only the
+spectrum is wanted, :func:`choi_spectrum` takes G's real diagonal as its
+eigenvalues when the rest F of G has |F| <= k u |G| (u the unit roundoff),
+a dense solver's own backward error: mutually orthogonal Kraus operators,
+such as every minimal presentation of a scaled-projection channel and
+:func:`choi`'s minimal stack, need no eigensolver.
 
 The canonical complement and its adjoint are built from a minimal Kraus
 set, which this module fixes deterministically: the operators
@@ -173,10 +178,36 @@ class ChoiReport(ChoiSpectrum):
 
 def choi_spectrum(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiSpectrum:
     """The Choi spectrum and its class alone, under the checks of :func:`choi`:
-    the eigenvalues of the Gram matrix, no eigenvectors or Kraus set."""
+    the eigenvalues of the Gram matrix, no eigenvectors or Kraus set.
+
+    Split the k x k Gram matrix as G = D + F, D its real diagonal and F the
+    rest, the imaginary part of the diagonal included.  When |F| <= k u |G|
+    in Frobenius norm, u the unit roundoff, the eigenvalues are D sorted:
+    by Weyl's inequality each lies within |F|_2 <= |F| of its diagonal
+    entry, and k u |G| is the backward error a dense Hermitian solver is
+    allowed anyway.  Otherwise the dense solver runs; so it does where a
+    squared norm leaves the normal float range, a Gram matrix that is not
+    finite included.  Kraus operators that are mutually orthogonal to
+    rounding take the diagonal route: every minimal presentation of a
+    scaled-projection channel (there G = alpha I), so the transpose-plus-trace
+    and depolarizing families and their unitary re-dilations, and
+    :func:`choi`'s own minimal stack."""
     rows = channel.kraus.reshape(len(channel), -1)
-    # the Gram matrix is Hermitian by construction
-    return _spectrum(channel, eigh_descending(rows.conj() @ rows.T, vectors=False), _tol(tol))
+    g = rows.conj() @ rows.T  # Hermitian by construction
+    # |F|^2 with G's diagonal swapped for its imaginary part, then put back,
+    # so no k x k array is allocated; |G|^2 = |F|^2 + |D|^2 adds without
+    # cancellation, and squares that leave the normal range go to the solver
+    diagonal = g.diagonal().copy()
+    np.fill_diagonal(g, 1j * diagonal.imag)
+    off_sq = np.vdot(g, g).real
+    np.fill_diagonal(g, diagonal)
+    diag_sq = np.vdot(diagonal.real, diagonal.real)
+    bound_sq = (len(g) * np.finfo(float).eps) ** 2 * (off_sq + diag_sq)
+    if np.finfo(float).tiny < bound_sq < np.inf and off_sq <= bound_sq:
+        evals = np.sort(diagonal.real)[::-1]
+    else:
+        evals = eigh_descending(g, vectors=False)
+    return _spectrum(channel, evals, _tol(tol))
 
 
 def _spectrum(channel: CPMap, evals, t: ToleranceConfig) -> ChoiSpectrum:

@@ -279,7 +279,8 @@ def _analyze(channel: KrausChannel, report: dict, tol: ToleranceConfig) -> None:
     cr = choi(channel, tol)
     report["choi"] = {
         "rank": cr.choi_rank,
-        "trace": _judged(frob(channel.kraus) ** 2, tol.eps_verify),
+        # the bound _spectrum applies to |tr J - n|
+        "trace": _judged(frob(channel.kraus) ** 2, tol.eps_verify * max(1, channel.input_dim)),
         "classification": cr.classification.value,
         "alpha": None if cr.alpha is None else _judged(cr.alpha, tol.eps_eig),
         "eigenvalues": [float(v) for v in cr.eigenvalues],
@@ -315,7 +316,7 @@ def _print_analysis_text(report: dict) -> None:
     alpha = "" if cr["alpha"] is None else f", scalar {cr['alpha']['value']:.9g}"
     print(f"  choi: rank {cr['rank']}, {cr['classification']}{alpha}; "
           f"trace {cr['trace']['value']:.9g} (tol {cr['trace']['tolerance']:.1e})")
-    levels = [v for v in cr["normalized_state_eigenvalues"] if v > 1e-12]
+    levels = cr["normalized_state_eigenvalues"][:cr["rank"]]
     shown = ", ".join(f"{v:.6g}" for v in levels[:8]) + (", ..." if len(levels) > 8 else "")
     print(f"  normalized state spectrum (nonzero): {shown}")
     ca = report["complement_adjoint"]

@@ -450,6 +450,7 @@ class TestCertify:
                                    8, 11, tol)
         generic = redilate_fixture(random_projection_choi_channel(6, 6, 2, tol), 8, 12, tol)
         scaled = werner_holevo(5, tol)  # k = 15, nm = 25
+        padded_scaled = redilate_fixture(scaled, 20, 13, tol)  # k = 20, not minimal
         sizes = {"eigh": [], "eigvalsh": []}
         originals = {name: getattr(np.linalg, name) for name in sizes}
 
@@ -488,12 +489,17 @@ class TestCertify:
         cert = certify(planted, tol)
         assert decompositions(lambda: verify_certificate(cert, planted, tol), 36, 8) == (0, 1, 0)
         # the pipeline's Gram spectrum; the partial-transpose witness takes
-        # its small Ritz values with eigvalsh, here of sizes other than k,
-        # and its Ritz vector by inverse iteration, so it adds no eigh
+        # its Ritz pair from one eigh of the small Lanczos tridiagonal per
+        # step, and here stops before that tridiagonal reaches size k
         assert decompositions(refute, 36, 8) == (0, 1, 0)
-        # callers that read only the spectrum take its eigenvalues, no eigh
-        assert decompositions(lambda: classify_complement_adjoint(scaled, tol), 25, 15) == (0, 0, 1)
-        assert decompositions(lambda: eb_rank(scaled, tol), 25, 15) == (0, 0, 1)
+        # callers that read only the spectrum take its eigenvalues, no eigh:
+        # none at all where the Gram matrix is diagonal, as for the natural
+        # Werner-Holevo operators, and one eigvalsh where it is not
+        assert decompositions(lambda: classify_complement_adjoint(scaled, tol), 25, 15) == (0, 0, 0)
+        assert decompositions(lambda: eb_rank(scaled, tol), 25, 15) == (0, 0, 0)
+        assert decompositions(lambda: classify_complement_adjoint(padded_scaled, tol),
+                              25, 20) == (0, 0, 1)
+        assert decompositions(lambda: eb_rank(padded_scaled, tol), 25, 20) == (0, 0, 1)
         # a projection eb_rank reads the spectrum, then certify decomposes
         assert decompositions(lambda: eb_rank(planted, tol), 36, 8) == (0, 1, 1)
 

@@ -297,6 +297,101 @@ class TestChoi:
         assert reported == pytest.approx(expected, rel=1e-2)
 
 
+def _off_diagonal_ratio(ch):
+    """|F| / (k u |G|) for the Gram matrix G = D + F of a Kraus list, D its
+    real diagonal: at most 1 on the route that skips the eigensolver."""
+    rows = ch.kraus.reshape(len(ch), -1)
+    g = rows.conj() @ rows.T
+    return np.linalg.norm(g - np.diag(g.diagonal().real)) / (
+        len(g) * np.finfo(float).eps * np.linalg.norm(g))
+
+
+class TestChoiSpectrumRoute:
+    """choi_spectrum reads a Gram matrix that is diagonal to rounding off its
+    diagonal and decomposes any other; either way it agrees with the
+    eigenvalues of the Choi matrix from its definition."""
+
+    @staticmethod
+    def decompositions(monkeypatch, run):
+        """(eigh calls, eigvalsh calls) made by run()."""
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def counting(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _solver(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        result = run()
+        monkeypatch.undo()
+        return result, (calls["eigh"], calls["eigvalsh"])
+
+    @staticmethod
+    def dense_reference(ch, tol):
+        """The classification of the Choi matrix's own spectrum."""
+        dense = np.linalg.eigvalsh(direct_choi(list(ch.kraus), ch.input_dim, ch.output_dim))
+        return CHANNEL._spectrum(ch, dense[::-1], tol)
+
+    @pytest.mark.parametrize("make, calls", [
+        (lambda tol: werner_holevo(5, tol), (0, 0)),
+        (lambda tol: depolarizing(4, tol), (0, 0)),
+        (lambda tol: redilate(werner_holevo(5, tol), random_unitary(15, 3), tol), (0, 0)),
+        (lambda tol: redilate(depolarizing(4, tol), random_unitary(16, 4), tol), (0, 0)),
+        (lambda tol: random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True), (0, 0)),
+        (lambda tol: (lambda ch: ch.with_kraus(choi(ch, tol).kraus, tol))(
+            random_channel(3, 3, 3, 5, tol)), (0, 0)),
+        (lambda tol: perturbed_planted(6, 3e-10, 0, tol), (0, 1)),
+        (lambda tol: random_channel(3, 3, 3, 5, tol), (0, 1)),
+        (lambda tol: redilate_fixture(werner_holevo(3, tol), 8, 2, tol), (0, 1)),  # not minimal
+    ], ids=["werner-holevo", "depolarizing", "werner-holevo-haar", "depolarizing-haar",
+            "planted", "choi-stack", "perturbed", "random", "non-minimal"])
+    def test_route_and_the_dense_spectrum(self, tol, monkeypatch, make, calls):
+        # orthogonal Kraus operators run no eigensolver, any other list one
+        # eigvalsh; (eigh, eigvalsh) calls
+        ch = make(tol)
+        reference = self.dense_reference(ch, tol)
+        spectrum, taken = self.decompositions(monkeypatch, lambda: choi_spectrum(ch, tol))
+        assert taken == calls
+        assert (spectrum.classification, spectrum.choi_rank) == (
+            reference.classification, reference.choi_rank)
+        if reference.alpha is None:
+            assert spectrum.alpha is None
+        else:
+            assert spectrum.alpha == pytest.approx(reference.alpha, abs=1e-14)
+        np.testing.assert_allclose(spectrum.eigenvalues, reference.eigenvalues, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-90])
+    def test_the_rule_holds_where_squared_norms_leave_the_float_range(self, tol, monkeypatch,
+                                                                       scale):
+        # G = scale^2 [[2, 1], [1, 1]], whose squared norm over- or underflows
+        with np.errstate(over="ignore"):
+            ch = CPMap(np.array([[[1, 1], [0, 0]], [[1, 0], [0, 0]]]) * scale, tol)
+        spectrum, calls = self.decompositions(monkeypatch, lambda: choi_spectrum(ch, tol))
+        assert calls == (0, 1)
+        np.testing.assert_allclose(spectrum.eigenvalues[:2] / scale ** 2,
+                                   [(3 + np.sqrt(5)) / 2, (3 - np.sqrt(5)) / 2], rtol=1e-14)
+
+    @pytest.mark.parametrize("ratio, calls", [(0.5, (0, 0)), (2.0, (0, 1))])
+    def test_route_boundary(self, tol, monkeypatch, ratio, calls):
+        # a Pauli channel: orthogonal Kraus operators of squared norms 2 p_i.
+        # A rotation by theta of its I and X operators, whose supports are
+        # disjoint, puts theta 2 (p_X - p_I) in both of their off-diagonal
+        # Gram entries, and the others hold rounding two orders below that,
+        # so theta places |F| at the given multiple of the bound k u |G|.
+        p = np.array([0.4, 0.3, 0.2, 0.1])
+        paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                           [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        bound = 4 * np.finfo(float).eps * 2 * np.linalg.norm(p)
+        theta = ratio * bound / (np.sqrt(2) * 2 * (p[0] - p[1]))
+        givens = np.eye(4)
+        givens[:2, :2] = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
+        ch = KrausChannel(np.tensordot(givens, np.sqrt(p)[:, None, None] * paulis, axes=1), tol)
+        assert _off_diagonal_ratio(ch) == pytest.approx(ratio, rel=1e-2)
+
+        dense = self.dense_reference(ch, tol).eigenvalues
+        spectrum, taken = self.decompositions(monkeypatch, lambda: choi_spectrum(ch, tol))
+        assert taken == calls
+        assert np.max(np.abs(spectrum.eigenvalues - dense)) <= ratio * bound
+
+
 class TestMinimalKraus:
     def test_duplicated_kraus_collapses_to_one(self, tol):
         iso = random_isometry(4, 2, 15)

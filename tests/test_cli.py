@@ -150,6 +150,30 @@ class TestAnalyze:
         assert "tol" in stdout
         assert "multiplicity-free: True; commutator" in stdout
 
+    def test_trace_tolerance_is_the_applied_bound(self, sc_file, capsys):
+        # |tr J - n| is judged at eps_verify max(1, n), here n = 3
+        code, stdout, _ = run(["analyze", sc_file, "--format", "json", "--tol-verify", "1e-9"],
+                              capsys)
+        assert code == 0
+        assert json.loads(stdout)["choi"]["trace"]["tolerance"] == pytest.approx(3e-9)
+        code, stdout, _ = run(["analyze", sc_file, "--tol-verify", "1e-9"], capsys)
+        assert code == 0
+        assert re.search(r"choi: .*; trace 3 \(tol 3\.0e-09\)", stdout)
+
+    def test_text_spectrum_lists_the_rank_many_levels(self, tmp_path, capsys):
+        # Kraus operators sqrt(1 - delta) I and sqrt(delta) X: the level
+        # delta = 1e-11 lies below the rank cutoff, so the report prints rank
+        # 1 and one level
+        delta = 1e-11
+        path = tmp_path / "flip.json"
+        save_channel(channel.KrausChannel([np.sqrt(1 - delta) * np.eye(2),
+                                           np.sqrt(delta) * np.array([[0, 1], [1, 0]])]), path)
+        code, stdout, _ = run(["analyze", path], capsys)
+        assert code == 0
+        assert "choi: rank 1," in stdout
+        assert re.search(r"normalized state spectrum \(nonzero\): (.*)$", stdout,
+                         re.MULTILINE).group(1) == "1"
+
     def test_multiple_files_keep_input_order(self, wh_file, sc_file, capsys):
         code, stdout, _ = run(
             ["analyze", wh_file, sc_file, "--format", "json"], capsys)
