@@ -103,4 +103,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.16.1"
+__version__ = "0.17.0"

@@ -50,9 +50,9 @@ from .errors import (
     VerificationFailure,
 )
 from .numerics import (
+    DEFAULT_TOL,
     MAX_RESAMPLE,
     ToleranceConfig,
-    _tol,
     as_matrix,
     eigh_descending,
     frob,
@@ -87,30 +87,28 @@ class MatrixAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def contains(self, x, tol: ToleranceConfig | None = None) -> bool:
-        t = _tol(tol)
+    def contains(self, x, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         m = as_matrix(x)
         scale = max(1.0, frob(m))
-        return float(_span_residuals(self.basis, m[None])[0]) <= t.eps_verify * scale
+        return float(_span_residuals(self.basis, m[None])[0]) <= tol.eps_verify * scale
 
-    def check_invariants(self, tol: ToleranceConfig | None = None) -> None:
+    def check_invariants(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
         """Assert *-closure and multiplicative closure of the span at
         eps_verify, and identity membership at eps_verify sqrt(d): every
         adjoint and every product of basis elements, the products batched
         one left factor at a time."""
-        t = _tol(tol)
         stack = self.basis
         res = float(np.max(_span_residuals(stack, stack.conj().transpose(0, 2, 1))))
-        if res > t.eps_verify:
+        if res > tol.eps_verify:
             raise VerificationFailure(f"span is not *-closed, residual {res:.3e}")
         for a in stack:
             res = float(np.max(_span_residuals(stack, a @ stack)))
-            if res > t.eps_verify:
+            if res > tol.eps_verify:
                 raise VerificationFailure(
                     f"span is not multiplicatively closed, residual {res:.3e}"
                 )
         d = self.ambient_dim
-        if float(_span_residuals(stack, np.eye(d)[None])[0]) > t.eps_verify * math.sqrt(d):
+        if float(_span_residuals(stack, np.eye(d)[None])[0]) > tol.eps_verify * math.sqrt(d):
             raise VerificationFailure("identity is not in the span")
 
 
@@ -127,7 +125,7 @@ def _span_residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
 _DOMAIN_PROBES = 3
 
 
-def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None) -> MatrixAlgebra:
+def multiplicative_domain(psi: CPMap, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixAlgebra:
     """Multiplicative domain of a unital trace-preserving CP map.
 
     Built as the commutant of the algebra generated by the Kraus operators
@@ -136,7 +134,7 @@ def multiplicative_domain(psi: CPMap, tol: ToleranceConfig | None = None) -> Mat
     a failed verification raises VerificationFailure.
     """
     # psi is the complement adjoint of the stack K_i[a, c] = conj(P_a[c, i])
-    return _domain_blocks(np.conj(psi.kraus).transpose(2, 0, 1), _tol(tol))[0]
+    return _domain_blocks(np.conj(psi.kraus).transpose(2, 0, 1), tol)[0]
 
 
 def _domain_blocks(kraus: np.ndarray, t: ToleranceConfig):
@@ -238,7 +236,7 @@ def _transfer_apply(kraus: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return images
 
 
-def center(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> np.ndarray:
+def center(alg: MatrixAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the center as an (c, d, d) stack, solved in
     coefficient space.
 
@@ -249,12 +247,11 @@ def center(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> np.ndarray
     algebra was accepted; a relative cutoff could empty the center of an
     algebra that check_invariants accepted.
     """
-    t = _tol(tol)
     stack = alg.basis
     r = alg.dimension
     prods = stack[:, None] @ stack[None, :]
     comms = prods - prods.swapaxes(0, 1)
-    coeffs = nullspace(comms.reshape(r, -1).T, t, cutoff=t.eps_verify)
+    coeffs = nullspace(comms.reshape(r, -1).T, tol, cutoff=tol.eps_verify)
     if coeffs.shape[1] == 0:
         raise VerificationFailure("center is empty; a unital algebra contains the identity")
     return np.tensordot(coeffs.T, stack, axes=1)
@@ -298,7 +295,7 @@ def _clustered_eig(h: np.ndarray, t: ToleranceConfig):
     return evals, evecs, [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> AlgebraStructure:
+def structure(alg: MatrixAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraStructure:
     """Recover the block structure from a generic central element.
 
     Eigenvalue clusters of the element give the minimal central projections
@@ -306,15 +303,14 @@ def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Algebra
     the multiplicity is rank(P_k) / j_k.  Non-integer block data raises
     StructureInconsistency; ambiguous clusters trigger a resample.
     """
-    t = _tol(tol)
     d = alg.ambient_dim
-    central = center(alg, t)
+    central = center(alg, tol)
     want = len(central)
 
     for attempt in range(MAX_RESAMPLE):
-        h = random_hermitian_in_span(central, t.rng(0x57C7, attempt))
-        evals, evecs, clusters = _clustered_eig(h, t)
-        if len(clusters) == want and _separated(evals, clusters, t):
+        h = random_hermitian_in_span(central, tol.rng(0x57C7, attempt))
+        evals, evecs, clusters = _clustered_eig(h, tol)
+        if len(clusters) == want and _separated(evals, clusters, tol):
             break
     else:
         raise ResampleExhausted(
@@ -329,7 +325,7 @@ def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Algebra
         proj = cols @ cols.conj().T
         block_rank = int(cluster.size)
         compressed = (proj @ stack @ proj).reshape(len(stack), -1).T
-        block_dim = numerical_rank(compressed, t)
+        block_dim = numerical_rank(compressed, tol)
         size = round(math.sqrt(block_dim))
         if size * size != block_dim or size == 0 or block_rank % size != 0:
             raise StructureInconsistency(
@@ -351,13 +347,12 @@ def structure(alg: MatrixAlgebra, tol: ToleranceConfig | None = None) -> Algebra
 
 
 def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
-                        tol: ToleranceConfig | None = None) -> np.ndarray:
+                        tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Rows w_1..w_d of a (d, d) array whose rank-one projections lie in the
     algebra and sum to the identity, from the spectral resolution of a
     generic Hermitian element with simple spectrum.  Requires a
     multiplicity-free structure.  Ordered by descending eigenvalue, phases
     fixed."""
-    t = _tol(tol)
     if not struct.multiplicity_free:
         raise NotMultiplicityFree(
             f"structure {list(struct.pairs())} has a repeated tensor factor"
@@ -365,9 +360,9 @@ def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
     d = alg.ambient_dim
 
     for attempt in range(MAX_RESAMPLE):
-        h = random_hermitian_in_span(alg.basis, t.rng(0x12E5, attempt))
-        evals, evecs = hermitian_eig(h, t)
-        if np.all(evals[:-1] - evals[1:] >= 10 * t.eps_eig):
+        h = random_hermitian_in_span(alg.basis, tol.rng(0x12E5, attempt))
+        evals, evecs = hermitian_eig(h, tol)
+        if np.all(evals[:-1] - evals[1:] >= 10 * tol.eps_eig):
             break
     else:
         raise ResampleExhausted(
@@ -377,10 +372,10 @@ def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
     # a second phase fix clears the rounding-level imaginary part that
     # hermitian_eig leaves on each pivot
     vectors = phase_fix(evecs.T)
-    if frob(vectors.T @ vectors.conj() - np.eye(d)) > t.eps_verify:
+    if frob(vectors.T @ vectors.conj() - np.eye(d)) > tol.eps_verify:
         raise VerificationFailure("spectral projections do not resolve the identity")
     dyads = vectors[:, :, None] * vectors.conj()[:, None, :]
-    escaped = np.flatnonzero(_span_residuals(alg.basis, dyads) > t.eps_verify)
+    escaped = np.flatnonzero(_span_residuals(alg.basis, dyads) > tol.eps_verify)
     if escaped.size:
         raise VerificationFailure(
             f"rank-one projection {int(escaped[0])} escapes the algebra span"
@@ -388,7 +383,7 @@ def rank_one_resolution(alg: MatrixAlgebra, struct: AlgebraStructure,
     return vectors
 
 
-def interaction_draws(kraus, tol: ToleranceConfig | None = None):
+def interaction_draws(kraus, tol: ToleranceConfig = DEFAULT_TOL):
     """The function forming any slice of the MAX_RESAMPLE random Hermitian
     elements of span{L_b L_a*}, where the d x n operators L_a are the Kraus
     operators of the complement of the minimal (d, m, n) Kraus stack:
@@ -404,11 +399,10 @@ def interaction_draws(kraus, tol: ToleranceConfig | None = None):
     algebra has the multiplicative domain of psi as its commutant when psi
     is unital and trace preserving (Kribs 2003).
     """
-    t = _tol(tol)
     # C order, so that a transposed view of the same values gives the same bits
     kraus = np.ascontiguousarray(kraus, dtype=complex)
     d, m, n = kraus.shape
-    parts = t.rng(0x1A7E).standard_normal((2, MAX_RESAMPLE, m, m))
+    parts = tol.rng(0x1A7E).standard_normal((2, MAX_RESAMPLE, m, m))
     g = parts[0] + 1j * parts[1]
     transposed = (g + g.conj().transpose(0, 2, 1)).transpose(0, 2, 1)
     # conj(C K_j)[a, c] = (C^T conj(K_j))[a, c] for every j, laid out as
@@ -536,7 +530,7 @@ def _spanning_tree(weights: np.ndarray) -> list[tuple[int, int]]:
 
 
 def commutant_from_elements(decision: _Decision, elements: np.ndarray,
-                            tol: ToleranceConfig | None = None) -> MatrixAlgebra:
+                            tol: ToleranceConfig = DEFAULT_TOL) -> MatrixAlgebra:
     """The commutant of the algebra generated by a stack of generic
     Hermitian elements, from the reading :func:`_decide` made of them.
 
@@ -558,7 +552,6 @@ def commutant_from_elements(decision: _Decision, elements: np.ndarray,
     generate exactly that algebra.  Elements more degenerate than the
     algebra they generate are misread and fail it.
     """
-    t = _tol(tol)
     _, _, _, evecs, clusters, members, rotated, coupling = decision
     turns = np.eye(len(evecs), dtype=complex)  # block diagonal, one block per cluster
     for group in (group for group in members if len(group) > 1):
@@ -579,9 +572,9 @@ def commutant_from_elements(decision: _Decision, elements: np.ndarray,
     # all r x s commutators at once, each side from one product
     residual = float(np.max(frob_each(_products(basis, elements)
                                    - _products(elements, basis).swapaxes(0, 1))))
-    if residual > t.eps_verify:
+    if residual > tol.eps_verify:
         raise VerificationFailure(
             f"commutant built from the interaction elements fails to commute with them: "
-            f"residual {residual:.3e} above eps_verify {t.eps_verify:.1e}"
+            f"residual {residual:.3e} above eps_verify {tol.eps_verify:.1e}"
         )
     return MatrixAlgebra(basis=basis)

@@ -60,8 +60,8 @@ from .errors import (
     VerificationFailure,
 )
 from .numerics import (
+    DEFAULT_TOL,
     ToleranceConfig,
-    _tol,
     as_hermitian,
     as_matrix,
     eigh_descending,
@@ -122,7 +122,7 @@ class EBCertificate:
         """The (r, m, n) operators u_i v_i*, a Kraus set for the channel."""
         return _dyads(self.u, self.v)
 
-    def channel(self, tol: ToleranceConfig | None = None) -> KrausChannel:
+    def channel(self, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel:
         """The channel rebuilt from the rank-one Kraus operators."""
         return KrausChannel(self.rank_one_kraus, tol)
 
@@ -171,7 +171,7 @@ def combine_kraus(kraus, weights) -> np.ndarray:
     return (weights @ kraus.reshape(len(kraus), -1)).reshape(*weights.shape[:-1], *kraus.shape[1:])
 
 
-def verify_eb_witness(minimal: CPMap, w, tol: ToleranceConfig | None = None) -> np.ndarray:
+def verify_eb_witness(minimal: CPMap, w, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Check a candidate witness against a channel in minimal Kraus form.
 
     The rows w_i of the (r, d) witness must resolve the identity on the
@@ -181,8 +181,7 @@ def verify_eb_witness(minimal: CPMap, w, tol: ToleranceConfig | None = None) -> 
     witness of length r bounds the entanglement-breaking rank by r.  Raises
     ResolutionFailure or RankFailure(i) otherwise.
     """
-    t = _tol(tol)
-    if not is_minimal(minimal, t):
+    if not is_minimal(minimal, tol):
         raise NotMinimalKraus("witness verification requires a minimal Kraus set")
     d = len(minimal)
     w = np.asarray(w, dtype=complex)
@@ -190,7 +189,7 @@ def verify_eb_witness(minimal: CPMap, w, tol: ToleranceConfig | None = None) -> 
         raise ValueError(f"witness vectors must have length {d}")
     w = as_matrix(w)  # rejects NaN and infinity
     residual = frob(w.T @ w.conj() - np.eye(d))
-    if residual > t.eps_verify:
+    if residual > tol.eps_verify:
         raise ResolutionFailure(residual)
 
     # the adjoint image K* K of a combined operator K has the squared
@@ -199,14 +198,14 @@ def verify_eb_witness(minimal: CPMap, w, tol: ToleranceConfig | None = None) -> 
     _, svals, vh = np.linalg.svd(combine_kraus(minimal.kraus, w.conj()), full_matrices=False)
     squares = svals**2
     top = squares[:, :1]
-    ranks = np.where(top[:, 0] > t.eps_rank, np.sum(squares > t.eps_rank * top, axis=1), 0)
+    ranks = np.where(top[:, 0] > tol.eps_rank, np.sum(squares > tol.eps_rank * top, axis=1), 0)
     high = np.flatnonzero(ranks > 1)
     if high.size:
         raise RankFailure(int(high[0]), int(ranks[high[0]]))
     return np.where(ranks[:, None] == 1, svals[:, :1], 0.0) * phase_fix(vh[:, 0].conj())
 
 
-def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCertificate:
+def certify(channel: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> EBCertificate:
     """Decide entanglement breaking for a projection-Choi channel and emit a
     verified certificate of minimal length.
 
@@ -227,16 +226,15 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     ``choi_match`` ties it to the input through ``choi``'s reconstruction
     residual (see :func:`_certificate_residuals`).
     """
-    t = _tol(tol)
     if not channel.trace_preserving:
         raise NotTracePreserving(channel.tp_residual)
-    report = choi(channel, t)
+    report = choi(channel, tol)
     if report.classification is not ChoiClass.PROJECTION:
         raise OutOfScope(report.classification.value, report.alpha)
 
-    decision = _decide(interaction_draws(report.kraus, t), t)
+    decision = _decide(interaction_draws(report.kraus, tol), tol)
     if not decision.multiplicity_free:
-        witness = npt_witness(channel.kraus, t)
+        witness = npt_witness(channel.kraus, tol)
         raise NotEntanglementBreaking(
             decision.pairs, ppt_violated=witness is not None,
             commutator=decision.kappa, bound=decision.bound,
@@ -249,7 +247,7 @@ def certify(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBCert
     u = _left_vectors(ops)
     v = _adjoint_images(ops, u)
 
-    return EBCertificate(w=w, v=v, u=u, residuals=_certificate_residuals(w, v, u, ops, report, t))
+    return EBCertificate(w=w, v=v, u=u, residuals=_certificate_residuals(w, v, u, ops, report, tol))
 
 
 def _adjoint_images(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -268,15 +266,14 @@ def _left_vectors(ops: np.ndarray) -> np.ndarray:
 
 
 def verify_certificate(cert: EBCertificate, channel: KrausChannel,
-                       tol: ToleranceConfig | None = None) -> dict[str, float]:
+                       tol: ToleranceConfig = DEFAULT_TOL) -> dict[str, float]:
     """Re-check every certificate invariant against the minimal Kraus set
     rebuilt from the channel, the checks :func:`certify` accepts through.
     Returns the residuals; raises VerificationFailure on a Choi rank, a Choi
     class other than projection (the certifier's contract, and the class in
     which ``choi_match`` is measured) or a stack shape that does not fit the
     channel, or on a residual out of bound or NaN."""
-    t = _tol(tol)
-    report = choi(channel, t)
+    report = choi(channel, tol)
     d, rank = cert.choi_rank, report.choi_rank
     if rank != d:
         raise VerificationFailure(f"certificate claims Choi rank {d}, channel has {rank}")
@@ -289,7 +286,7 @@ def verify_certificate(cert: EBCertificate, channel: KrausChannel,
             raise VerificationFailure(
                 f"certificate stack {name} has shape {stack.shape}, expected {want}")
     combined = combine_kraus(report.kraus, cert.w.conj())
-    return _certificate_residuals(cert.w, cert.v, cert.u, combined, report, t)
+    return _certificate_residuals(cert.w, cert.v, cert.u, combined, report, tol)
 
 
 def _certificate_residuals(w: np.ndarray, v: np.ndarray, u: np.ndarray, combined: np.ndarray,
@@ -386,7 +383,7 @@ class SchurNormalForm:
 
 
 def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
-                      tol: ToleranceConfig | None = None) -> SchurNormalForm:
+                      tol: ToleranceConfig = DEFAULT_TOL) -> SchurNormalForm:
     """Extract the entrywise-product normal form from a certificate with
     length equal to the input dimension.
 
@@ -402,21 +399,20 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
     by construction; checking that on every E_ij would only compare two
     summation orders of the same inner products.
     """
-    t = _tol(tol)
     n = channel.input_dim
     if not (cert.r == cert.choi_rank == n):
         raise ValueError(f"normal form needs certificate length = Choi rank = input dimension, "
                          f"got r={cert.r}, choi_rank={cert.choi_rank}, n={n}")
     basis = cert.v.T
     ortho_residual = frob(basis.conj().T @ basis - np.eye(n))
-    if not ortho_residual <= t.eps_verify:  # so that NaN fails
+    if not ortho_residual <= tol.eps_verify:  # so that NaN fails
         raise NotOrthonormal(f"input-side vectors fail orthonormality by {ortho_residual:.3e}")
     gram = cert.u.conj() @ cert.u.T
     rotated = _dyads(cert.u, np.eye(n))
     # operators flattened row-major: factor_distance ignores a common row order
     moved = channel.kraus @ basis
     anchor = factor_distance(rotated.reshape(n, -1).T, moved.reshape(len(moved), -1).T)
-    if not anchor <= _residual_bound("choi_match", n, t):
+    if not anchor <= _residual_bound("choi_match", n, tol):
         raise VerificationFailure(
             f"certificate Kraus set does not reproduce the rotated channel: {anchor:.3e}"
         )
@@ -439,7 +435,7 @@ class EBRankReport:
     note: str
 
 
-def eb_rank(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBRankReport:
+def eb_rank(channel: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> EBRankReport:
     """Entanglement-breaking rank of a channel, when this package can
     determine or quote it.
 
@@ -452,16 +448,15 @@ def eb_rank(channel: KrausChannel, tol: ToleranceConfig | None = None) -> EBRank
     a match is reported with the family's known rank, flagged "cited,
     unverified", and anything else is refused as out of scope.
     """
-    t = _tol(tol)
     if not channel.trace_preserving:
         raise NotTracePreserving(channel.tp_residual)
-    spectrum = choi_spectrum(channel, t)
+    spectrum = choi_spectrum(channel, tol)
     if spectrum.classification is ChoiClass.PROJECTION:
-        cert = certify(channel, t)
+        cert = certify(channel, tol)
         return EBRankReport(value=cert.eb_rank, status="certified", certificate=cert,
                             classification=ChoiClass.PROJECTION.value,
                             note="certified: rank-one decomposition of length equal to the Choi rank")
-    family = _recognize_family(channel, spectrum, t)
+    family = _recognize_family(channel, spectrum, tol)
     if family is None:
         raise OutOfScope(spectrum.classification.value, spectrum.alpha)
     name, value = family
@@ -517,15 +512,14 @@ def partial_transpose(j, n: int, m: int) -> np.ndarray:
     return j.reshape(n, m, n, m).transpose(2, 1, 0, 3).reshape(n * m, n * m)
 
 
-def is_ppt(j, n: int, m: int, tol: ToleranceConfig | None = None) -> bool:
+def is_ppt(j, n: int, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Dense positive partial transpose check of an nm x nm matrix: a
     negative partial transpose certifies that the Choi matrix is not
     separable.  :func:`certify` uses the matrix-free :func:`npt_witness`;
     this full eigenvalue check is the reference it is tested against."""
-    t = _tol(tol)
-    evals = np.linalg.eigvalsh(as_hermitian(partial_transpose(j, n, m), t))
+    evals = np.linalg.eigvalsh(as_hermitian(partial_transpose(j, n, m), tol))
     scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
-    return bool(evals[0] >= -t.eps_verify * scale)
+    return bool(evals[0] >= -tol.eps_verify * scale)
 
 
 # Lanczos steps npt_witness takes at most; zoo refutations find their
@@ -544,7 +538,7 @@ class NPTWitness:
     bound: float
 
 
-def npt_witness(kraus, tol: ToleranceConfig | None = None) -> NPTWitness | None:
+def npt_witness(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> NPTWitness | None:
     """Search for a negative direction of the partial transpose of the Choi
     matrix J = sum_i vec(K_i) vec(K_i)* of a (k, m, n) Kraus stack, without
     forming J.
@@ -558,7 +552,6 @@ def npt_witness(kraus, tol: ToleranceConfig | None = None) -> NPTWitness | None:
     :func:`is_ppt`, so a witness implies ``is_ppt`` is False.  None means no
     witness within the budget, not a proof that J is PPT.
     """
-    t = _tol(tol)
     kraus = np.asarray(kraus, dtype=complex)
     if kraus.ndim != 3 or not np.all(np.isfinite(kraus)):
         raise ValueError(f"expected a finite (k, m, n) Kraus stack, got shape {kraus.shape}")
@@ -571,8 +564,8 @@ def npt_witness(kraus, tol: ToleranceConfig | None = None) -> NPTWitness | None:
         return vec(side_by_side @ products.transpose(0, 2, 1).reshape(k * n, n))
 
     scale = max(1.0, frob(kraus) ** 2)
-    bound = t.eps_verify * scale
-    rng = t.rng(0x9E7A)
+    bound = tol.eps_verify * scale
+    rng = tol.rng(0x9E7A)
     steps = min(NPT_STEPS, n * m)
     basis = np.zeros((steps, n * m), dtype=complex)  # orthonormal Lanczos rows
     tri = np.zeros((steps, steps))
@@ -591,7 +584,7 @@ def npt_witness(kraus, tol: ToleranceConfig | None = None) -> NPTWitness | None:
             if quotient < -bound:
                 return NPTWitness(vector=x, quotient=quotient, bound=bound)
         beta = np.linalg.norm(w)
-        if j + 1 == steps or beta <= t.eps_rank * scale:  # budget spent or subspace invariant
+        if j + 1 == steps or beta <= tol.eps_rank * scale:  # budget spent or subspace invariant
             break
         tri[j, j + 1] = tri[j + 1, j] = beta
         basis[j + 1] = w / beta

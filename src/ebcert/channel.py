@@ -43,8 +43,8 @@ from .errors import (
     VerificationFailure,
 )
 from .numerics import (
+    DEFAULT_TOL,
     ToleranceConfig,
-    _tol,
     as_matrix,
     as_matrix_stack,
     eigh_descending,
@@ -66,8 +66,7 @@ class CPMap:
     array, so iterating over ``kraus`` gives the m x n operators.  Immutable
     once constructed; safe to share across threads."""
 
-    def __init__(self, kraus, tol: ToleranceConfig | None = None):
-        t = _tol(tol)
+    def __init__(self, kraus, tol: ToleranceConfig = DEFAULT_TOL):
         try:
             # a C-order copy: caller-owned arrays stay writable, reshapes are views
             self._kraus = np.array(kraus, dtype=complex, order="C")
@@ -84,7 +83,7 @@ class CPMap:
         _, self.output_dim, self.input_dim = self._kraus.shape
         rows = self._kraus.reshape(-1, self.input_dim)
         self.tp_residual = frob(rows.conj().T @ rows - np.eye(self.input_dim))
-        self.trace_preserving = self.tp_residual <= t.eps_verify
+        self.trace_preserving = self.tp_residual <= tol.eps_verify
 
     @property
     def kraus(self) -> np.ndarray:
@@ -93,7 +92,7 @@ class CPMap:
     def __len__(self) -> int:
         return self._kraus.shape[0]
 
-    def with_kraus(self, kraus, tol: ToleranceConfig | None = None) -> "CPMap":
+    def with_kraus(self, kraus, tol: ToleranceConfig = DEFAULT_TOL) -> "CPMap":
         """Map of this one's kind with other Kraus operators: a
         :class:`KrausChannel`, which rejects operators that are not trace
         preserving, when this map is trace preserving, else a CPMap."""
@@ -127,7 +126,7 @@ class KrausChannel(CPMap):
     lists whose trace-preserving residual exceeds tolerance; general CP maps
     go through :class:`CPMap` instead."""
 
-    def __init__(self, kraus, tol: ToleranceConfig | None = None):
+    def __init__(self, kraus, tol: ToleranceConfig = DEFAULT_TOL):
         super().__init__(kraus, tol)
         if not self.trace_preserving:
             raise NotTracePreserving(self.tp_residual)
@@ -176,7 +175,7 @@ class ChoiReport(ChoiSpectrum):
         return columns @ columns.conj().T
 
 
-def choi_spectrum(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiSpectrum:
+def choi_spectrum(channel: CPMap, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiSpectrum:
     """The Choi spectrum and its class alone, under the checks of :func:`choi`:
     the eigenvalues of the Gram matrix, no eigenvectors or Kraus set.
 
@@ -207,7 +206,7 @@ def choi_spectrum(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiSpe
         evals = np.sort(diagonal.real)[::-1]
     else:
         evals = eigh_descending(g, vectors=False)
-    return _spectrum(channel, evals, _tol(tol))
+    return _spectrum(channel, evals, tol)
 
 
 def _spectrum(channel: CPMap, evals, t: ToleranceConfig) -> ChoiSpectrum:
@@ -249,7 +248,7 @@ def _spectrum(channel: CPMap, evals, t: ToleranceConfig) -> ChoiSpectrum:
                         alpha=alpha, eigenvalues=spectrum)
 
 
-def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
+def choi(channel: CPMap, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiReport:
     """Classify the Choi spectrum and take the minimal Kraus set from the
     same eigendecomposition, without forming the Choi matrix; callers that
     read only the spectrum take :func:`choi_spectrum`.
@@ -274,18 +273,17 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     would avoid that, but it costs about twice the eigendecomposition of G
     when R is square, as for the completely depolarizing channel.
     """
-    t = _tol(tol)
     n, m = channel.input_dim, channel.output_dim
     rows = channel.kraus.reshape(len(channel), m * n)
     g = rows.conj() @ rows.T  # Hermitian by construction
     evals, w = eigh_descending(g)
-    spectrum = _spectrum(channel, evals, t)
+    spectrum = _spectrum(channel, evals, tol)
 
     # |V P V*|^2 = tr(P G P G) = sum of (P G) times its transpose, entrywise
     kept = w[:, :spectrum.choi_rank]
     pg = (np.eye(len(evals)) - kept @ kept.conj().T) @ g
     residual = np.sqrt(abs(np.sum(pg * pg.T).real))
-    if not residual <= t.eps_verify * max(1.0, n):
+    if not residual <= tol.eps_verify * max(1.0, n):
         raise VerificationFailure(
             f"minimal Kraus reconstruction residual {residual:.3e} exceeds tolerance"
         )
@@ -293,23 +291,22 @@ def choi(channel: CPMap, tol: ToleranceConfig | None = None) -> ChoiReport:
     return ChoiReport(**vars(spectrum), kraus=kraus, residual=float(residual))
 
 
-def minimal_kraus(channel: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
+def minimal_kraus(channel: CPMap, tol: ToleranceConfig = DEFAULT_TOL) -> CPMap:
     """Equivalent map with exactly Choi-rank many Kraus operators, taken
     from the Choi report (the package-wide canonical choice)."""
-    t = _tol(tol)
-    report = choi(channel, t)
+    report = choi(channel, tol)
     if report.choi_rank == 0:
         raise ValueError("Choi matrix is numerically zero; no Kraus form exists")
-    return channel.with_kraus(report.kraus, t)
+    return channel.with_kraus(report.kraus, tol)
 
 
-def is_minimal(channel: CPMap, tol: ToleranceConfig | None = None) -> bool:
+def is_minimal(channel: CPMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """A Kraus set is minimal exactly when its operators are linearly
     independent."""
     return numerical_rank(channel.kraus.reshape(len(channel), -1), tol) == len(channel)
 
 
-def complement_from_kraus(kraus, tol: ToleranceConfig | None = None) -> CPMap:
+def complement_from_kraus(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> CPMap:
     """Complement of the map presented by the *given* Kraus list: the map
     X -> sum_ij tr(K_i* K_j X) E_ji into d x d matrices, d the list length.
 
@@ -320,33 +317,30 @@ def complement_from_kraus(kraus, tol: ToleranceConfig | None = None) -> CPMap:
     which first reduces to the minimal Kraus set; this raw form exists for
     comparing complements across different Kraus presentations.
     """
-    t = _tol(tol)
-    source = CPMap(kraus, t)
-    return source.with_kraus(source.kraus.transpose(1, 0, 2), t)
+    source = CPMap(kraus, tol)
+    return source.with_kraus(source.kraus.transpose(1, 0, 2), tol)
 
 
-def complement(channel: KrausChannel, tol: ToleranceConfig | None = None) -> KrausChannel:
+def complement(channel: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel:
     """Canonical complement, a channel into d x d matrices for d the Choi
     rank: :func:`complement_from_kraus` of the minimal Kraus set.  Complements
     from other minimal sets are unitarily conjugate to it, hence share its
     Choi spectrum."""
-    t = _tol(tol)
     if not channel.trace_preserving:
         raise NotTracePreserving(channel.tp_residual, "complement requires a channel")
-    return complement_from_kraus(minimal_kraus(channel, t).kraus, t)
+    return complement_from_kraus(minimal_kraus(channel, tol).kraus, tol)
 
 
-def complement_adjoint(minimal: CPMap, tol: ToleranceConfig | None = None) -> CPMap:
+def complement_adjoint(minimal: CPMap, tol: ToleranceConfig = DEFAULT_TOL) -> CPMap:
     """Adjoint of the complement, X -> sum_ij X_ij K_i* K_j on d x d matrices
     for a minimal Kraus set {K_i}, evaluated by its :meth:`CPMap.apply`.  Its
     Kraus operators P_a[c, i] = conj(K_i[a, c]) are the adjoints of those of
     ``complement_from_kraus(K)``: one transpose of the conjugated stack.
     It is unital whenever the source is trace preserving, and trace
     preserving exactly when the source Choi matrix is a projection."""
-    t = _tol(tol)
-    if not is_minimal(minimal, t):
+    if not is_minimal(minimal, tol):
         raise NotMinimalKraus("complement adjoint requires a minimal Kraus set")
-    return CPMap(np.conj(minimal.kraus).transpose(1, 2, 0), t)
+    return CPMap(np.conj(minimal.kraus).transpose(1, 2, 0), tol)
 
 
 class ComplementAdjointKind(enum.Enum):
@@ -363,17 +357,16 @@ class ComplementAdjointReport:
 
 
 def classify_complement_adjoint(
-    channel: KrausChannel, tol: ToleranceConfig | None = None
+    channel: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ComplementAdjointReport:
     """Classify the complement adjoint by the image of the identity under the
     complement: the adjoint scales traces by alpha exactly when the
     complement sends I_n to alpha I_d, and preserves them when alpha = 1.
     That image is read off the Choi spectrum alone (:func:`choi_spectrum`,
     no eigenvectors; see :func:`_classify_complement_adjoint`)."""
-    t = _tol(tol)
     if not channel.trace_preserving:
         raise NotTracePreserving(channel.tp_residual, "complement requires a channel")
-    return _classify_complement_adjoint(choi_spectrum(channel, t))
+    return _classify_complement_adjoint(choi_spectrum(channel, tol))
 
 
 def _classify_complement_adjoint(cs: ChoiSpectrum) -> ComplementAdjointReport:
@@ -393,18 +386,17 @@ def _classify_complement_adjoint(cs: ChoiSpectrum) -> ComplementAdjointReport:
     return ComplementAdjointReport(kind, cs.alpha, float(np.max(np.abs(nonzero - centre))))
 
 
-def redilate(channel: CPMap, isometry, tol: ToleranceConfig | None = None) -> CPMap:
+def redilate(channel: CPMap, isometry, tol: ToleranceConfig = DEFAULT_TOL) -> CPMap:
     """Re-dilate a Kraus presentation through an isometry W (r x d columns
     with W* W = I): the new operators are L_i = sum_j W_ij K_j.  The channel
     action and Choi matrix are unchanged."""
-    t = _tol(tol)
     w = as_matrix(isometry)
     d = len(channel)
     if w.shape[1] != d:
         raise DimensionMismatch(f"isometry has {w.shape[1]} columns, channel has {d} operators")
-    if frob(w.conj().T @ w - np.eye(d)) > t.eps_verify:
+    if frob(w.conj().T @ w - np.eye(d)) > tol.eps_verify:
         raise VerificationFailure("matrix is not an isometry to tolerance")
-    return channel.with_kraus(np.tensordot(w, channel.kraus, axes=1), t)
+    return channel.with_kraus(np.tensordot(w, channel.kraus, axes=1), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +412,7 @@ def channel_to_json_dict(channel: CPMap) -> dict:
     }
 
 
-def channel_from_json_dict(data: dict, tol: ToleranceConfig | None = None) -> KrausChannel:
+def channel_from_json_dict(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel:
     """Rebuild a channel, validating dimensions and the trace-preserving
     condition.  The resulting object carries the measured residual."""
     try:
@@ -440,7 +432,7 @@ def save_channel(channel: CPMap, path) -> None:
         write_json(fh, channel_to_json_dict(channel))
 
 
-def load_channel(path, tol: ToleranceConfig | None = None) -> KrausChannel:
+def load_channel(path, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return channel_from_json_dict(data, tol)

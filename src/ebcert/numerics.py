@@ -62,10 +62,6 @@ DEFAULT_TOL = ToleranceConfig()
 MAX_RESAMPLE = 8
 
 
-def _tol(tol: ToleranceConfig | None) -> ToleranceConfig:
-    return DEFAULT_TOL if tol is None else tol
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting NaN and infinity."""
     m = np.asarray(a, dtype=complex)
@@ -97,11 +93,10 @@ def frob_each(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, axis=(-2, -1))
 
 
-def as_hermitian(a, tol: ToleranceConfig | None = None) -> np.ndarray:
+def as_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Coerce one square complex matrix, or an (s, d, d) stack of them, each
     within the Hermitian residual bound eps_verify (1 + |a|); raises
     NotHermitian otherwise."""
-    t = _tol(tol)
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3):
         raise DimensionMismatch(f"expected a matrix or a stack of them, got dimension {a.ndim}")
@@ -110,13 +105,13 @@ def as_hermitian(a, tol: ToleranceConfig | None = None) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     residual = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
-    bad = residual > t.eps_verify * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    bad = residual > tol.eps_verify * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
     if np.any(bad):
         raise NotHermitian(f"Hermitian residual {float(np.max(residual[bad])):.3e} above tolerance")
     return a
 
 
-def hermitian_eig(a, tol: ToleranceConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of an
     (s, d, d) stack.
 
@@ -166,7 +161,7 @@ def factor_distance(a, b) -> float:
     return frob(r1 @ r1.conj().T - r2 @ r2.conj().T)
 
 
-def relative_rank(values: np.ndarray, tol: ToleranceConfig | None = None) -> int:
+def relative_rank(values: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Count of the entries of a descending array of singular values or
     eigenvalues above the relative cutoff.
 
@@ -174,19 +169,18 @@ def relative_rank(values: np.ndarray, tol: ToleranceConfig | None = None) -> int
     otherwise entries are compared against eps_rank times the largest, so
     the decision is stable under overall scaling.
     """
-    t = _tol(tol)
-    if values.size == 0 or values[0] <= t.eps_rank:
+    if values.size == 0 or values[0] <= tol.eps_rank:
         return 0
-    return int(np.sum(values > t.eps_rank * values[0]))
+    return int(np.sum(values > tol.eps_rank * values[0]))
 
 
-def numerical_rank(a, tol: ToleranceConfig | None = None) -> int:
+def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Matrix rank at the relative cutoff of :func:`relative_rank`."""
     a = as_matrix(a)
     return relative_rank(np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0), tol)
 
 
-def nullspace(a, tol: ToleranceConfig | None = None,
+def nullspace(a, tol: ToleranceConfig = DEFAULT_TOL,
               cutoff: float | None = None) -> np.ndarray:
     """Orthonormal basis of the right null space, as matrix columns.
 

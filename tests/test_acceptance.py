@@ -216,10 +216,10 @@ def test_criterion_5_witness_search_oracle_agreement():
     verdict on 20 projection-Choi instances at n = m = 2, with refutations
     cross-confirmed by a negative partial transpose.
 
-    At n = m = 2 every projection-Choi channel turns out to be entanglement
-    breaking (the two null directions of the combined-operator determinant
-    are forced to be orthogonal), so the refuted branch of the agreement is
-    additionally exercised on n = 2 instances with larger output dimension,
+    At m = 2 every projection-Choi channel is entanglement breaking, with
+    rank n (the 2 x 2 output-block proof is in the ``ebcert.zoo`` module
+    docstring), so refutations need m >= 3: the refuted branch of the
+    agreement is exercised on n = 2 instances with larger output dimension,
     where the same two-vector search applies.
     """
     agreements = 0

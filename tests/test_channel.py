@@ -10,6 +10,8 @@ from ebcert import (
     ComplementAdjointKind,
     CPMap,
     KrausChannel,
+    ToleranceConfig,
+    certify,
     channel_from_json_dict,
     channel_to_json_dict,
     choi,
@@ -18,6 +20,7 @@ from ebcert import (
     complement,
     complement_adjoint,
     complement_from_kraus,
+    eb_rank,
     factor_distance,
     is_minimal,
     load_channel,
@@ -26,7 +29,13 @@ from ebcert import (
     redilate,
     save_channel,
 )
-from ebcert.errors import DimensionMismatch, NotMinimalKraus, NotTracePreserving, VerificationFailure
+from ebcert.errors import (
+    DimensionMismatch,
+    InconsistentClassification,
+    NotMinimalKraus,
+    NotTracePreserving,
+    VerificationFailure,
+)
 from ebcert.numerics import random_isometry, vec
 from ebcert.zoo import (
     depolarizing,
@@ -390,6 +399,32 @@ class TestChoiSpectrumRoute:
         spectrum, taken = self.decompositions(monkeypatch, lambda: choi_spectrum(ch, tol))
         assert taken == calls
         assert np.max(np.abs(spectrum.eigenvalues - dense)) <= ratio * bound
+
+
+class TestProjectionRankCheck:
+    """A projection Choi matrix of a channel on n x n matrices has rank n, so
+    a rank cutoff that reads a spectrum as a projection of another rank is
+    refused as inconsistent by every call that classifies it."""
+
+    # E_00, E_01 / sqrt(2) and E_11 / sqrt(2) on C^2: trace preserving and
+    # mutually orthogonal, with Choi eigenvalues 1, 1/2, 1/2
+    KRAUS = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]]) \
+        * np.sqrt([1, 0.5, 0.5])[:, None, None]
+
+    def test_default_tolerances_classify_other(self, tol):
+        spectrum = choi_spectrum(KrausChannel(self.KRAUS, tol), tol)
+        assert (spectrum.classification, spectrum.choi_rank) == (ChoiClass.OTHER, 3)
+        np.testing.assert_allclose(spectrum.eigenvalues, [1, 0.5, 0.5, 0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("call", [choi_spectrum, choi, certify, eb_rank],
+                             ids=["choi_spectrum", "choi", "certify", "eb_rank"])
+    def test_a_cutoff_above_the_half_levels_is_refused(self, call):
+        # at eps_rank 0.6 only the eigenvalue 1 counts: a projection of rank 1
+        tol = ToleranceConfig(eps_rank=0.6)
+        ch = KrausChannel(self.KRAUS, tol)
+        with pytest.raises(InconsistentClassification,
+                           match=r"^projection Choi matrix must have rank 2, got 1$"):
+            call(ch, tol)
 
 
 class TestMinimalKraus:

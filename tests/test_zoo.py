@@ -1,16 +1,25 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
 from ebcert import (
     ChoiClass,
     CorrelationMatrix,
+    CPMap,
     KrausChannel,
+    ToleranceConfig,
     certify,
     choi,
     complement,
+    eb_rank,
     gram_vectors,
     random_unitary,
+    schur_normal_form,
+    verify_certificate,
 )
+from ebcert.cli import main
 from ebcert.errors import (
     DimensionMismatch,
     InvalidCorrelation,
@@ -33,6 +42,8 @@ from ebcert.zoo import (
 )
 
 from oracles import dense_family_distances, random_complex_matrix
+
+CHANNEL = importlib.import_module("ebcert.channel")
 
 
 def sorted_nonzero(spectrum, cutoff=1e-10):
@@ -266,6 +277,84 @@ class TestRandomChannels:
     def test_planted_instances_are_projection_class(self, tol):
         ch = random_projection_choi_channel(3, 3, 6, tol, ensure_eb=True)
         assert choi(ch, tol).classification is ChoiClass.PROJECTION
+
+
+class TestProjectionChoiAtTwoOutputs:
+    """Every projection-Choi channel with m = 2 is entanglement breaking,
+    with rank n, by the identities of its 2 x 2 output blocks
+    J = [[A, B], [B*, C]] that the ``ebcert.zoo`` module docstring proves."""
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generic_draws_satisfy_the_block_identities_and_certify(self, tol, n, seed):
+        ch = random_projection_choi_channel(n, 2, seed, tol)
+        # blocks[a, b][i, j] = J[(i, a), (j, b)] = sum_k K_k[a, i] conj(K_k[b, j])
+        blocks = np.einsum("kai,kbj->abij", ch.kraus, ch.kraus.conj())
+        a, b, c = blocks[0, 0], blocks[0, 1], blocks[1, 1]
+        np.testing.assert_allclose(blocks[1, 0], b.conj().T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a + c, np.eye(n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a @ b, b @ a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b @ b.conj().T, a - a @ a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.conj().T @ b, a - a @ a, rtol=0, atol=1e-12)
+        report = eb_rank(ch, tol)  # through certify, for a projection Choi matrix
+        assert (report.status, report.value, report.certificate.eb_rank) == ("certified", n, n)
+
+
+class TestToleranceThreading:
+    """Every map a call builds, and every spectrum and random draw it takes,
+    is checked at the caller's tolerance, never at the package default."""
+
+    TOL = ToleranceConfig(seed=3)
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """The tolerances CPMap construction, the Choi spectrum check and the
+        seeded draws receive while the test runs."""
+        seen = []
+        init, spectrum, rng = CPMap.__init__, CHANNEL._spectrum, ToleranceConfig.rng
+        signature = inspect.signature(init)
+
+        def spy_init(self, *args, **kwargs):
+            bound = signature.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["tol"])
+            init(self, *args, **kwargs)
+
+        def spy_spectrum(channel, evals, t):
+            seen.append(t)
+            return spectrum(channel, evals, t)
+
+        def spy_rng(self, *salt):
+            seen.append(self)
+            return rng(self, *salt)
+
+        monkeypatch.setattr(CPMap, "__init__", spy_init)
+        monkeypatch.setattr(CHANNEL, "_spectrum", spy_spectrum)
+        monkeypatch.setattr(ToleranceConfig, "rng", spy_rng)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        ch = random_projection_choi_channel(4, 4, 0, self.TOL, ensure_eb=True)
+        return ch, certify(ch, self.TOL)
+
+    @pytest.mark.parametrize("call", [
+        lambda t, ch, cert, path: random_projection_choi_channel(4, 4, 0, t, ensure_eb=True),
+        lambda t, ch, cert, path: random_projection_choi_channel(3, 3, 0, t),
+        lambda t, ch, cert, path: schur_channel(random_correlation(3, 2, 0, t), t),
+        lambda t, ch, cert, path: certify(ch, t),
+        lambda t, ch, cert, path: eb_rank(ch, t),
+        lambda t, ch, cert, path: verify_certificate(cert, ch, t),
+        lambda t, ch, cert, path: schur_normal_form(certify(ch, t), ch, t),
+        lambda t, ch, cert, path: main(["gen", "random-projection-choi", "--n", "3", "--m", "3",
+                                        "--ensure-eb", "--seed", "3", "--out", str(path)]),
+    ], ids=["planted", "generic", "schur", "certify", "eb_rank", "verify_certificate",
+            "schur_normal_form", "cli-gen-planted"])
+    def test_every_check_runs_at_the_callers_tolerance(self, received, planted, tmp_path, call,
+                                                       capsys):
+        result = call(self.TOL, *planted, tmp_path / "ch.json")
+        assert not isinstance(result, int) or result == 0  # the CLI's exit code
+        assert received and all(t == self.TOL for t in received), received
 
 
 class TestTwirlsAndPermutations:
