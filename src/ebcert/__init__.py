@@ -76,7 +76,6 @@ from .errors import (
 )
 from .numerics import (
     ToleranceConfig,
-    factor_distance,
     hermitian_eig,
     nullspace,
     numerical_rank,
@@ -103,4 +102,4 @@ from .zoo import (
     werner_holevo,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

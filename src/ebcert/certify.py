@@ -65,7 +65,6 @@ from .numerics import (
     as_hermitian,
     as_matrix,
     eigh_descending,
-    factor_distance,
     frob,
     frob_each,
     from_pairs,
@@ -375,7 +374,7 @@ class SchurNormalForm:
     product channel: after the input rotation ``basis_change`` the complement
     multiplies entry (i, j) by the conjugate of ``correlation[i, j]``, the
     Gram matrix of the certificate's output vectors.  ``residual`` is the
-    form's Choi anchor, judged at the bound of ``choi_match``."""
+    certificate's verified ``choi_match``, a bound on the form's Choi anchor."""
 
     basis_change: np.ndarray
     correlation: np.ndarray
@@ -391,13 +390,16 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
     orthonormal basis V (that is the only way this many rank-one operators
     can resolve the identity); a failure of that check means the certificate
     is corrupted.  The rotated channel X -> Phi(V X V*) has the Kraus set
-    {u_i e_i*}, anchored to the caller's Kraus operators through the Choi
-    matrix as ``choi_match`` anchors the certificate.  Nothing else depends
-    on the channel: the complement of {u_i e_i*} has the diagonal Kraus
-    operators L_a = diag(u_1[a], ..., u_n[a]), so it sends the matrix unit
-    E_ij to sum_a u_i[a] conj(u_j[a]) E_ij = conj(C_ij) E_ij, C = ``correlation``,
-    by construction; checking that on every E_ij would only compare two
-    summation orders of the same inner products.
+    {u_i e_i*} = {(u_i v_i*) V}, and a Choi distance does not change under
+    an input unitary, so its distance to the caller's operators is the
+    certificate's |D D* - J|, which ``choi_match`` bounds: the form is
+    checked by :func:`verify_certificate`, with every other certificate
+    invariant.  Nothing else depends on the channel: the complement of
+    {u_i e_i*} has the diagonal Kraus operators L_a = diag(u_1[a], ..., u_n[a]),
+    so it sends the matrix unit E_ij to sum_a u_i[a] conj(u_j[a]) E_ij =
+    conj(C_ij) E_ij, C = ``correlation``, by construction; checking that on
+    every E_ij would only compare two summation orders of the same inner
+    products.
     """
     n = channel.input_dim
     if not (cert.r == cert.choi_rank == n):
@@ -407,16 +409,9 @@ def schur_normal_form(cert: EBCertificate, channel: KrausChannel,
     ortho_residual = frob(basis.conj().T @ basis - np.eye(n))
     if not ortho_residual <= tol.eps_verify:  # so that NaN fails
         raise NotOrthonormal(f"input-side vectors fail orthonormality by {ortho_residual:.3e}")
-    gram = cert.u.conj() @ cert.u.T
-    rotated = _dyads(cert.u, np.eye(n))
-    # operators flattened row-major: factor_distance ignores a common row order
-    moved = channel.kraus @ basis
-    anchor = factor_distance(rotated.reshape(n, -1).T, moved.reshape(len(moved), -1).T)
-    if not anchor <= _residual_bound("choi_match", n, tol):
-        raise VerificationFailure(
-            f"certificate Kraus set does not reproduce the rotated channel: {anchor:.3e}"
-        )
-    return SchurNormalForm(basis_change=basis, correlation=gram, residual=anchor)
+    residual = verify_certificate(cert, channel, tol)["choi_match"]
+    return SchurNormalForm(basis_change=basis, correlation=cert.u.conj() @ cert.u.T,
+                           residual=residual)
 
 
 @dataclass(frozen=True)

@@ -263,10 +263,10 @@ def choi(channel: CPMap, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiReport:
     and the check's value kept as the report's ``residual``, by the residual
     of the Choi matrix it rebuilds, |J - V W_r (V W_r)*| = |V P V*| for the
     Hermitian P = I - W_r W_r*, whose square is tr(P G P G): no unitary W or
-    idempotent P is assumed.  Unlike the Gram-trace route that
-    :func:`~ebcert.numerics.factor_distance` rejects, no terms of size
-    |J|^2 cancel: P is formed first, and tr(P G P G) is itself the squared
-    norm of the small matrix G^(1/2) P G^(1/2).
+    idempotent P is assumed.  Unlike an expansion of that square into Gram
+    traces, whose terms of size |J|^2 cancel to rounding noise near
+    eps_verify, nothing cancels here: P is formed first, and tr(P G P G) is
+    itself the squared norm of the small matrix G^(1/2) P G^(1/2).
 
     The cost is O(nm k^2 + k^3) for k Kraus operators, so a list longer
     than nm pays O(k^3) for at most nm nonzero eigenvalues.  A thin SVD of R

@@ -144,23 +144,6 @@ def eigh_descending(a: np.ndarray, vectors: bool = True):
     return evals[..., ::-1], evecs[..., ::-1]
 
 
-def factor_distance(a, b) -> float:
-    """Frobenius distance |A A* - B B*| between the products of two factors
-    with one row count, without forming either product.  With a thin QR
-    [A B] = Q [R1 R2] the distance is |R1 R1* - R2 R2*|.  The shorter route
-    through Gram traces, |A* A|^2 + |B* B|^2 - 2 |A* B|^2, cancels to
-    rounding noise near eps_verify and is not used.  The normal form's Choi
-    anchor uses it, and the tests take it as the reference for a
-    certificate's ``choi_match``, which the certifier measures in the
-    eigenbasis of the Choi spectrum instead."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"factors have {a.shape[0]} and {b.shape[0]} rows")
-    r = np.linalg.qr(np.hstack([a, b]), mode="r")
-    r1, r2 = r[:, :a.shape[1]], r[:, a.shape[1]:]
-    return frob(r1 @ r1.conj().T - r2 @ r2.conj().T)
-
-
 def relative_rank(values: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Count of the entries of a descending array of singular values or
     eigenvalues above the relative cutoff.

@@ -37,7 +37,9 @@ from .numerics import (
     DEFAULT_TOL,
     MAX_RESAMPLE,
     ToleranceConfig,
+    as_hermitian,
     as_matrix,
+    eigh_descending,
     frob,
     hermitian_eig,
     random_isometry,
@@ -61,7 +63,7 @@ class CorrelationMatrix:
         c = as_matrix(self.matrix)
         if c.shape[0] != c.shape[1]:
             raise InvalidCorrelation("correlation matrix must be square")
-        evals, _ = hermitian_eig(c, tol)
+        evals = eigh_descending(as_hermitian(c, tol), vectors=False)
         if evals.size and evals[-1] < -tol.eps_verify * max(1.0, evals[0]):
             raise InvalidCorrelation(f"negative eigenvalue {evals[-1]:.3e}")
         diag_err = float(np.max(np.abs(np.diagonal(c) - 1.0)))

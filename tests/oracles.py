@@ -23,6 +23,11 @@ an SVD, the reference for the library's power step, and
 :func:`dense_family_distances` compares the direct Choi matrix entrywise
 with the two cited families, the reference for ``eb_rank``'s recognition
 from the Choi spectrum and the Kraus stack.
+:func:`factor_distance` is the distance between two Choi matrices through a
+thin QR of their factors, the reference for a certificate's ``choi_match``,
+which the library measures in the eigenbasis of the Choi spectrum.
+:func:`tensor_product` builds the product of two channels, whose verdict and
+block pairs follow from those of its factors.
 """
 
 import numpy as np
@@ -38,7 +43,7 @@ from ebcert import (
     unvec,
     vec,
 )
-from ebcert.errors import VerificationFailure
+from ebcert.errors import DimensionMismatch, VerificationFailure
 from ebcert.numerics import relative_rank
 
 
@@ -88,6 +93,28 @@ def minimal_kraus_direct(kraus, n, m, cutoff=1e-10):
         if evals[k] > cutoff * top:
             ops.append(np.sqrt(evals[k]) * evecs[:, k].reshape((m, n), order="F"))
     return ops
+
+
+def factor_distance(a, b):
+    """Frobenius distance |A A* - B B*| between the products of two factors
+    with one row count, without forming either product.  With a thin QR
+    [A B] = Q [R1 R2] the distance is |R1 R1* - R2 R2*|.  The shorter route
+    through Gram traces, |A* A|^2 + |B* B|^2 - 2 |A* B|^2, cancels to
+    rounding noise near eps_verify and is not used."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"factors have {a.shape[0]} and {b.shape[0]} rows")
+    r = np.linalg.qr(np.hstack([a, b]), mode="r")
+    r1, r2 = r[:, :a.shape[1]], r[:, a.shape[1]:]
+    return float(np.linalg.norm(r1 @ r1.conj().T - r2 @ r2.conj().T))
+
+
+def tensor_product(a, b, tol):
+    """The channel a (x) b, with the Kraus operators A_i (x) B_j in the
+    order of np.kron: an (k_a k_b, m_a m_b, n_a n_b) stack from one einsum."""
+    (ka, ma, na), (kb, mb, nb) = a.kraus.shape, b.kraus.shape
+    kraus = np.einsum("iac,jbd->ijabcd", a.kraus, b.kraus)
+    return KrausChannel(kraus.reshape(ka * kb, ma * mb, na * nb), tol)
 
 
 def qr_reconstruction_residual(v, w, rank):

@@ -48,7 +48,7 @@ from ebcert.errors import (
     ResolutionFailure,
     VerificationFailure,
 )
-from ebcert.numerics import factor_distance, unvec, vec
+from ebcert.numerics import unvec, vec
 from ebcert.zoo import (
     depolarizing,
     external_twirl,
@@ -67,6 +67,7 @@ from oracles import (
     block_unital_complement,
     dense_family_distances,
     direct_choi,
+    factor_distance,
     perturbed,
     perturbed_planted,
     random_complex_matrix,
@@ -1072,8 +1073,9 @@ class TestSchurNormalForm:
         cert = certify(ch, tol)
         u = np.array(cert.u)
         u[0, 0] += 1e-6
-        with pytest.raises(VerificationFailure, match="rotated channel"):
+        with pytest.raises(VerificationFailure, match="certificate invariants out of tolerance") as err:
             schur_normal_form(dataclasses.replace(cert, u=u), ch, tol)
+        assert "'choi_match'" in str(err.value)
 
     def test_nan_input_vector_is_not_orthonormal(self, tol):
         ch = random_schur_complement_channel(3, 3, 19, tol)
@@ -1084,7 +1086,8 @@ class TestSchurNormalForm:
             schur_normal_form(dataclasses.replace(cert, v=v), ch, tol)
 
     def test_reads_the_form_off_the_certificate(self, tol, monkeypatch):
-        # no second Choi decomposition and no complement applied to matrix units
+        # the gate's one Choi decomposition, no complement applied to matrix
+        # units, no dense Choi matrix and no SVD or QR
         schur = random_schur_complement_channel(5, 6, 3, tol)
         channels = [random_projection_choi_channel(6, 6, 1, tol, ensure_eb=True), schur,
                     redilate_fixture(schur, 8, 4, tol)]
@@ -1096,13 +1099,25 @@ class TestSchurNormalForm:
         def forbidden(*args, **kwargs):
             raise AssertionError("the normal form recomputes what the certificate holds")
 
+        calls = []
+
+        def counting_choi(*args, **kwargs):
+            calls.append(1)
+            return choi(*args, **kwargs)
+
         monkeypatch.setattr(CPMap, "apply", forbidden)
-        monkeypatch.setattr(importlib.import_module("ebcert.certify"), "choi", forbidden)
+        monkeypatch.setattr(ChoiReport, "choi", property(forbidden))
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(importlib.import_module("ebcert.certify"), "choi", counting_choi)
         monkeypatch.setattr(importlib.import_module("ebcert.channel"), "choi", forbidden)
         for ch, (cert, form) in zip(channels, expected):
+            calls.clear()
             got = schur_normal_form(cert, ch, tol)
+            assert len(calls) == 1
             np.testing.assert_array_equal(got.basis_change, form.basis_change)
             np.testing.assert_array_equal(got.correlation, form.correlation)
+            assert got.residual == verify_certificate(cert, ch, tol)["choi_match"]
 
     def test_memory_stays_at_the_size_of_the_kraus_stack(self, tol):
         # a complement applied to all n^2 matrix units held an n^4 m intermediate,

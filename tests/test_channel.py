@@ -21,7 +21,6 @@ from ebcert import (
     complement_adjoint,
     complement_from_kraus,
     eb_rank,
-    factor_distance,
     is_minimal,
     load_channel,
     minimal_kraus,
@@ -54,6 +53,7 @@ from oracles import (
     apply_kraus,
     classify_by_complement_apply,
     direct_choi,
+    factor_distance,
     perturbed_planted,
     qr_reconstruction_residual,
     random_complex_matrix,

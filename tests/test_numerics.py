@@ -5,7 +5,6 @@ from ebcert import ToleranceConfig
 from ebcert.errors import DimensionMismatch, NotHermitian
 from ebcert.numerics import (
     MAX_RESAMPLE,
-    factor_distance,
     from_pairs,
     hermitian_eig,
     nullspace,
@@ -19,7 +18,12 @@ from ebcert.numerics import (
 )
 from ebcert.zoo import random_projection_choi_channel, redilate_fixture, werner_holevo
 
-from oracles import orthonormal_matrix_basis, random_complex_matrix, span_projector
+from oracles import (
+    factor_distance,
+    orthonormal_matrix_basis,
+    random_complex_matrix,
+    span_projector,
+)
 
 
 def random_hermitian(n, rng):

@@ -76,6 +76,20 @@ class TestCorrelationMatrix:
         assert factor.shape == (2, 4)
         np.testing.assert_allclose(factor.conj().T @ factor, corr.matrix, atol=1e-10)
 
+    def test_validate_reads_the_eigenvalues_alone(self, tol, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _solver(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        random_correlation(6, 3, 2, tol).validate(tol)
+        assert calls == ["eigvalsh"]
+        # schur_channel's one eigendecomposition is its Gram factor's
+        calls.clear()
+        schur_channel(random_correlation(6, 3, 2, tol), tol)
+        assert calls == ["eigvalsh", "eigh"]
+
 
 class TestSchurChannel:
     def test_all_ones_correlation_is_identity_channel(self, tol):
